@@ -2,7 +2,11 @@
 //
 // Experiment E9 (DESIGN.md): the ablation the paper lists as future work —
 // extended-axis evaluation with the leaf-interval RangeIndex vs. the naive
-// full scan of the literal Definition 1, swept over edition size.
+// full scan of the literal Definition 1, swept over edition size. The
+// indexed lanes run AxisEvaluator over a pinned snapshot; the naive lanes
+// time a bench-local literal Definition-1 loop (node-table scan, then
+// document-order sort), the same work the evaluator's former naive mode
+// did, so the two lanes of one axis return identical node sets.
 //
 // Expected shape: the naive scan is linear in the total node count for every
 // axis; the indexed ordering axes (xfollowing/xpreceding) and containment/
@@ -18,6 +22,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "goddag/stats.h"
 #include "workload/generator.h"
 #include "xpath/axes.h"
@@ -29,7 +35,6 @@ using mhx::MultihierarchicalDocument;
 using mhx::goddag::NodeId;
 using mhx::xpath::Axis;
 using mhx::xpath::AxisEvaluator;
-using mhx::xpath::AxisOptions;
 
 MultihierarchicalDocument* EditionDoc(size_t words) {
   static auto* cache = new std::map<size_t, MultihierarchicalDocument*>();
@@ -68,14 +73,42 @@ std::vector<NodeId> WordSample(const MultihierarchicalDocument& doc,
   return words;
 }
 
+// The literal Definition 1: every element whose range stands in `axis`
+// relation to the context's, minus the context, in document order.
+std::vector<NodeId> Definition1(const mhx::goddag::KyGoddag& kg,
+                                NodeId context, Axis axis) {
+  std::vector<NodeId> out;
+  const mhx::TextRange& c = kg.node(context).range;
+  for (NodeId id = 0; id < kg.node_table_size(); ++id) {
+    if (id == context) continue;
+    const auto& node = kg.node(id);
+    if (node.kind != mhx::goddag::GNodeKind::kElement) continue;
+    if (mhx::xpath::ExtendedAxisMatches(axis, c, node.range)) {
+      out.push_back(id);
+    }
+  }
+  auto cmp = [&kg](NodeId a, NodeId b) {
+    const mhx::TextRange& ra = kg.node(a).range;
+    const mhx::TextRange& rb = kg.node(b).range;
+    if (ra != rb) return ra < rb;
+    return a < b;
+  };
+  if (!std::is_sorted(out.begin(), out.end(), cmp)) {
+    std::sort(out.begin(), out.end(), cmp);
+  }
+  return out;
+}
+
 void RunAxis(benchmark::State& state, Axis axis, bool use_index) {
   MultihierarchicalDocument* doc = EditionDoc(state.range(0));
-  AxisEvaluator axes(&doc->goddag(), AxisOptions{use_index});
+  const auto snapshot = doc->PinSnapshot();
+  AxisEvaluator axes(snapshot.get());
   std::vector<NodeId> contexts = WordSample(*doc, 64);
   size_t results = 0;
   for (auto _ : state) {
     for (NodeId context : contexts) {
-      auto nodes = axes.EvaluateAxisOnly(context, axis);
+      auto nodes = use_index ? axes.EvaluateAxisOnly(context, axis)
+                             : Definition1(snapshot->goddag(), context, axis);
       results += nodes.size();
       benchmark::DoNotOptimize(nodes);
     }
@@ -176,7 +209,8 @@ KERNEL_BENCH(XPreceding, Axis::kXPreceding)
 void BM_StandardDescendant(benchmark::State& state) {
   // Baseline context: a standard tree axis for comparison.
   MultihierarchicalDocument* doc = EditionDoc(state.range(0));
-  AxisEvaluator axes(&doc->goddag());
+  const auto snapshot = doc->PinSnapshot();
+  AxisEvaluator axes(snapshot.get());
   for (auto _ : state) {
     auto nodes = axes.EvaluateAxisOnly(doc->goddag().root(),
                                        Axis::kDescendant);

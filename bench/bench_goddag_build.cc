@@ -2,7 +2,9 @@
 //
 // Experiments E1/E2/E10 (DESIGN.md): KyGODDAG construction cost vs. edition
 // size and number of hierarchies, plus the cost of virtual-hierarchy
-// add/remove cycles (what every analyze-string() call pays).
+// add/remove cycles (what every analyze-string() call pays). The E10 lanes
+// mutate a bench-owned Clone() of the edition's goddag; their full-rebuild
+// ablation recomputes the leaf partition with FullLeafRebuild below.
 
 #include <benchmark/benchmark.h>
 
@@ -21,6 +23,22 @@
 namespace {
 
 using mhx::goddag::KyGoddag;
+
+// The E10 full-rebuild ablation: the leaf partition recomputed from
+// scratch — boundaries recounted from the node table (0 and the text size
+// as sentinels), then one bulk assignment. Returns the leaf count.
+size_t FullLeafRebuild(const KyGoddag& kg,
+                       mhx::goddag::TieredLeafPartition* partition) {
+  std::map<size_t, uint32_t> refs = {{0, 1}, {kg.base_text().size(), 1}};
+  for (mhx::goddag::NodeId id = 0; id < kg.node_table_size(); ++id) {
+    const mhx::goddag::GNode& node = kg.node(id);
+    if (node.kind != mhx::goddag::GNodeKind::kElement) continue;
+    ++refs[node.range.begin];
+    ++refs[node.range.end];
+  }
+  partition->AssignFromBoundaries(refs);
+  return partition->Flatten().size();
+}
 
 void BM_BuildPaperDocument(benchmark::State& state) {
   for (auto _ : state) {
@@ -81,15 +99,20 @@ BENCHMARK(BM_BuildEdition_ByHierarchyCount)->DenseRange(1, 4);
 
 void BM_VirtualHierarchyCycle(benchmark::State& state) {
   // Add + remove a virtual hierarchy (the analyze-string() substrate) on an
-  // edition of the given size. arg1 toggles incremental leaf maintenance
-  // (the E10 ablation: patched splice vs. full partition rebuild).
+  // edition of the given size. arg1 picks the leaf maintenance (the E10
+  // ablation): 1 reads the incrementally spliced partition, 0 recomputes
+  // it in full after each change (FullLeafRebuild).
   mhx::workload::EditionConfig config;
   config.seed = 5;
   config.word_count = state.range(0);
   auto doc = mhx::workload::BuildEditionDocument(config);
   if (!doc.ok()) std::abort();
-  KyGoddag* kg = doc->mutable_goddag();
-  kg->set_incremental_leaves(state.range(1) != 0);
+  std::unique_ptr<KyGoddag> kg = doc->goddag().Clone();
+  const bool incremental = state.range(1) != 0;
+  mhx::goddag::TieredLeafPartition rebuilt;
+  auto leaf_count = [&] {
+    return incremental ? kg->leaves().size() : FullLeafRebuild(*kg, &rebuilt);
+  };
   size_t n = kg->base_text().size();
   for (auto _ : state) {
     auto h = kg->AddVirtualHierarchy(
@@ -98,9 +121,9 @@ void BM_VirtualHierarchyCycle(benchmark::State& state) {
          mhx::goddag::VirtualElement{"m", mhx::TextRange(n / 3, n / 2 - 1),
                                      {}}});
     if (!h.ok()) std::abort();
-    benchmark::DoNotOptimize(kg->leaves().size());  // force rebuild
+    benchmark::DoNotOptimize(leaf_count());
     if (!kg->RemoveVirtualHierarchy(*h).ok()) std::abort();
-    benchmark::DoNotOptimize(kg->leaves().size());
+    benchmark::DoNotOptimize(leaf_count());
   }
   state.SetComplexityN(state.range(0));
 }
@@ -124,26 +147,26 @@ void BM_XmlParseOnly(benchmark::State& state) {
 BENCHMARK(BM_XmlParseOnly)->Arg(400)->Arg(6400);
 
 void BM_LeafPartitionRebuild(benchmark::State& state) {
-  // Isolated cost of a full lazy leaf rebuild after a structural change
-  // (incremental maintenance disabled; with it on, the change is a splice —
-  // see BM_VirtualHierarchyCycle's ablation). Each iteration performs one
+  // Isolated cost of a full leaf rebuild after a structural change
+  // (FullLeafRebuild; the partition's own maintenance is a splice — see
+  // BM_VirtualHierarchyCycle's ablation). Each iteration performs one
   // add + rebuild + remove + rebuild cycle, all timed.
   mhx::workload::EditionConfig config;
   config.seed = 5;
   config.word_count = state.range(0);
   auto doc = mhx::workload::BuildEditionDocument(config);
   if (!doc.ok()) std::abort();
-  KyGoddag* kg = doc->mutable_goddag();
-  kg->set_incremental_leaves(false);
+  std::unique_ptr<KyGoddag> kg = doc->goddag().Clone();
+  mhx::goddag::TieredLeafPartition rebuilt;
   size_t n = kg->base_text().size();
   for (auto _ : state) {
     auto h = kg->AddVirtualHierarchy(
         "rest",
         {mhx::goddag::VirtualElement{"res", mhx::TextRange(1, n - 1), {}}});
     if (!h.ok()) std::abort();
-    benchmark::DoNotOptimize(kg->leaves().size());
+    benchmark::DoNotOptimize(FullLeafRebuild(*kg, &rebuilt));
     (void)kg->RemoveVirtualHierarchy(*h);
-    benchmark::DoNotOptimize(kg->leaves().size());
+    benchmark::DoNotOptimize(FullLeafRebuild(*kg, &rebuilt));
   }
   state.SetComplexityN(state.range(0));
 }

@@ -69,7 +69,8 @@ Setup GetSetup(int64_t words, int64_t chars_per_line) {
 void BM_OverlapJoin_KyGoddag(benchmark::State& state) {
   Setup setup = GetSetup(state.range(0), state.range(1));
   const auto& kg = setup.doc->goddag();
-  AxisEvaluator axes(&kg);
+  const auto snapshot = setup.doc->PinSnapshot();
+  AxisEvaluator axes(snapshot.get());
   size_t total = 0;
   for (auto _ : state) {
     size_t pairs = 0;
@@ -154,7 +155,8 @@ BENCHMARK(BM_OverlapJoin_Fragmentation)
 void BM_PointOverlap_KyGoddag(benchmark::State& state) {
   Setup setup = GetSetup(state.range(0), state.range(1));
   const auto& kg = setup.doc->goddag();
-  AxisEvaluator axes(&kg);
+  const auto snapshot = setup.doc->PinSnapshot();
+  AxisEvaluator axes(snapshot.get());
   // Middle word of the document.
   std::vector<NodeId> words;
   for (NodeId id : kg.hierarchy(1).nodes) {
@@ -213,7 +215,8 @@ BENCHMARK(BM_PointOverlap_Fragmentation)
 void BM_Containment_KyGoddag(benchmark::State& state) {
   Setup setup = GetSetup(state.range(0), state.range(1));
   const auto& kg = setup.doc->goddag();
-  AxisEvaluator axes(&kg);
+  const auto snapshot = setup.doc->PinSnapshot();
+  AxisEvaluator axes(snapshot.get());
   for (auto _ : state) {
     size_t count = 0;
     for (NodeId id : kg.hierarchy(1).nodes) {
@@ -245,7 +248,8 @@ void BM_StringSearch_KyGoddag(benchmark::State& state) {
   const auto& kg = setup.doc->goddag();
   // The target word's text: pick the word overlapping a line if any (worst
   // case for the baseline), else the middle word.
-  AxisEvaluator axes(&kg);
+  const auto snapshot = setup.doc->PinSnapshot();
+  AxisEvaluator axes(snapshot.get());
   std::string target;
   for (NodeId id : kg.hierarchy(1).nodes) {
     const auto& n = kg.node(id);
@@ -274,7 +278,8 @@ BENCHMARK(BM_StringSearch_KyGoddag)->Args({1600, 30});
 void BM_StringSearch_Fragmentation(benchmark::State& state) {
   Setup setup = GetSetup(state.range(0), state.range(1));
   const auto& kg = setup.doc->goddag();
-  AxisEvaluator axes(&kg);
+  const auto snapshot = setup.doc->PinSnapshot();
+  AxisEvaluator axes(snapshot.get());
   std::string target;
   for (NodeId id : kg.hierarchy(1).nodes) {
     const auto& n = kg.node(id);

@@ -44,25 +44,15 @@ StatusOr<MultihierarchicalDocument> MultihierarchicalDocument::Builder::
     auto hid = goddag->AddHierarchy(name, *parsed);
     if (!hid.ok()) return hid.status();
   }
-  return MultihierarchicalDocument(std::move(goddag));
+  // Version 1; the index stays lazy so Build() cost is unchanged — the
+  // engine's first evaluation builds it once.
+  return MultihierarchicalDocument(goddag::DocumentSnapshot::Create(
+      std::move(goddag), /*version=*/1, /*prebuild_index=*/false));
 }
 
 MultihierarchicalDocument::MultihierarchicalDocument(
-    std::unique_ptr<goddag::KyGoddag> g)
-    : head_(std::move(g)),
-      // Version 1; the index stays lazy so Build() cost is unchanged — the
-      // engine's first evaluation builds it once.
-      current_(goddag::DocumentSnapshot::Create(head_, /*version=*/1,
-                                                /*prebuild_index=*/false)),
-      engine_mu_(std::make_unique<std::mutex>()),
-      snapshot_mu_(std::make_unique<std::mutex>()),
-      writer_mu_(std::make_unique<std::mutex>()) {}
-
-MultihierarchicalDocument::MultihierarchicalDocument(
-    std::shared_ptr<goddag::KyGoddag> head,
     std::shared_ptr<const goddag::DocumentSnapshot> snapshot)
-    : head_(std::move(head)),
-      current_(std::move(snapshot)),
+    : current_(std::move(snapshot)),
       engine_mu_(std::make_unique<std::mutex>()),
       snapshot_mu_(std::make_unique<std::mutex>()),
       writer_mu_(std::make_unique<std::mutex>()) {}
@@ -71,6 +61,12 @@ std::shared_ptr<const goddag::DocumentSnapshot>
 MultihierarchicalDocument::PinSnapshot() const {
   std::lock_guard<std::mutex> lock(*snapshot_mu_);
   return current_;
+}
+
+const std::string& MultihierarchicalDocument::base_text() const {
+  // Every version shares one text, and the document always holds a
+  // version, so the reference outlives the pin.
+  return PinSnapshot()->goddag().base_text();
 }
 
 uint64_t MultihierarchicalDocument::version() const {
@@ -204,9 +200,8 @@ StatusOr<uint64_t> MultihierarchicalDocument::Writer::Commit() {
   }
   const uint64_t version = snapshot->version();
   {
-    // The entire epoch swap: two pointer assignments under the pin mutex.
+    // The entire epoch swap: one pointer assignment under the pin mutex.
     std::lock_guard<std::mutex> lock(*doc->snapshot_mu_);
-    doc->head_ = std::move(next);
     doc->current_ = std::move(snapshot);
   }
   return version;

@@ -13,8 +13,9 @@
 // a binary search plus a suffix/prefix copy.
 //
 // The index is a snapshot: it does not observe later mutations of the
-// KyGoddag. Callers that mutate (e.g. virtual hierarchies) should compare
-// KyGoddag::revision() and rebuild, as AxisEvaluator does.
+// KyGoddag. Each published DocumentSnapshot owns the one index built for
+// its immutable goddag; revision() records which goddag revision that was
+// (the arena writer checks it).
 
 #ifndef MHX_GODDAG_INDEX_H_
 #define MHX_GODDAG_INDEX_H_

@@ -216,14 +216,6 @@ Status KyGoddag::RemoveVirtualHierarchy(HierarchyId id) {
   return OkStatus();
 }
 
-void KyGoddag::set_incremental_leaves(bool incremental) {
-  if (incremental_leaves_ == incremental) return;
-  incremental_leaves_ = incremental;
-  // The refcount map is only maintained while incremental and clean; resync
-  // on the next leaves() call.
-  leaves_dirty_ = true;
-}
-
 void KyGoddag::NoteElementAdded(const TextRange& range) {
   ++element_count_;
   NoteBoundaryAdded(range.begin);
@@ -238,7 +230,7 @@ void KyGoddag::NoteElementRemoved(const TextRange& range) {
 
 void KyGoddag::NoteBoundaryAdded(size_t pos) {
   if (base_text_->empty()) return;  // the partition is empty either way
-  if (!incremental_leaves_ || leaves_dirty_ || boundary_refs_deferred_) {
+  if (leaves_dirty_ || boundary_refs_deferred_) {
     leaves_dirty_ = true;
     return;
   }
@@ -251,7 +243,7 @@ void KyGoddag::NoteBoundaryAdded(size_t pos) {
 
 void KyGoddag::NoteBoundaryRemoved(size_t pos) {
   if (base_text_->empty()) return;
-  if (!incremental_leaves_ || leaves_dirty_ || boundary_refs_deferred_) {
+  if (leaves_dirty_ || boundary_refs_deferred_) {
     leaves_dirty_ = true;
     return;
   }

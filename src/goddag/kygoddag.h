@@ -13,16 +13,16 @@
 // a contiguous interval of the base text, the leaf partition is fully
 // described by the sorted set of element boundary offsets, and all extended
 // axis semantics reduce to interval arithmetic on node ranges (see
-// xpath/axes.h). The partition is maintained either incrementally (boundary
-// refcounts plus a tiered-vector splice, goddag/leaves.h — the default; a
-// splice is O(log chunks + chunk), not O(partition)) or by a full lazy
-// rebuild that rescans every node; `set_incremental_leaves` toggles the two
-// so the E10 ablation can measure the difference.
+// xpath/axes.h). The partition is maintained incrementally (boundary
+// refcounts plus a tiered-vector splice, goddag/leaves.h; a splice is
+// O(log chunks + chunk), not O(partition)); a lazy full rebuild that
+// rescans every node runs only for a first build or an arena-adopted
+// goddag's first splice.
 //
 // Thread-safety: unsynchronized — a KyGoddag is mutated only on the writer
-// path (Builder::Build, Writer::Commit on a private Clone(), or the legacy
-// mutable_goddag() escape hatch) and read concurrently only once published
-// inside an immutable DocumentSnapshot (goddag/snapshot.h, CONCURRENCY.md).
+// path (Builder::Build, or Writer::Commit on a private Clone()) and read
+// concurrently only once published inside an immutable DocumentSnapshot
+// (goddag/snapshot.h, CONCURRENCY.md).
 // Clone() is the MVCC copy-on-write step: the node table, hierarchy table,
 // and leaf partition are copied; the base text is shared (refcounted, never
 // mutated after construction).
@@ -152,14 +152,8 @@ class KyGoddag {
   // Base-text content dominated by a node.
   std::string NodeString(NodeId id) const;
 
-  // Toggles incremental leaf-partition maintenance (default on). When off,
-  // any structural change invalidates the partition and the next leaves()
-  // call pays a full rebuild that rescans every node.
-  void set_incremental_leaves(bool incremental);
-  bool incremental_leaves() const { return incremental_leaves_; }
-
-  // Bumped on every structural change; index structures (goddag/index.h,
-  // xpath/axes.h) use it to detect staleness.
+  // Bumped on every structural change; RangeIndex and the on-disk arena
+  // record it (goddag/index.h, goddag/arena.h).
   uint64_t revision() const { return revision_; }
 
  private:
@@ -189,7 +183,6 @@ class KyGoddag {
   size_t element_count_ = 0;
   uint64_t revision_ = 0;
 
-  bool incremental_leaves_ = true;
   // Leaf partition cache. `boundary_refs_` maps a boundary offset to the
   // number of live element endpoints at that offset (offsets 0 and n carry a
   // permanent sentinel ref). It is authoritative only while `!leaves_dirty_`

@@ -13,9 +13,7 @@ std::atomic<size_t> g_live_snapshots{0};
 
 DocumentSnapshot::DocumentSnapshot(std::shared_ptr<const KyGoddag> goddag,
                                    uint64_t version)
-    : goddag_(std::move(goddag)),
-      version_(version),
-      revision_at_publish_(goddag_->revision()) {
+    : goddag_(std::move(goddag)), version_(version) {
   g_live_snapshots.fetch_add(1, std::memory_order_relaxed);
 }
 

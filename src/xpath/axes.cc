@@ -10,7 +10,6 @@ namespace mhx::xpath {
 
 using goddag::GNode;
 using goddag::GNodeKind;
-using goddag::KyGoddag;
 using goddag::NodeId;
 using goddag::kInvalidNode;
 
@@ -137,31 +136,15 @@ bool NodeTest::Matches(const GNode& node) const {
   return false;
 }
 
-AxisEvaluator::AxisEvaluator(const KyGoddag* goddag, AxisOptions options)
-    : goddag_(goddag), options_(options) {}
-
-AxisEvaluator::AxisEvaluator(const goddag::DocumentSnapshot* snapshot,
-                             AxisOptions options)
-    : goddag_(&snapshot->goddag()), snapshot_(snapshot), options_(options) {}
+AxisEvaluator::AxisEvaluator(const goddag::DocumentSnapshot* snapshot)
+    : snapshot_(snapshot), goddag_(&snapshot->goddag()) {}
 
 const goddag::RangeIndex& AxisEvaluator::index() const {
-  // Snapshot-bound and unedited since publish: serve the snapshot's
-  // build-once index. A writer-prebuilt index costs this evaluator nothing;
-  // a lazily indexed snapshot is built exactly once, and the builder counts
-  // it (EnsureIndex reports whether this call built).
-  if (snapshot_ != nullptr &&
-      goddag_->revision() == snapshot_->goddag_revision()) {
-    if (snapshot_->EnsureIndex()) ++index_rebuild_count_;
-    return snapshot_->index();
-  }
-  // Bare-goddag evaluators, and the legacy escape hatch: mutable_goddag()
-  // edited the head in place past the snapshot stamp, so rebuild privately
-  // against the live revision.
-  if (index_ == nullptr || index_->revision() != goddag_->revision()) {
-    index_ = std::make_unique<goddag::RangeIndex>(goddag_);
-    ++index_rebuild_count_;
-  }
-  return *index_;
+  // A writer-prebuilt index costs this evaluator nothing; a lazily indexed
+  // snapshot is built exactly once, and the builder counts it (EnsureIndex
+  // reports whether this call built).
+  if (snapshot_->EnsureIndex()) ++index_rebuild_count_;
+  return snapshot_->index();
 }
 
 Ordering AxisEvaluator::ResultOrdering(Axis axis) {
@@ -187,12 +170,6 @@ void AxisEvaluator::NormalizeDocumentOrder(const goddag::OverlayView* view,
   std::sort(ids->begin(), ids->end(), cmp);
 }
 
-void AxisEvaluator::EvaluateExtendedNaive(const GNode& context_node,
-                                          NodeId context, Axis axis,
-                                          std::vector<NodeId>* out) const {
-  EvaluateExtendedNaiveRange(context_node.range, context, axis, out);
-}
-
 void AxisEvaluator::EvaluateExtendedNaiveRange(const TextRange& context,
                                                NodeId exclude, Axis axis,
                                                std::vector<NodeId>* out) const {
@@ -205,11 +182,10 @@ void AxisEvaluator::EvaluateExtendedNaiveRange(const TextRange& context,
   }
 }
 
-void AxisEvaluator::EvaluateExtendedIndexed(const GNode& context_node,
-                                            NodeId context, Axis axis,
+void AxisEvaluator::EvaluateExtendedIndexed(const TextRange& c,
+                                            NodeId exclude, Axis axis,
                                             const goddag::ProbeFilter& filter,
                                             std::vector<NodeId>* out) const {
-  const TextRange& c = context_node.range;
   const goddag::RangeIndex& idx = index();
   std::vector<NodeId> hits;
   switch (axis) {
@@ -233,19 +209,8 @@ void AxisEvaluator::EvaluateExtendedIndexed(const GNode& context_node,
   }
   out->reserve(hits.size());
   for (NodeId id : hits) {
-    if (id != context) out->push_back(id);
+    if (id != exclude) out->push_back(id);
   }
-}
-
-const goddag::SnapshotStats* AxisEvaluator::StatsOrNull() const {
-  // Same validity rule as index(): the snapshot's build-once stats describe
-  // the published revision; a legacy in-place edit makes them stale, so the
-  // planned paths fall back to unassisted evaluation.
-  if (snapshot_ != nullptr &&
-      goddag_->revision() == snapshot_->goddag_revision()) {
-    return &snapshot_->stats();
-  }
-  return nullptr;
 }
 
 void AxisEvaluator::AppendOverlayMatches(const goddag::OverlayView& view,
@@ -365,8 +330,19 @@ void AxisEvaluator::EvaluateStandard(const goddag::OverlayView* view,
   }
 }
 
-std::vector<NodeId> AxisEvaluator::EvaluateAxisOnlyImpl(
-    const goddag::OverlayView* view, NodeId context, Axis axis) const {
+void AxisEvaluator::RetainMatches(const goddag::OverlayView* view,
+                                  const NodeTest& test,
+                                  std::vector<NodeId>* ids) const {
+  ids->erase(std::remove_if(ids->begin(), ids->end(),
+                            [&](NodeId id) {
+                              return !test.Matches(NodeAt(view, id));
+                            }),
+             ids->end());
+}
+
+std::vector<NodeId> AxisEvaluator::EvaluateImpl(
+    const goddag::OverlayView* view, NodeId context, Axis axis,
+    const NodeTest* test, const StepExec& exec) const {
   std::vector<NodeId> out;
   if (goddag::IsOverlayId(context)) {
     if (view == nullptr || view->overlay_of(context) == nullptr) return out;
@@ -375,95 +351,58 @@ std::vector<NodeId> AxisEvaluator::EvaluateAxisOnlyImpl(
   }
   const GNode& context_node = NodeAt(view, context);
   if (context_node.kind == GNodeKind::kFree) return out;
-  if (IsExtendedAxis(axis)) {
-    if (options_.use_index) {
-      EvaluateExtendedIndexed(context_node, context, axis, {}, &out);
-    } else {
-      EvaluateExtendedNaive(context_node, context, axis, &out);
-    }
-    if (view != nullptr) {
-      AppendOverlayMatches(*view, axis, context_node.range, context,
-                           /*test=*/nullptr, &out);
-    }
-  } else {
+  if (!IsExtendedAxis(axis)) {
     EvaluateStandard(view, context, axis, &out);
+    NormalizeDocumentOrder(view, &out);
+    if (test != nullptr) RetainMatches(view, *test, &out);
+    return out;
   }
+  static const NodeTest kAny = NodeTest::Any();
+  const bool base_filtered = EvaluateExtendedPlannedBase(
+      context_node.range, context, axis, test != nullptr ? *test : kAny, exec,
+      &out);
+  if (test != nullptr && !base_filtered) RetainMatches(view, *test, &out);
+  if (view != nullptr) {
+    AppendOverlayMatches(*view, axis, context_node.range, context, test,
+                         &out);
+  }
+  // Filtering before the sort returns the same bytes as sort-then-filter:
+  // the comparator is a strict total order and removal is subset-stable.
   NormalizeDocumentOrder(view, &out);
   return out;
 }
 
 std::vector<NodeId> AxisEvaluator::EvaluateAxisOnly(NodeId context,
                                                     Axis axis) const {
-  return EvaluateAxisOnlyImpl(nullptr, context, axis);
+  return EvaluateImpl(nullptr, context, axis, nullptr, StepExec());
 }
 
 std::vector<NodeId> AxisEvaluator::EvaluateAxisOnly(
     const goddag::OverlayView& view, NodeId context, Axis axis) const {
-  return EvaluateAxisOnlyImpl(&view, context, axis);
+  return EvaluateImpl(&view, context, axis, nullptr, StepExec());
 }
 
 std::vector<NodeId> AxisEvaluator::Evaluate(NodeId context, Axis axis,
                                             const NodeTest& test) const {
-  std::vector<NodeId> out = EvaluateAxisOnlyImpl(nullptr, context, axis);
-  out.erase(std::remove_if(out.begin(), out.end(),
-                           [this, &test](NodeId id) {
-                             return !test.Matches(goddag_->node(id));
-                           }),
-            out.end());
-  return out;
+  return EvaluateImpl(nullptr, context, axis, &test, StepExec());
 }
 
 std::vector<NodeId> AxisEvaluator::Evaluate(const goddag::OverlayView& view,
                                             NodeId context, Axis axis,
                                             const NodeTest& test) const {
-  std::vector<NodeId> out = EvaluateAxisOnlyImpl(&view, context, axis);
-  out.erase(std::remove_if(out.begin(), out.end(),
-                           [&view, &test](NodeId id) {
-                             return !test.Matches(view.node(id));
-                           }),
-            out.end());
-  return out;
-}
-
-std::vector<NodeId> AxisEvaluator::EvaluateRange(
-    const goddag::OverlayView& view, const TextRange& context,
-    Axis axis) const {
-  std::vector<NodeId> out;
-  const goddag::RangeIndex& idx = index();
-  switch (axis) {
-    case Axis::kXAncestor:
-      out = idx.NodesContaining(context);
-      break;
-    case Axis::kXDescendant:
-      out = idx.NodesContainedIn(context);
-      break;
-    case Axis::kOverlapping:
-      out = idx.NodesOverlapping(context);
-      break;
-    case Axis::kXFollowing:
-      out = idx.NodesBeginningAtOrAfter(context.end);
-      break;
-    case Axis::kXPreceding:
-      out = idx.NodesEndingAtOrBefore(context.begin);
-      break;
-    default:
-      return out;
-  }
-  AppendOverlayMatches(view, axis, context, kInvalidNode, /*test=*/nullptr,
-                       &out);
-  return out;
+  return EvaluateImpl(&view, context, axis, &test, StepExec());
 }
 
 bool AxisEvaluator::EvaluateExtendedPlannedBase(
     const TextRange& context_range, NodeId exclude, Axis axis,
     const NodeTest& test, const StepExec& exec,
     std::vector<NodeId>* out) const {
-  const goddag::SnapshotStats* stats = StatsOrNull();
+  // The statistics are read only when pushdown or a scan needs them, so an
+  // un-pushed indexed probe never forces a lazy stats build.
+  const bool pushdown = exec.pushdown && test.is_name();
   uint32_t key = goddag::kNoNameKey;
-  bool pushdown = false;
-  if (exec.pushdown && test.is_name() && stats != nullptr) {
-    key = stats->name_key(test.name());
-    pushdown = true;
+  if (pushdown) {
+    key = snapshot_->stats().name_key(test.name());
     if (key == goddag::kNoNameKey) {
       // No live base element bears this name: the base half is empty by
       // the statistics alone (overlay hits are the caller's job).
@@ -472,19 +411,14 @@ bool AxisEvaluator::EvaluateExtendedPlannedBase(
   }
   if (exec.use_index) {
     goddag::ProbeFilter filter;
-    if (pushdown) filter = {stats->node_name_keys().data(), key};
-    // Reuse the node-context probe: a GNode stand-in carrying the range.
-    GNode probe;
-    probe.range = context_range;
-    EvaluateExtendedIndexed(probe, exclude, axis, filter, out);
+    if (pushdown) filter = {snapshot_->stats().node_name_keys().data(), key};
+    EvaluateExtendedIndexed(context_range, exclude, axis, filter, out);
     return pushdown;
   }
   // Scan side: the vectorized RangeSoA kernels when the snapshot's packed
   // layout applies, the scalar node-table walk otherwise.
-  if (stats != nullptr &&
-      ScanExtendedAxis(stats->soa(), axis, context_range, exclude,
-                       pushdown ? key : goddag::kNoNameKey, KernelIsa::kAuto,
-                       out)) {
+  if (ScanExtendedAxis(snapshot_->stats().soa(), axis, context_range, exclude,
+                       key, KernelIsa::kAuto, out)) {
     return pushdown;
   }
   EvaluateExtendedNaiveRange(context_range, exclude, axis, out);
@@ -494,30 +428,7 @@ bool AxisEvaluator::EvaluateExtendedPlannedBase(
 std::vector<NodeId> AxisEvaluator::EvaluatePlanned(
     const goddag::OverlayView& view, NodeId context, Axis axis,
     const NodeTest& test, const StepExec& exec) const {
-  if (!IsExtendedAxis(axis)) return Evaluate(view, context, axis, test);
-  std::vector<NodeId> out;
-  if (goddag::IsOverlayId(context)) {
-    if (view.overlay_of(context) == nullptr) return out;
-  } else if (context >= goddag_->node_table_size()) {
-    return out;
-  }
-  const GNode& context_node = view.node(context);
-  if (context_node.kind == GNodeKind::kFree) return out;
-  const bool base_filtered = EvaluateExtendedPlannedBase(
-      context_node.range, context, axis, test, exec, &out);
-  if (!base_filtered) {
-    out.erase(std::remove_if(out.begin(), out.end(),
-                             [this, &test](NodeId id) {
-                               return !test.Matches(goddag_->node(id));
-                             }),
-              out.end());
-  }
-  AppendOverlayMatches(view, axis, context_node.range, context, &test, &out);
-  // Filtering before the sort returns the same bytes as Evaluate's
-  // sort-then-filter: the comparator is a strict total order and removal
-  // is subset-stable.
-  NormalizeDocumentOrder(&view, &out);
-  return out;
+  return EvaluateImpl(&view, context, axis, &test, exec);
 }
 
 std::vector<NodeId> AxisEvaluator::EvaluateRangePlanned(
@@ -526,13 +437,7 @@ std::vector<NodeId> AxisEvaluator::EvaluateRangePlanned(
   std::vector<NodeId> out;
   const bool base_filtered = EvaluateExtendedPlannedBase(
       context, kInvalidNode, axis, test, exec, &out);
-  if (!base_filtered) {
-    out.erase(std::remove_if(out.begin(), out.end(),
-                             [this, &test](NodeId id) {
-                               return !test.Matches(goddag_->node(id));
-                             }),
-              out.end());
-  }
+  if (!base_filtered) RetainMatches(&view, test, &out);
   AppendOverlayMatches(view, axis, context, kInvalidNode, &test, &out);
   return out;
 }

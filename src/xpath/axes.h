@@ -10,38 +10,33 @@
 //   xfollowing::   nodes whose range begins at or after the context's end
 //   xpreceding::   nodes whose range ends at or before the context's start
 //
-// Every extended axis has two evaluation strategies, switched by
-// AxisOptions: the literal Definition-1 scan over the whole node table
-// (naive), and lookups against a RangeIndex (indexed). Both return the same
-// node set in document order — the E9 benchmark and the unit tests hold
-// them to that.
+// Every extended axis has two evaluation strategies, chosen per call by a
+// StepExec: lookups against the snapshot's RangeIndex (indexed), and a
+// (vectorized) scan of the whole node table (the literal Definition 1).
+// Both return the same node set in document order — the unit tests hold
+// them to a test-side Definition-1 reference.
 //
 // Overlay views: every entry point has a goddag::OverlayView overload that
 // evaluates against an evaluation's overlay namespace as well as the base
-// document. Extended axes then read uniformly as "base index (or naive base
-// scan) + overlay scan" — overlay nodes are never indexed, their delta is
-// tiny — and standard axes resolve parent/child arcs through the view.
-// Views fork (goddag/overlay.h): a parallel worker's private view chains to
-// the coordinator's, and both the overlay scan here and the view's own id
-// resolution walk that chain. The base RangeIndex snapshot is
-// revision-checked against the base KyGoddag only: overlay churn never
-// invalidates it, which is what keeps analyze-string() cycles rebuild-free
+// document. Extended axes then read uniformly as "base index (or base scan)
+// + overlay scan" — overlay nodes are never indexed, their delta is tiny —
+// and standard axes resolve parent/child arcs through the view. Views fork
+// (goddag/overlay.h): a parallel worker's private view chains to the
+// coordinator's, and both the overlay scan here and the view's own id
+// resolution walk that chain. Overlay churn never touches the snapshot's
+// index, which is what keeps analyze-string() cycles rebuild-free
 // (index_rebuild_count()).
 //
-// MVCC binding: an evaluator constructed over a goddag::DocumentSnapshot
-// serves index() from the snapshot's build-once RangeIndex — prebuilt by
+// MVCC binding: an evaluator is bound to one goddag::DocumentSnapshot and
+// reads that snapshot's build-once RangeIndex and statistics — prebuilt by
 // the writer that published the snapshot, so readers repinning after a
-// commit pay zero rebuilds (CONCURRENCY.md). The private rebuild path
-// remains only for the legacy escape hatch: a mutable_goddag() edit bumps
-// the live revision past the snapshot's publish stamp, and index() then
-// rebuilds privately, exactly as the plain-goddag constructor always did.
+// commit pay zero rebuilds (CONCURRENCY.md).
 
 #ifndef MHX_XPATH_AXES_H_
 #define MHX_XPATH_AXES_H_
 
 #include <atomic>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -98,8 +93,8 @@ std::string_view OrderingName(Ordering ordering);
 
 // The Definition-1 range predicate of one extended axis: does `candidate`
 // stand in `axis` relation to a context with range `context`? Shared by the
-// naive base-table scan and by the overlay scan half of every extended-axis
-// evaluation.
+// scalar base-table scan and by the overlay scan half of every
+// extended-axis evaluation.
 bool ExtendedAxisMatches(Axis axis, const TextRange& context,
                          const TextRange& candidate);
 
@@ -128,25 +123,14 @@ class NodeTest {
   std::string name_;
 };
 
-struct AxisOptions {
-  // Extended axes consult a RangeIndex when true, otherwise run the naive
-  // Definition-1 scan. Standard tree axes always walk arcs. Overlay nodes
-  // are scanned either way (they are never indexed).
-  //
-  // Deprecated for engine traffic: the XQuery engine now chooses per step
-  // via the cost-based planner (xquery/planner.h, QueryOptions::plan_mode)
-  // and calls EvaluatePlanned, which ignores this flag. Kept for direct
-  // AxisEvaluator users — unit tests and the axis benchmarks — that pin
-  // one strategy for a whole evaluator.
-  bool use_index = true;
-};
-
 // One path step's physical execution choice, produced per step by the
 // XQuery planner (xquery/planner.h) or pinned by a forced plan mode:
 // indexed probe vs. (vectorized) full scan for the extended axes, and
 // whether a name test is pushed down into the probe/kernel so base
 // candidates are filtered before they materialise. Every combination
-// returns byte-identical node sets — the planner only moves cost.
+// returns byte-identical node sets — the planner only moves cost. The
+// default is an un-pushed indexed probe, which is what the unplanned
+// entry points (Evaluate, EvaluateAxisOnly) run.
 struct StepExec {
   bool use_index = true;
   bool pushdown = false;
@@ -154,16 +138,11 @@ struct StepExec {
 
 class AxisEvaluator {
  public:
-  explicit AxisEvaluator(const goddag::KyGoddag* goddag,
-                         AxisOptions options = AxisOptions());
-
   // Binds the evaluator to a pinned MVCC snapshot: navigation reads the
-  // snapshot's goddag, and index() serves the snapshot's build-once index
-  // as long as the goddag revision still matches the publish stamp (see
-  // index() for the legacy-mutation fallback). `snapshot` must outlive the
-  // evaluator — the XQuery engine pairs the two in one pinned entry.
-  explicit AxisEvaluator(const goddag::DocumentSnapshot* snapshot,
-                         AxisOptions options = AxisOptions());
+  // snapshot's goddag, and index() and the scan kernels read the
+  // snapshot's build-once index and statistics. `snapshot` must outlive
+  // the evaluator — the XQuery engine pairs the two in one pinned entry.
+  explicit AxisEvaluator(const goddag::DocumentSnapshot* snapshot);
 
   // Nodes reachable from `context` along `axis`, in document order
   // (range.begin ascending, longer ranges first, NodeId as tiebreak).
@@ -182,33 +161,25 @@ class AxisEvaluator {
                                        goddag::NodeId context, Axis axis,
                                        const NodeTest& test) const;
 
-  // Extended-axis hits for a bare text range (the XQuery engine's leaf
-  // contexts): base RangeIndex lookup plus overlay scan, not normalised —
-  // index traversal order is not document order, so callers treat the
-  // result as Ordering::kUnordered. `axis` must be an extended axis.
-  std::vector<goddag::NodeId> EvaluateRange(const goddag::OverlayView& view,
-                                            const TextRange& context,
-                                            Axis axis) const;
-
   // Planner-driven Evaluate: the extended-axis strategy comes from `exec`
-  // instead of AxisOptions — scans run the vectorized RangeSoA kernels
-  // (xpath/kernels.h) when this evaluator is snapshot-bound and the packed
-  // layout applies, falling back to the scalar node-table scan otherwise —
-  // and exec.pushdown folds a name test into the probe/kernel as an
-  // interned-key compare, so base candidates are pre-filtered. Output is
-  // byte-identical to Evaluate(view, context, axis, test) for every exec;
-  // standard axes ignore exec and walk arcs as always.
+  // — scans run the vectorized RangeSoA kernels (xpath/kernels.h) when the
+  // packed layout applies, falling back to the scalar node-table scan
+  // otherwise — and exec.pushdown folds a name test into the probe/kernel
+  // as an interned-key compare, so base candidates are pre-filtered.
+  // Output is byte-identical to Evaluate(view, context, axis, test) for
+  // every exec; standard axes ignore exec and walk arcs as always.
   std::vector<goddag::NodeId> EvaluatePlanned(const goddag::OverlayView& view,
                                               goddag::NodeId context,
                                               Axis axis, const NodeTest& test,
                                               const StepExec& exec) const;
 
-  // Planner-driven EvaluateRange: same strategy/pushdown contract as
-  // EvaluatePlanned, for the engine's leaf contexts. Unlike EvaluateRange,
-  // the result is already filtered by `test` (base hits inside the
-  // probe/kernel when pushed down, overlay hits as they append), so
-  // callers skip their own re-filter. Ordering::kUnordered, like
-  // EvaluateRange. `axis` must be an extended axis.
+  // Extended-axis hits for a bare text range (the XQuery engine's leaf
+  // contexts), with the same strategy/pushdown contract as
+  // EvaluatePlanned: base probe or scan plus overlay scan, already
+  // filtered by `test`, so callers skip their own re-filter. Not
+  // normalised — index traversal order is not document order, so callers
+  // treat the result as Ordering::kUnordered. `axis` must be an extended
+  // axis.
   std::vector<goddag::NodeId> EvaluateRangePlanned(
       const goddag::OverlayView& view, const TextRange& context, Axis axis,
       const NodeTest& test, const StepExec& exec) const;
@@ -231,53 +202,46 @@ class AxisEvaluator {
     return sorts_skipped_.load(std::memory_order_relaxed);
   }
 
-  const AxisOptions& options() const { return options_; }
-
-  // The index backing indexed mode, revision-checked against the *base*
-  // document only (overlay churn never invalidates it). Snapshot-bound
-  // evaluators serve the snapshot's build-once index — writer-prebuilt
-  // snapshots cost this evaluator zero rebuilds; a lazily indexed snapshot
-  // (the Build()-time initial version) is built exactly once here. The
-  // private rebuild path runs only when a legacy mutable_goddag() edit has
-  // pushed the live revision past the snapshot stamp (or for evaluators
-  // constructed over a bare KyGoddag). Once materialised (the XQuery
-  // engine forces this before evaluation) concurrent readers never trigger
-  // a rebuild.
+  // The snapshot's build-once index backing indexed mode (overlay churn
+  // never invalidates it). Writer-prebuilt snapshots cost this evaluator
+  // zero rebuilds; a lazily indexed snapshot (the Build()-time initial
+  // version) is built exactly once, by whichever evaluator asks first.
   const goddag::RangeIndex& index() const;
 
-  // Number of RangeIndex constructions this evaluator has paid for — the
-  // observable that proves analyze-string() overlay cycles never rebuild
-  // the base index.
+  // Number of RangeIndex constructions this evaluator has paid for (0 or
+  // 1) — the observable that proves analyze-string() overlay cycles and
+  // MVCC commits never rebuild the base index.
   size_t index_rebuild_count() const { return index_rebuild_count_; }
 
  private:
-  // Shared implementations; `view` is null for the base-only overloads.
-  std::vector<goddag::NodeId> EvaluateAxisOnlyImpl(
-      const goddag::OverlayView* view, goddag::NodeId context,
-      Axis axis) const;
+  // The shared implementation of every node-context entry point; `view`
+  // is null for the base-only overloads, `test` null for EvaluateAxisOnly.
+  std::vector<goddag::NodeId> EvaluateImpl(const goddag::OverlayView* view,
+                                           goddag::NodeId context, Axis axis,
+                                           const NodeTest* test,
+                                           const StepExec& exec) const;
   const goddag::GNode& NodeAt(const goddag::OverlayView* view,
                               goddag::NodeId id) const {
     return view != nullptr ? view->node(id) : goddag_->node(id);
   }
-  void EvaluateExtendedNaive(const goddag::GNode& context_node,
-                             goddag::NodeId context, Axis axis,
-                             std::vector<goddag::NodeId>* out) const;
+  // Drops the ids whose node fails `test`, keeping the order.
+  void RetainMatches(const goddag::OverlayView* view, const NodeTest& test,
+                     std::vector<goddag::NodeId>* ids) const;
   // The literal Definition-1 node-table scan for a bare range; `exclude`
-  // drops the context node (kInvalidNode for leaf contexts).
+  // drops the context node (kInvalidNode for leaf contexts). The scan
+  // fallback when the packed RangeSoA is unavailable (texts of 2 GiB or
+  // more).
   void EvaluateExtendedNaiveRange(const TextRange& context,
                                   goddag::NodeId exclude, Axis axis,
                                   std::vector<goddag::NodeId>* out) const;
-  void EvaluateExtendedIndexed(const goddag::GNode& context_node,
-                               goddag::NodeId context, Axis axis,
+  // RangeIndex probe for `context`'s hits, `exclude` dropped.
+  void EvaluateExtendedIndexed(const TextRange& context,
+                               goddag::NodeId exclude, Axis axis,
                                const goddag::ProbeFilter& filter,
                                std::vector<goddag::NodeId>* out) const;
-  // The snapshot's statistics block (kernel scan surface + pushdown keys),
-  // or null when this evaluator is not snapshot-bound or a legacy
-  // mutable_goddag() edit has invalidated the snapshot.
-  const goddag::SnapshotStats* StatsOrNull() const;
-  // The base-table half of a planned extended-axis evaluation: indexed
-  // probe or (vectorized) scan per `exec`, pushdown folded in. Returns
-  // true when the appended hits are already filtered by `test`.
+  // The base-table half of every extended-axis evaluation: indexed probe
+  // or (vectorized) scan per `exec`, pushdown folded in. Returns true when
+  // the appended hits are already filtered by `test`.
   bool EvaluateExtendedPlannedBase(const TextRange& context_range,
                                    goddag::NodeId exclude, Axis axis,
                                    const NodeTest& test, const StepExec& exec,
@@ -287,7 +251,7 @@ class AxisEvaluator {
   // Definition-1 predicate. Walks the view's fork chain, so a worker's
   // private view scans the coordinator's overlays and the kept
   // hierarchies as well as its own. A non-null `test` filters matches as
-  // they append (the planned path, where base hits are pre-filtered).
+  // they append.
   void AppendOverlayMatches(const goddag::OverlayView& view, Axis axis,
                             const TextRange& context_range,
                             goddag::NodeId exclude, const NodeTest* test,
@@ -304,11 +268,9 @@ class AxisEvaluator {
   void NormalizeDocumentOrder(const goddag::OverlayView* view,
                               std::vector<goddag::NodeId>* ids) const;
 
+  const goddag::DocumentSnapshot* snapshot_;
+  // snapshot_->goddag(), cached for the navigation hot paths.
   const goddag::KyGoddag* goddag_;
-  // Non-null iff snapshot-bound; goddag_ then points at snapshot_->goddag().
-  const goddag::DocumentSnapshot* snapshot_ = nullptr;
-  AxisOptions options_;
-  mutable std::unique_ptr<goddag::RangeIndex> index_;
   mutable size_t index_rebuild_count_ = 0;
   mutable std::atomic<size_t> sorts_skipped_{0};
 };

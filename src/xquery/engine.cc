@@ -907,8 +907,7 @@ class Evaluator {
       // only then merged. Every producer declares an xpath::Ordering for its
       // run; the declared guarantee replaces the former unconditional
       // sort+dedup with the cheapest sufficient fix-up — nothing, a linear
-      // dedup, or (across runs) a linear k-way merge. QueryOptions::
-      // force_step_sort restores brute force so tests can pin equivalence.
+      // dedup, or (across runs) a linear k-way merge.
       std::vector<Sequence> runs;
       runs.reserve(current.size());
       for (const Item& item : current) {
@@ -916,21 +915,17 @@ class Evaluator {
         xpath::Ordering ordering = xpath::Ordering::kUnordered;
         MHX_RETURN_IF_ERROR(
             EvalStep(item, step, path.offset, &from_item, &ordering));
-        if (options_->force_step_sort) {
-          SortAndDedup(&from_item);
-        } else {
-          switch (ordering) {
-            case xpath::Ordering::kDocOrderNoDupes:
-              NoteSortSkipped(from_item);
-              break;
-            case xpath::Ordering::kSortedMayDupe:
-              DedupSorted(&from_item);
-              NoteSortSkipped(from_item);
-              break;
-            case xpath::Ordering::kUnordered:
-              SortAndDedup(&from_item);
-              break;
-          }
+        switch (ordering) {
+          case xpath::Ordering::kDocOrderNoDupes:
+            NoteSortSkipped(from_item);
+            break;
+          case xpath::Ordering::kSortedMayDupe:
+            DedupSorted(&from_item);
+            NoteSortSkipped(from_item);
+            break;
+          case xpath::Ordering::kUnordered:
+            SortAndDedup(&from_item);
+            break;
         }
         // Predicates only filter, so document order and uniqueness survive.
         MHX_RETURN_IF_ERROR(ApplyPredicates(step, path.offset, &from_item));
@@ -952,20 +947,8 @@ class Evaluator {
                runs.end());
     if (runs.empty()) return {};
     if (runs.size() == 1) {
-      if (options_->force_step_sort) {
-        SortAndDedup(&runs.front());
-      } else {
-        NoteSortSkipped(runs.front());
-      }
+      NoteSortSkipped(runs.front());
       return std::move(runs.front());
-    }
-    if (options_->force_step_sort) {
-      Sequence merged;
-      for (Sequence& run : runs) {
-        std::move(run.begin(), run.end(), std::back_inserter(merged));
-      }
-      SortAndDedup(&merged);
-      return merged;
     }
     size_t total = 0;
     for (const Sequence& run : runs) total += run.size();
@@ -1051,10 +1034,8 @@ class Evaluator {
       // One uniform read through the overlay view: base index (or arcs)
       // plus overlay scan, normalised to document order by the evaluator.
       // Extended axes run the planned strategy — indexed probe vs.
-      // vectorized scan, name test pushed into either — except under
-      // kForceSort, which keeps the legacy brute-force path verbatim as
-      // the byte-identity baseline.
-      if (xpath::IsExtendedAxis(step.axis) && !options_->force_step_sort) {
+      // vectorized scan, name test pushed into either.
+      if (xpath::IsExtendedAxis(step.axis)) {
         const xpath::StepExec exec = StepExecFor(step);
         ids = axes_.EvaluatePlanned(*view_, item.node, step.axis, test, exec);
         NotePlannedStep(exec, test);
@@ -1094,7 +1075,6 @@ class Evaluator {
       case PlanMode::kForceNaive:
         return {/*use_index=*/false, /*pushdown=*/false};
       case PlanMode::kForceIndexed:
-      case PlanMode::kForceSort:
         return {/*use_index=*/true, /*pushdown=*/false};
       case PlanMode::kAuto:
         break;
@@ -1123,9 +1103,8 @@ class Evaluator {
   // leaf); the ordering and overlap axes reduce to range queries. A node
   // properly overlapping a leaf cannot exist (its boundary would have split
   // the leaf), so `overlapping` is always empty — computed anyway for
-  // uniformity. Output comes back filtered by `test`: the planned path
-  // pre-filters inside the probe/kernel, the kForceSort legacy path
-  // re-filters here, so callers never re-test.
+  // uniformity. Output comes back filtered by `test` (inside the
+  // probe/kernel when pushed down), so callers never re-test.
   Status LeafContextStep(const TextRange& range, const PathStep& step,
                          const xpath::NodeTest& test, size_t offset,
                          std::vector<goddag::NodeId>* ids) {
@@ -1156,18 +1135,9 @@ class Evaluator {
                                        std::string(xpath::AxisName(axis)) +
                                        " cannot start from a leaf");
     }
-    if (options_->force_step_sort) {
-      *ids = axes_.EvaluateRange(*view_, range, extended);
-      ids->erase(std::remove_if(ids->begin(), ids->end(),
-                                [&](goddag::NodeId id) {
-                                  return !test.Matches(view_->node(id));
-                                }),
-                 ids->end());
-    } else {
-      const xpath::StepExec exec = StepExecFor(step);
-      *ids = axes_.EvaluateRangePlanned(*view_, range, extended, test, exec);
-      NotePlannedStep(exec, test);
-    }
+    const xpath::StepExec exec = StepExecFor(step);
+    *ids = axes_.EvaluateRangePlanned(*view_, range, extended, test, exec);
+    NotePlannedStep(exec, test);
     return OkStatus();
   }
 
@@ -1586,9 +1556,7 @@ std::shared_ptr<const Engine::SnapshotAxes> Engine::PinAxes() {
   // can reach them: evaluation never mutates the snapshot (temporaries
   // live in overlays), so after this both are plain reads for any number
   // of concurrent evaluations. Writer-prebuilt snapshots make both no-ops;
-  // the lazily indexed initial version builds here once, and a legacy
-  // mutable_goddag() edit (revision moved past the snapshot stamp)
-  // re-materialises here, once per edit.
+  // the lazily indexed initial version builds here once.
   axes_entry_->snapshot->goddag().leaves();
   axes_entry_->axes.index();
   // Statistics follow the same build-once discipline as the index:
@@ -1663,14 +1631,6 @@ StatusOr<Engine::EvaluationOutput> Engine::EvaluateInternal(
   // slot sizing) on one code path with identical plans and counters.
   QueryOptions normalized = options;
   if (normalized.threads == 0) normalized.threads = 1;
-  // The deprecated force_step_sort flag and PlanMode::kForceSort are one
-  // mode: normalise both directions so every later decision reads either
-  // field and sees the same answer.
-  if (normalized.force_step_sort) {
-    normalized.plan_mode = PlanMode::kForceSort;
-  } else if (normalized.plan_mode == PlanMode::kForceSort) {
-    normalized.force_step_sort = true;
-  }
   base::ThreadPool* fan_out_pool = pool(normalized.threads);
   std::shared_ptr<const SnapshotAxes> pinned;
   std::shared_ptr<const QueryPlan> plan;

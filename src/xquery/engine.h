@@ -25,9 +25,8 @@
 // steps read "base index + overlay scan" uniformly — so the
 // add/query/drop cycle of every analyze-string() call and every MVCC
 // commit costs this engine zero O(N log N) index rebuilds;
-// index_rebuild_count() (1 per engine unless the document is edited
-// in place via the legacy mutable_goddag() path between queries) is the
-// proof, surfaced as a benchmark counter in bench_paper_queries.cc.
+// index_rebuild_count() (at most 1 per engine) is the proof, surfaced as a
+// benchmark counter in bench_paper_queries.cc.
 //
 // Concurrency contract. Two independent levels:
 //
@@ -83,10 +82,9 @@
 // nodes of *different* overlays fall back to overlay id allocation order,
 // which concurrent leasing does not pin to binding order.
 //
-// Mutating the document directly (mutable_goddag()) while any query runs
-// remains undefined behaviour, as does moving the document. Mutating it
-// through MultihierarchicalDocument::Writer is always safe: evaluations on
-// the old version finish on the old version.
+// Moving the document while any query runs is undefined behaviour.
+// Mutating it through MultihierarchicalDocument::Writer is always safe:
+// evaluations on the old version finish on the old version.
 
 #ifndef MHX_XQUERY_ENGINE_H_
 #define MHX_XQUERY_ENGINE_H_
@@ -135,12 +133,6 @@ struct QueryOptions {
   // modes pin one strategy everywhere. Every mode returns byte-identical
   // results — the batteries in parallel_query_test hold them to it.
   PlanMode plan_mode = PlanMode::kAuto;
-  // Deprecated alias of plan_mode = kForceSort, kept so existing callers
-  // and tests compile unchanged: normalised on entry (true wins over
-  // whatever plan_mode says). Re-sorts + dedups after every path step, as
-  // the engine did before ordering guarantees existed — the brute-force
-  // baseline the guarantee-driven merge and the planner are compared to.
-  bool force_step_sort = false;
   // When set, the evaluation records stage spans (plan lookup, index
   // materialisation, evaluation, serialisation) and — for parallel loops —
   // per-slot spans with steal attribution into this trace. The trace must
@@ -316,8 +308,7 @@ class Engine {
   // snapshot version it has pinned — stays at one no matter how many
   // analyze-string() overlay cycles have run and no matter how many MVCC
   // commits it repins across (writer-prebuilt indexes cost readers
-  // nothing; only a legacy mutable_goddag() edit between queries adds
-  // one). Thread-safe.
+  // nothing). Thread-safe.
   size_t index_rebuild_count() const;
 
   // Temporary virtual hierarchies currently kept alive by

@@ -230,8 +230,6 @@ std::string_view PlanModeName(PlanMode mode) {
       return "force-naive";
     case PlanMode::kForceIndexed:
       return "force-indexed";
-    case PlanMode::kForceSort:
-      return "force-sort";
   }
   return "unknown";
 }

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "document.h"
 #include "workload/generator.h"
 #include "workload/paper_data.h"
 #include "xpath/axes.h"
@@ -14,6 +15,7 @@
 namespace mhx::xpath {
 namespace {
 
+using goddag::DocumentSnapshot;
 using goddag::GNodeKind;
 using goddag::KyGoddag;
 using goddag::NodeId;
@@ -44,14 +46,16 @@ class PaperAxesTest : public ::testing::Test {
     auto doc = workload::BuildPaperDocument();
     ASSERT_TRUE(doc.ok()) << doc.status();
     doc_ = std::make_unique<MultihierarchicalDocument>(std::move(doc).value());
+    snapshot_ = doc_->PinSnapshot();
   }
 
   std::unique_ptr<MultihierarchicalDocument> doc_;
+  std::shared_ptr<const DocumentSnapshot> snapshot_;
 };
 
 TEST_F(PaperAxesTest, WordCrossingLinesOverlapsBoth) {
-  const KyGoddag& kg = doc_->goddag();
-  AxisEvaluator axes(&kg);
+  const KyGoddag& kg = snapshot_->goddag();
+  AxisEvaluator axes(snapshot_.get());
   NodeId word = FindElement(kg, 1, "w", "unawendendne");
   auto lines = axes.Evaluate(word, Axis::kOverlapping, NodeTest::Name("line"));
   ASSERT_EQ(lines.size(), 2u);
@@ -64,8 +68,8 @@ TEST_F(PaperAxesTest, WordCrossingLinesOverlapsBoth) {
 }
 
 TEST_F(PaperAxesTest, XAncestorSeesAcrossHierarchies) {
-  const KyGoddag& kg = doc_->goddag();
-  AxisEvaluator axes(&kg);
+  const KyGoddag& kg = snapshot_->goddag();
+  AxisEvaluator axes(snapshot_.get());
   // "eac" [33,36) sits inside dmg [30,38), line-crossing damage.
   NodeId eac = FindElement(kg, 1, "w", "eac");
   auto ancestors = axes.EvaluateAxisOnly(eac, Axis::kXAncestor);
@@ -85,8 +89,8 @@ TEST_F(PaperAxesTest, XAncestorSeesAcrossHierarchies) {
 }
 
 TEST_F(PaperAxesTest, XDescendantFindsDamageInsideWord) {
-  const KyGoddag& kg = doc_->goddag();
-  AxisEvaluator axes(&kg);
+  const KyGoddag& kg = snapshot_->goddag();
+  AxisEvaluator axes(snapshot_.get());
   NodeId word = FindElement(kg, 1, "w", "unawendendne");
   auto dmg = axes.Evaluate(word, Axis::kXDescendant, NodeTest::Name("dmg"));
   ASSERT_EQ(dmg.size(), 1u);
@@ -98,8 +102,8 @@ TEST_F(PaperAxesTest, XDescendantFindsDamageInsideWord) {
 }
 
 TEST_F(PaperAxesTest, OrderingAxes) {
-  const KyGoddag& kg = doc_->goddag();
-  AxisEvaluator axes(&kg);
+  const KyGoddag& kg = snapshot_->goddag();
+  AxisEvaluator axes(snapshot_.get());
   NodeId sceaft = FindElement(kg, 1, "w", "sceaft");  // [22,28)
   auto following = axes.Evaluate(sceaft, Axis::kXFollowing,
                                  NodeTest::Name("w"));
@@ -111,8 +115,8 @@ TEST_F(PaperAxesTest, OrderingAxes) {
 }
 
 TEST_F(PaperAxesTest, StandardAxes) {
-  const KyGoddag& kg = doc_->goddag();
-  AxisEvaluator axes(&kg);
+  const KyGoddag& kg = snapshot_->goddag();
+  AxisEvaluator axes(snapshot_.get());
   NodeId root = kg.root();
   auto all = axes.EvaluateAxisOnly(root, Axis::kDescendant);
   EXPECT_EQ(all.size(), kg.element_count());
@@ -137,26 +141,51 @@ TEST_F(PaperAxesTest, StandardAxes) {
   }
 }
 
-// The tentpole equivalence: naive Definition-1 scan and indexed evaluation
-// must return identical node sets for every extended axis and every element
-// context, on the paper document and on a generated edition with virtual
-// hierarchies layered on top.
-void ExpectNaiveIndexedAgree(const KyGoddag& kg) {
-  AxisEvaluator naive(&kg, AxisOptions{/*use_index=*/false});
-  AxisEvaluator indexed(&kg, AxisOptions{/*use_index=*/true});
+// The literal Definition 1, restated over node ranges: every element whose
+// range stands in `axis` relation to the context's, minus the context
+// itself, in document order (range, then NodeId).
+std::vector<NodeId> Definition1(const KyGoddag& kg, NodeId context,
+                                Axis axis) {
+  std::vector<NodeId> out;
+  for (NodeId id = 0; id < kg.node_table_size(); ++id) {
+    if (id == context || kg.node(id).kind != GNodeKind::kElement) continue;
+    if (ExtendedAxisMatches(axis, kg.node(context).range, kg.node(id).range)) {
+      out.push_back(id);
+    }
+  }
+  std::stable_sort(out.begin(), out.end(), [&kg](NodeId a, NodeId b) {
+    return kg.node(a).range < kg.node(b).range;
+  });
+  return out;
+}
+
+// The core equivalence: both extended-axis strategies — the indexed
+// probe (the unplanned default) and the (vectorized) table scan — must
+// return exactly the Definition-1 node set for every extended axis and
+// every element context, on the paper document and on a generated edition
+// with virtual hierarchies layered on top.
+void ExpectStrategiesMatchDefinition1(const DocumentSnapshot& snapshot) {
+  const KyGoddag& kg = snapshot.goddag();
+  AxisEvaluator axes(&snapshot);
+  const goddag::OverlayView base(&kg);
+  const StepExec scan{/*use_index=*/false, /*pushdown=*/false};
   for (NodeId id = 0; id < kg.node_table_size(); ++id) {
     if (kg.node(id).kind != GNodeKind::kElement) continue;
     for (Axis axis : kExtendedAxes) {
-      EXPECT_EQ(naive.EvaluateAxisOnly(id, axis),
-                indexed.EvaluateAxisOnly(id, axis))
-          << "axis " << AxisName(axis) << " context node " << id << " '"
-          << kg.node(id).name << "'";
+      const std::vector<NodeId> expected = Definition1(kg, id, axis);
+      EXPECT_EQ(axes.EvaluateAxisOnly(id, axis), expected)
+          << "indexed, axis " << AxisName(axis) << " context node " << id
+          << " '" << kg.node(id).name << "'";
+      EXPECT_EQ(axes.EvaluatePlanned(base, id, axis, NodeTest::Any(), scan),
+                expected)
+          << "scan, axis " << AxisName(axis) << " context node " << id
+          << " '" << kg.node(id).name << "'";
     }
   }
 }
 
 TEST_F(PaperAxesTest, NaiveAndIndexedAgreeOnPaperDocument) {
-  ExpectNaiveIndexedAgree(doc_->goddag());
+  ExpectStrategiesMatchDefinition1(*snapshot_);
 }
 
 TEST(EditionAxesTest, NaiveAndIndexedAgreeOnGeneratedEdition) {
@@ -168,34 +197,51 @@ TEST(EditionAxesTest, NaiveAndIndexedAgreeOnGeneratedEdition) {
   config.restoration_coverage = 0.2;
   auto doc = workload::BuildEditionDocument(config);
   ASSERT_TRUE(doc.ok()) << doc.status();
-  KyGoddag* kg = doc->mutable_goddag();
-  // Layer a virtual hierarchy on top so recycled node ids are exercised too.
-  auto h = kg->AddVirtualHierarchy(
-      "match", {goddag::VirtualElement{"m", TextRange(10, 60), {}},
-                goddag::VirtualElement{"g", TextRange(20, 40), {}}});
-  ASSERT_TRUE(h.ok());
-  ASSERT_TRUE(kg->RemoveVirtualHierarchy(*h).ok());
-  auto h2 = kg->AddVirtualHierarchy(
-      "match2", {goddag::VirtualElement{"m", TextRange(15, 75), {}}});
-  ASSERT_TRUE(h2.ok());
-  ExpectNaiveIndexedAgree(*kg);
+  // Layer virtual hierarchies on top, one commit each, so recycled node
+  // ids are exercised too.
+  auto commit = [&doc](auto&& queue) {
+    auto writer = doc->NewWriter();
+    queue(writer);
+    ASSERT_TRUE(writer.Commit().ok());
+  };
+  commit([](auto& w) {
+    w.AddVirtualHierarchy(
+        "match", {goddag::VirtualElement{"m", TextRange(10, 60), {}},
+                  goddag::VirtualElement{"g", TextRange(20, 40), {}}});
+  });
+  commit([](auto& w) { w.RemoveVirtualHierarchy("match"); });
+  commit([](auto& w) {
+    w.AddVirtualHierarchy(
+        "match2", {goddag::VirtualElement{"m", TextRange(15, 75), {}}});
+  });
+  ExpectStrategiesMatchDefinition1(*doc->PinSnapshot());
 }
 
-TEST(EditionAxesTest, EvaluatorRebuildsIndexAfterMutation) {
+// MVCC isolation at the axis layer: an evaluator bound to version N keeps
+// answering from N after a commit adds a hierarchy over the same word; an
+// evaluator bound to N+1 sees the new elements, with no reader rebuild.
+TEST(EditionAxesTest, EvaluatorKeepsItsSnapshotAcrossCommits) {
   auto doc = workload::BuildPaperDocument();
   ASSERT_TRUE(doc.ok());
-  KyGoddag* kg = doc->mutable_goddag();
-  AxisEvaluator axes(kg, AxisOptions{/*use_index=*/true});
-  NodeId word = FindElement(*kg, 1, "w", "unawendendne");
-  size_t before = axes.EvaluateAxisOnly(word, Axis::kXAncestor).size();
-  auto h = kg->AddVirtualHierarchy(
+  const auto v1 = doc->PinSnapshot();
+  AxisEvaluator at_v1(v1.get());
+  const NodeId word = FindElement(v1->goddag(), 1, "w", "unawendendne");
+  const std::vector<NodeId> before =
+      at_v1.EvaluateAxisOnly(word, Axis::kXAncestor);
+
+  auto writer = doc->NewWriter();
+  writer.AddVirtualHierarchy(
       "v", {goddag::VirtualElement{"x", TextRange(9, 21), {}}});
-  ASSERT_TRUE(h.ok());
-  // The new <x> (same range as the word) plus the virtual root <v> must show
-  // up — the evaluator detects the revision change and reindexes.
-  EXPECT_EQ(axes.EvaluateAxisOnly(word, Axis::kXAncestor).size(), before + 2);
-  ASSERT_TRUE(kg->RemoveVirtualHierarchy(*h).ok());
-  EXPECT_EQ(axes.EvaluateAxisOnly(word, Axis::kXAncestor).size(), before);
+  ASSERT_TRUE(writer.Commit().ok());
+  const auto v2 = doc->PinSnapshot();
+  ASSERT_NE(v1, v2);
+
+  EXPECT_EQ(at_v1.EvaluateAxisOnly(word, Axis::kXAncestor), before);
+  // The new <x> (same range as the word) plus the virtual root <v>.
+  AxisEvaluator at_v2(v2.get());
+  EXPECT_EQ(at_v2.EvaluateAxisOnly(word, Axis::kXAncestor).size(),
+            before.size() + 2);
+  EXPECT_EQ(at_v2.index_rebuild_count(), 0u);  // the writer prebuilt it
 }
 
 TEST(AxisNameTest, RoundTrips) {

@@ -69,7 +69,8 @@ TEST(FragmentationTest, AgreesWithAxesOnEdition) {
   ASSERT_TRUE(doc.ok());
   const goddag::KyGoddag& kg = doc->goddag();
   FragmentationEncoding enc = FragmentationEncoding::Encode(kg);
-  xpath::AxisEvaluator axes(&kg);
+  const auto snapshot = doc->PinSnapshot();
+  xpath::AxisEvaluator axes(snapshot.get());
 
   size_t axis_pairs = 0;
   size_t axis_containing = 0;

@@ -82,7 +82,8 @@ TEST(GeneratorTest, ShortLinesProduceWordLineConflicts) {
   EXPECT_EQ(kg.hierarchy(1).name, "structural");
   EXPECT_EQ(kg.hierarchy(2).name, "restoration");
   EXPECT_EQ(kg.hierarchy(3).name, "condition");
-  xpath::AxisEvaluator axes(&kg);
+  const auto snapshot = doc->PinSnapshot();
+  xpath::AxisEvaluator axes(snapshot.get());
   size_t conflicted_words = 0;
   for (goddag::NodeId id : kg.hierarchy(1).nodes) {
     const goddag::GNode& n = kg.node(id);

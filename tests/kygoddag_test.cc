@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <vector>
 
 #include "goddag/kygoddag.h"
@@ -19,6 +20,18 @@ std::vector<size_t> Boundaries(const KyGoddag& kg) {
     out.push_back(leaf.range.end);
   }
   return out;
+}
+
+// The reference partition: the boundary set recomputed from scratch from
+// the node table — 0, the text size, and both ends of every live element.
+std::vector<size_t> ReferenceBoundaries(const KyGoddag& kg) {
+  std::set<size_t> cuts = {0, kg.base_text().size()};
+  for (NodeId id = 0; id < kg.node_table_size(); ++id) {
+    if (kg.node(id).kind != GNodeKind::kElement) continue;
+    cuts.insert(kg.node(id).range.begin);
+    cuts.insert(kg.node(id).range.end);
+  }
+  return std::vector<size_t>(cuts.begin(), cuts.end());
 }
 
 // The partition must tile [0, n) exactly.
@@ -103,9 +116,8 @@ TEST(KyGoddagTest, VirtualHierarchyAddRemoveRestoresPartition) {
 }
 
 TEST(KyGoddagTest, IncrementalAndFullRebuildAgree) {
-  // The same add/remove sequence executed twice — once with incremental
-  // splicing, once with full lazy rebuilds — must produce identical
-  // partitions at every step.
+  // After every step of an add/remove sequence, the incrementally spliced
+  // partition must equal the one recomputed from the node table.
   struct Op {
     TextRange a, b;
   };
@@ -116,46 +128,32 @@ TEST(KyGoddagTest, IncrementalAndFullRebuildAgree) {
       {TextRange(21, 22), TextRange(21, 22)},
       {TextRange(3, 30), TextRange(29, 30)},
   };
-  KyGoddag incremental = PaperGoddag();
-  KyGoddag full = PaperGoddag();
-  incremental.set_incremental_leaves(true);
-  full.set_incremental_leaves(false);
-  (void)incremental.leaves();  // prime the incremental structures
+  KyGoddag kg = PaperGoddag();
+  (void)kg.leaves();  // prime the incremental structures
   for (const Op& op : ops) {
-    auto hi = incremental.AddVirtualHierarchy(
+    auto h = kg.AddVirtualHierarchy(
         "v", {VirtualElement{"x", op.a, {}}, VirtualElement{"y", op.b, {}}});
-    auto hf = full.AddVirtualHierarchy(
-        "v", {VirtualElement{"x", op.a, {}}, VirtualElement{"y", op.b, {}}});
-    ASSERT_TRUE(hi.ok());
-    ASSERT_TRUE(hf.ok());
-    EXPECT_EQ(Boundaries(incremental), Boundaries(full));
-    ASSERT_TRUE(incremental.RemoveVirtualHierarchy(*hi).ok());
-    ASSERT_TRUE(full.RemoveVirtualHierarchy(*hf).ok());
-    EXPECT_EQ(Boundaries(incremental), Boundaries(full));
+    ASSERT_TRUE(h.ok());
+    EXPECT_EQ(Boundaries(kg), ReferenceBoundaries(kg));
+    ASSERT_TRUE(kg.RemoveVirtualHierarchy(*h).ok());
+    EXPECT_EQ(Boundaries(kg), ReferenceBoundaries(kg));
   }
   // Stacked (not immediately removed) hierarchies must also agree.
-  auto h1i = incremental.AddVirtualHierarchy(
-      "a", {VirtualElement{"x", TextRange(7, 33), {}}});
-  auto h1f =
-      full.AddVirtualHierarchy("a", {VirtualElement{"x", TextRange(7, 33), {}}});
-  auto h2i = incremental.AddVirtualHierarchy(
+  auto h1 =
+      kg.AddVirtualHierarchy("a", {VirtualElement{"x", TextRange(7, 33), {}}});
+  auto h2 = kg.AddVirtualHierarchy(
       "b", {VirtualElement{"y", TextRange(30, 40), {}}});
-  auto h2f =
-      full.AddVirtualHierarchy("b", {VirtualElement{"y", TextRange(30, 40), {}}});
-  ASSERT_TRUE(h1i.ok() && h1f.ok() && h2i.ok() && h2f.ok());
-  EXPECT_EQ(Boundaries(incremental), Boundaries(full));
-  ASSERT_TRUE(incremental.RemoveVirtualHierarchy(*h1i).ok());
-  ASSERT_TRUE(full.RemoveVirtualHierarchy(*h1f).ok());
+  ASSERT_TRUE(h1.ok() && h2.ok());
+  EXPECT_EQ(Boundaries(kg), ReferenceBoundaries(kg));
+  ASSERT_TRUE(kg.RemoveVirtualHierarchy(*h1).ok());
   // 30 stays a boundary (kept alive by h2), 7 and 33 go away.
-  EXPECT_EQ(Boundaries(incremental), Boundaries(full));
-  ASSERT_TRUE(incremental.RemoveVirtualHierarchy(*h2i).ok());
-  ASSERT_TRUE(full.RemoveVirtualHierarchy(*h2f).ok());
-  EXPECT_EQ(Boundaries(incremental), Boundaries(full));
+  EXPECT_EQ(Boundaries(kg), ReferenceBoundaries(kg));
+  ASSERT_TRUE(kg.RemoveVirtualHierarchy(*h2).ok());
+  EXPECT_EQ(Boundaries(kg), ReferenceBoundaries(kg));
 }
 
 TEST(KyGoddagTest, SharedBoundaryRefcounting) {
   KyGoddag kg = PaperGoddag();
-  kg.set_incremental_leaves(true);
   (void)kg.leaves();
   // Word "unawendendne" already contributes boundaries 9 and 21; a virtual
   // element sharing them must not remove them when it goes away.
@@ -166,6 +164,7 @@ TEST(KyGoddagTest, SharedBoundaryRefcounting) {
   ASSERT_TRUE(kg.RemoveVirtualHierarchy(*h).ok());
   std::vector<size_t> after = Boundaries(kg);
   EXPECT_EQ(with, after);  // 9 and 21 survive via the word's refcount
+  EXPECT_EQ(after, ReferenceBoundaries(kg));
   EXPECT_NE(std::find(after.begin(), after.end(), 9u), after.end());
   EXPECT_NE(std::find(after.begin(), after.end(), 21u), after.end());
 }

@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "goddag/snapshot.h"
 #include "workload/paper_data.h"
 #include "xml/parser.h"
 #include "xpath/axes.h"
@@ -28,6 +29,13 @@ KyGoddag PaperGoddag() {
   EXPECT_TRUE(kg.AddHierarchy("physical", *phys).ok());
   EXPECT_TRUE(kg.AddHierarchy("structural", *strut).ok());
   return kg;
+}
+
+// Publishes `kg` as version 1 so an AxisEvaluator can bind to it.
+std::shared_ptr<const DocumentSnapshot> Publish(KyGoddag kg) {
+  return DocumentSnapshot::Create(
+      std::make_shared<const KyGoddag>(std::move(kg)), /*version=*/1,
+      /*prebuild_index=*/false);
 }
 
 std::shared_ptr<const GoddagOverlay> MustCreate(
@@ -237,11 +245,11 @@ TEST(OverlayViewTest, MergedLeavesSplitAtOverlayBoundaries) {
 }
 
 TEST(OverlayViewTest, ExtendedAxesReadBaseIndexPlusOverlayScan) {
-  KyGoddag kg = PaperGoddag();
-  kg.leaves();
+  const auto snapshot = Publish(PaperGoddag());
+  const KyGoddag& kg = snapshot->goddag();
   auto ids = std::make_shared<OverlayIdAllocator>();
   OverlayView view(&kg);
-  xpath::AxisEvaluator axes(&kg);
+  xpath::AxisEvaluator axes(snapshot.get());
 
   // The persistent <w> spanning "unawendendne" [9,21).
   NodeId word = kInvalidNode;
@@ -291,9 +299,10 @@ TEST(OverlayViewTest, ExtendedAxesReadBaseIndexPlusOverlayScan) {
     EXPECT_NE(hit, overlay->root());
   }
 
-  // EvaluateRange (leaf contexts): base index + overlay scan, unified.
-  auto range_hits =
-      axes.EvaluateRange(view, TextRange(11, 12), xpath::Axis::kXAncestor);
+  // Leaf contexts: base index + overlay scan, unified.
+  auto range_hits = axes.EvaluateRangePlanned(
+      view, TextRange(11, 12), xpath::Axis::kXAncestor,
+      xpath::NodeTest::Any(), xpath::StepExec());
   EXPECT_NE(std::find(range_hits.begin(), range_hits.end(), m),
             range_hits.end());
   EXPECT_NE(std::find(range_hits.begin(), range_hits.end(), word),
@@ -301,11 +310,11 @@ TEST(OverlayViewTest, ExtendedAxesReadBaseIndexPlusOverlayScan) {
 }
 
 TEST(OverlayViewTest, StandardAxesNavigateWithinTheOverlay) {
-  KyGoddag kg = PaperGoddag();
-  kg.leaves();
+  const auto snapshot = Publish(PaperGoddag());
+  const KyGoddag& kg = snapshot->goddag();
   auto ids = std::make_shared<OverlayIdAllocator>();
   OverlayView view(&kg);
-  xpath::AxisEvaluator axes(&kg);
+  xpath::AxisEvaluator axes(snapshot.get());
   auto overlay = MustCreate(&kg, ids, "result",
                             {VirtualElement{"m", TextRange(4, 6), {}},
                              VirtualElement{"m", TextRange(9, 14), {}}});
@@ -362,10 +371,10 @@ TEST(OverlayViewTest, BatchedSpliceHandlesManyBoundariesInOnePass) {
 }
 
 TEST(OverlayViewTest, ForkedViewReadsThroughAndWritesPrivately) {
-  KyGoddag kg = PaperGoddag();
-  kg.leaves();
+  const auto snapshot = Publish(PaperGoddag());
+  const KyGoddag& kg = snapshot->goddag();
   auto ids = std::make_shared<OverlayIdAllocator>();
-  xpath::AxisEvaluator axes(&kg);
+  xpath::AxisEvaluator axes(snapshot.get());
 
   // Coordinator view with one overlay ("the evaluation so far").
   OverlayView coordinator(&kg);
@@ -398,17 +407,21 @@ TEST(OverlayViewTest, ForkedViewReadsThroughAndWritesPrivately) {
 
   // Axis scans walk the fork chain: from a base context inside [9,14),
   // xancestor sees the coordinator's m through the fork...
-  auto hits = axes.EvaluateRange(worker, TextRange(11, 12),
-                                 xpath::Axis::kXAncestor);
+  auto hits = axes.EvaluateRangePlanned(worker, TextRange(11, 12),
+                                        xpath::Axis::kXAncestor,
+                                        xpath::NodeTest::Any(),
+                                        xpath::StepExec());
   EXPECT_NE(std::find(hits.begin(), hits.end(), kept_m), hits.end());
   // ...and the fork's private element is invisible through the
   // coordinator's view.
-  auto parent_hits = axes.EvaluateRange(coordinator, TextRange(25, 27),
-                                        xpath::Axis::kXAncestor);
+  auto parent_hits = axes.EvaluateRangePlanned(
+      coordinator, TextRange(25, 27), xpath::Axis::kXAncestor,
+      xpath::NodeTest::Any(), xpath::StepExec());
   EXPECT_EQ(std::find(parent_hits.begin(), parent_hits.end(), private_a),
             parent_hits.end());
-  auto fork_hits = axes.EvaluateRange(worker, TextRange(25, 27),
-                                      xpath::Axis::kXAncestor);
+  auto fork_hits = axes.EvaluateRangePlanned(
+      worker, TextRange(25, 27), xpath::Axis::kXAncestor,
+      xpath::NodeTest::Any(), xpath::StepExec());
   EXPECT_NE(std::find(fork_hits.begin(), fork_hits.end(), private_a),
             fork_hits.end());
 

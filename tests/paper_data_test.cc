@@ -39,7 +39,8 @@ TEST(PaperDataTest, FigureOneOverlapsArePresent) {
   auto doc = BuildPaperDocument();
   ASSERT_TRUE(doc.ok());
   const goddag::KyGoddag& kg = doc->goddag();
-  xpath::AxisEvaluator axes(&kg);
+  const auto snapshot = doc->PinSnapshot();
+  xpath::AxisEvaluator axes(snapshot.get());
   // The Example 1 word is broken across two lines.
   goddag::NodeId word = goddag::kInvalidNode;
   for (goddag::NodeId id : kg.hierarchy(1).nodes) {

@@ -5,25 +5,31 @@
 //    on the paper's Section 4 queries and on synthetic editions;
 //  * IsParallelSafe classifies side-effecting subtrees correctly;
 //  * concurrent doc->Query() calls on one document are safe;
-//  * the guarantee-driven step merge equals brute-force sort+dedup
-//    (QueryOptions::force_step_sort) for every axis;
-//  * every plan mode (kAuto / kForceNaive / kForceIndexed) is
-//    byte-identical to the kForceSort brute force across the axis battery
-//    and the Section 4 queries, at threads {1, 4, 8} — plans move cost,
-//    never results.
+//  * the guarantee-driven step merge equals a test-side step interpreter
+//    that sort+dedups after every step, for every axis;
+//  * every plan mode (kAuto / kForceNaive / kForceIndexed) matches that
+//    interpreter across the axis battery, and the pinned Section 4
+//    outputs, at threads {1, 4, 8} — plans move cost, never results.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "document.h"
 #include "workload/generator.h"
 #include "workload/paper_data.h"
+#include "xml/parser.h"
+#include "xpath/axes.h"
 #include "xquery/ast.h"
 #include "xquery/parser.h"
+#include "xquery/serialize.h"
 
 namespace mhx::xquery {
 namespace {
@@ -451,34 +457,149 @@ constexpr const char* kAxisBatteryQueries[] = {
     "/descendant::dmg/xdescendant::w/xancestor::line",
 };
 
-// The guarantee-driven path must serialise byte-identically to brute-force
-// sort+dedup.
+// --- the test-side step interpreter ---------------------------------------
+
+// One item of a reference evaluation: a node, or a leaf cell (node =
+// kInvalidNode) identified by its range.
+struct RefItem {
+  goddag::NodeId node;
+  TextRange range;
+};
+
+// Document order over mixed node/leaf items: begin ascending, longer range
+// first, a node before the leaf sharing its range, NodeId last.
+auto RefOrderKey(const RefItem& item) {
+  const bool leaf = item.node == goddag::kInvalidNode;
+  return std::make_tuple(item.range.begin, ~item.range.end, leaf, item.node);
+}
+
+// Evaluates an absolute path of `axis::test` steps (test: a name, `*`, or
+// `leaf()`) one step at a time, with brute-force step semantics: the
+// context items' results are concatenated, then sorted into document order
+// and deduplicated after every step — no ordering guarantee is relied on.
+// Node contexts step through the public AxisEvaluator; leaf() steps and
+// leaf contexts read the snapshot's leaf partition and node table. Covers
+// the step shapes kAxisBatteryQueries uses.
+std::vector<RefItem> ReferencePath(const goddag::DocumentSnapshot& snapshot,
+                                   std::string_view path) {
+  const goddag::KyGoddag& kg = snapshot.goddag();
+  const xpath::AxisEvaluator axes(&snapshot);
+  std::vector<RefItem> current = {{kg.root(), kg.node(kg.root()).range}};
+  while (!path.empty()) {
+    path.remove_prefix(1);  // the '/'
+    const std::string_view step = path.substr(0, path.find('/'));
+    path.remove_prefix(step.size());
+    const size_t colons = step.find("::");
+    auto axis = xpath::AxisFromName(step.substr(0, colons));
+    EXPECT_TRUE(axis.ok()) << step;
+    if (!axis.ok()) return {};
+    const std::string_view test = step.substr(colons + 2);
+    std::vector<RefItem> next;
+    for (const RefItem& item : current) {
+      const bool from_leaf = item.node == goddag::kInvalidNode;
+      if (test == "leaf()") {
+        EXPECT_TRUE(!from_leaf && *axis == xpath::Axis::kDescendant) << step;
+        for (const goddag::Leaf& leaf : kg.leaves()) {
+          if (item.range.Contains(leaf.range)) {
+            next.push_back({goddag::kInvalidNode, leaf.range});
+          }
+        }
+        continue;
+      }
+      std::vector<goddag::NodeId> ids;
+      if (from_leaf) {
+        // A leaf lies in every hierarchy: its ancestors are the elements
+        // whose range contains it.
+        EXPECT_EQ(*axis, xpath::Axis::kAncestor) << step;
+        for (goddag::NodeId id = 0; id < kg.node_table_size(); ++id) {
+          if (kg.node(id).kind == goddag::GNodeKind::kElement &&
+              kg.node(id).range.Contains(item.range)) {
+            ids.push_back(id);
+          }
+        }
+      } else {
+        ids = axes.EvaluateAxisOnly(item.node, *axis);
+      }
+      for (goddag::NodeId id : ids) {
+        const goddag::GNode& node = kg.node(id);
+        if (node.kind != goddag::GNodeKind::kElement) continue;
+        if (test == "*" || node.name == test) next.push_back({id, node.range});
+      }
+    }
+    std::sort(next.begin(), next.end(),
+              [](const RefItem& a, const RefItem& b) {
+                return RefOrderKey(a) < RefOrderKey(b);
+              });
+    next.erase(std::unique(next.begin(), next.end(),
+                           [](const RefItem& a, const RefItem& b) {
+                             return RefOrderKey(a) == RefOrderKey(b);
+                           }),
+               next.end());
+    current = std::move(next);
+  }
+  return current;
+}
+
+// The query whose output exposes a path result's order and duplicates
+// item by item, and the reference rendering of the same.
+std::string ListingQuery(std::string_view path) {
+  return "for $n in " + std::string(path) +
+         " return (name($n), '[', string($n), ']')";
+}
+
+std::string ReferenceListing(const goddag::DocumentSnapshot& snapshot,
+                             const std::vector<RefItem>& items) {
+  const goddag::KyGoddag& kg = snapshot.goddag();
+  std::string out;
+  for (const RefItem& item : items) {
+    if (item.node != goddag::kInvalidNode) out += kg.node(item.node).name;
+    out += "[" +
+           xml::EscapeText(kg.base_text().substr(item.range.begin,
+                                                 item.range.length())) +
+           "]";
+  }
+  return out;
+}
+
+// Checks one battery path's count and item listing against the reference.
+void ExpectMatchesReference(const MultihierarchicalDocument& doc,
+                            std::string_view path,
+                            const QueryOptions& options) {
+  const auto snapshot = doc.PinSnapshot();
+  const std::vector<RefItem> expected = ReferencePath(*snapshot, path);
+  const std::string label = std::string(path) + "\nplan mode " +
+                            std::string(PlanModeName(options.plan_mode)) +
+                            " threads " + std::to_string(options.threads);
+  auto count = doc.Query("count(" + std::string(path) + ")", options);
+  ASSERT_TRUE(count.ok()) << label << "\n" << count.status();
+  EXPECT_EQ(*count, std::to_string(expected.size())) << label;
+  auto listing = doc.Query(ListingQuery(path), options);
+  ASSERT_TRUE(listing.ok()) << label << "\n" << listing.status();
+  EXPECT_EQ(*listing, ReferenceListing(*snapshot, expected)) << label;
+}
+
+// The guarantee-driven path must match the brute-force step interpreter.
 TEST_F(ParallelQueryTest, GuaranteeDrivenMergeMatchesBruteForcePerAxis) {
-  QueryOptions brute;
-  brute.force_step_sort = true;
   for (const char* query : kAxisBatteryQueries) {
-    EXPECT_EQ(MustQuery(*edition_, query, QueryOptions()),
-              MustQuery(*edition_, query, brute))
-        << query;
+    ExpectMatchesReference(*edition_, query, QueryOptions());
   }
 }
 
 // The planner's byte-identity contract: every plan mode — the cost-based
-// kAuto, both forced strategies, and the legacy brute force — produces the
-// same bytes for the whole axis battery, serial and fanned out. A plan is
-// allowed to move cost, never results.
+// kAuto and both forced strategies — matches the reference for the whole
+// axis battery, serial and fanned out, and all of them serialise the bare
+// path identically. A plan is allowed to move cost, never results.
 TEST_F(ParallelQueryTest, PlanModesByteIdenticalAcrossAxesAndThreads) {
-  QueryOptions brute;
-  brute.force_step_sort = true;
   const PlanMode modes[] = {PlanMode::kAuto, PlanMode::kForceNaive,
                             PlanMode::kForceIndexed};
   for (const char* query : kAxisBatteryQueries) {
-    const std::string baseline = MustQuery(*edition_, query, brute);
+    const std::string baseline = MustQuery(*edition_, query, QueryOptions());
     for (PlanMode mode : modes) {
       for (unsigned threads : {1u, 4u}) {
         QueryOptions options;
         options.plan_mode = mode;
         options.threads = threads;
+        ExpectMatchesReference(*edition_, query, options);
         EXPECT_EQ(MustQuery(*edition_, query, options), baseline)
             << query << "\nplan mode " << PlanModeName(mode) << " threads "
             << threads;
@@ -488,23 +609,31 @@ TEST_F(ParallelQueryTest, PlanModesByteIdenticalAcrossAxesAndThreads) {
 }
 
 // Same contract on the paper's Section 4 queries, across fan-out widths:
-// the planned evaluation must reproduce the published outputs exactly.
+// every plan mode must reproduce the published outputs exactly.
 TEST_F(ParallelQueryTest, Section4QueriesPlanModeInvariantAcrossThreads) {
-  const char* queries[] = {workload::kQueryI1, workload::kQueryI2,
-                           workload::kQueryII1, workload::kQueryIII1Intent};
-  QueryOptions brute;
-  brute.force_step_sort = true;
-  for (const char* query : queries) {
-    const std::string baseline = MustQuery(*paper_, query, brute);
+  struct Pinned {
+    const char* query;
+    const char* expected;
+    bool coalesce;
+  };
+  const Pinned kPinned[] = {
+      {workload::kQueryI1, workload::kExpectedI1, false},
+      {workload::kQueryI2, workload::kExpectedI2, false},
+      {workload::kQueryII1, workload::kExpectedII1Coalesced, true},
+      {workload::kQueryIII1Intent, workload::kExpectedIII1IntentCoalesced,
+       true},
+  };
+  for (const Pinned& p : kPinned) {
     for (PlanMode mode :
          {PlanMode::kAuto, PlanMode::kForceNaive, PlanMode::kForceIndexed}) {
       for (unsigned threads : {1u, 4u, 8u}) {
         QueryOptions options;
         options.plan_mode = mode;
         options.threads = threads;
-        EXPECT_EQ(MustQuery(*paper_, query, options), baseline)
-            << query << "\nplan mode " << PlanModeName(mode) << " threads "
-            << threads;
+        const std::string out = MustQuery(*paper_, p.query, options);
+        EXPECT_EQ(p.coalesce ? CoalesceRuns(out) : out, p.expected)
+            << p.query << "\nplan mode " << PlanModeName(mode)
+            << " threads " << threads;
       }
     }
   }
@@ -515,16 +644,6 @@ TEST_F(ParallelQueryTest, LeafScanSkipsSorts) {
   auto out = edition_->Query("count(/descendant::leaf())");
   ASSERT_TRUE(out.ok()) << out.status();
   EXPECT_GT(edition_->engine()->sorts_skipped(), before);
-}
-
-TEST_F(ParallelQueryTest, ForceStepSortSkipsNothing) {
-  QueryOptions brute;
-  brute.force_step_sort = true;
-  // Prime the cache so the measured evaluation is the only variable.
-  ASSERT_TRUE(edition_->Query("/descendant::s/descendant::w", brute).ok());
-  const size_t before = edition_->engine()->sorts_skipped();
-  ASSERT_TRUE(edition_->Query("/descendant::s/descendant::w", brute).ok());
-  EXPECT_EQ(edition_->engine()->sorts_skipped(), before);
 }
 
 }  // namespace

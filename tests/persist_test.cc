@@ -73,8 +73,7 @@ StatusOr<MappedSnapshot> Adopt(std::string image) {
 }
 
 MultihierarchicalDocument DocumentOf(MappedSnapshot mapped) {
-  return MultihierarchicalDocument::FromSnapshot(std::move(mapped.head),
-                                                 std::move(mapped.snapshot));
+  return MultihierarchicalDocument::FromSnapshot(std::move(mapped.snapshot));
 }
 
 // A scratch directory for the file-based tests, removed on teardown as far
@@ -116,7 +115,7 @@ TEST(PersistTest, PaperQueriesByteIdenticalAcrossPlanModesAndThreads) {
        true},
   };
   const PlanMode kModes[] = {PlanMode::kAuto, PlanMode::kForceNaive,
-                             PlanMode::kForceIndexed, PlanMode::kForceSort};
+                             PlanMode::kForceIndexed};
   for (const Pinned& p : kPinned) {
     for (PlanMode mode : kModes) {
       for (unsigned threads : {1u, 4u, 8u}) {
@@ -193,7 +192,7 @@ TEST(PersistTest, CommittedVersionRoundTrips) {
 }
 
 TEST(PersistTest, LoadedDocumentAcceptsNewCommits) {
-  // The head from an adopted arena owns all of its bytes: clone-and-commit
+  // An adopted arena's goddag owns all of its bytes: clone-and-commit
   // works, and the new version no longer references the arena buffer.
   auto parsed = workload::BuildEditionDocument(TestEdition());
   ASSERT_TRUE(parsed.ok());

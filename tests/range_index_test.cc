@@ -96,8 +96,8 @@ TEST_F(RangeIndexTest, MatchesBruteForceOnManyQueries) {
 }
 
 TEST_F(RangeIndexTest, SnapshotCarriesRevision) {
-  KyGoddag* kg = doc_->mutable_goddag();
-  RangeIndex index(kg);
+  std::unique_ptr<KyGoddag> kg = doc_->goddag().Clone();
+  RangeIndex index(kg.get());
   EXPECT_EQ(index.revision(), kg->revision());
   auto h = kg->AddVirtualHierarchy(
       "v", {VirtualElement{"x", TextRange(1, 5), {}}});
