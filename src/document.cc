@@ -4,6 +4,7 @@
 
 #include "base/status_macros.h"
 #include "goddag/persist.h"
+#include "goddag/stats.h"
 #include "xml/parser.h"
 
 namespace mhx {
@@ -25,6 +26,11 @@ StatusOr<MultihierarchicalDocument> MultihierarchicalDocument::Builder::
     Build() {
   if (!base_text_set_) {
     return FailedPreconditionError("SetBaseText was never called");
+  }
+  if (base_text_.size() > goddag::kMaxTextSize) {
+    return InvalidArgumentError("base text of " +
+                                std::to_string(base_text_.size()) +
+                                " characters exceeds the 4 GiB limit");
   }
   for (size_t i = 0; i < hierarchies_.size(); ++i) {
     for (size_t j = i + 1; j < hierarchies_.size(); ++j) {

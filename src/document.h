@@ -70,9 +70,10 @@ class MultihierarchicalDocument {
     Builder& AddHierarchy(std::string name, std::string xml);
     // Parses and merges all hierarchies, then publishes the document's
     // initial snapshot (version 1, index built lazily on first query).
-    // Fails if the base text was never set, any XML is malformed, any
-    // hierarchy's character content differs from the base text, or two
-    // hierarchies share a name.
+    // Fails if the base text was never set or is longer than
+    // goddag::kMaxTextSize (2^32 - 1) characters, any XML is malformed,
+    // any hierarchy's character content differs from the base text, or
+    // two hierarchies share a name.
     StatusOr<MultihierarchicalDocument> Build();
 
    private:

@@ -39,7 +39,8 @@ inline constexpr uint32_t kArenaFormatVersion = 1;
 // Section payload offsets are multiples of this (cache-line sized, and far
 // above the 8-byte alignment the in-place casts require).
 inline constexpr uint64_t kArenaSectionAlign = 64;
-// ArenaHeader::flags bit: the RangeSoA sections are populated (text < 2^31).
+// ArenaHeader::flags bit: the RangeSoA sections are populated. Every arena
+// sets it (every document has a RangeSoA); loaders reject one without it.
 inline constexpr uint32_t kArenaFlagSoaValid = 1u << 0;
 // "no string" sentinel for ArenaNode::name_ref (free slots, the root).
 inline constexpr uint32_t kArenaNoString = 0xffffffffu;

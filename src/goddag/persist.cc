@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string_view>
 #include <tuple>
@@ -107,8 +108,9 @@ class SnapshotWriter {
     CollectBoundaries(g);
     CollectIndex(index);
     CollectStatsNameRefs(stats);
-    if (blob_.size() > UINT32_MAX || children_pool_.size() > UINT32_MAX ||
-        attr_pool_.size() > UINT32_MAX || hnode_pool_.size() > UINT32_MAX) {
+    constexpr size_t kRefLimit = std::numeric_limits<uint32_t>::max();
+    if (blob_.size() > kRefLimit || children_pool_.size() > kRefLimit ||
+        attr_pool_.size() > kRefLimit || hnode_pool_.size() > kRefLimit) {
       return UnimplementedError("arena: document exceeds format limits");
     }
 
@@ -294,7 +296,7 @@ class SnapshotWriter {
     header.format_version = kArenaFormatVersion;
     header.file_size = file_size;
     header.section_count = kArenaSectionKinds;
-    header.flags = soa.valid ? kArenaFlagSoaValid : 0u;
+    header.flags = kArenaFlagSoaValid;
     header.doc_version = snapshot_.version();
     header.goddag_revision = g.revision();
     header.element_count = g.element_count();
@@ -434,8 +436,8 @@ class ArenaLoader {
     if (header_.section_count != kArenaSectionKinds) {
       return Malformed("bad section count");
     }
-    if ((header_.flags & ~kArenaFlagSoaValid) != 0) {
-      return Malformed("unknown header flags");
+    if (header_.flags != kArenaFlagSoaValid) {
+      return Malformed("bad header flags");
     }
     const uint64_t table_bytes =
         uint64_t{kArenaSectionKinds} * sizeof(ArenaSectionEntry);
@@ -490,6 +492,9 @@ class ArenaLoader {
     if (Sec(ArenaSection::kBaseText).count != header_.text_size) {
       return Malformed("base text size disagrees with header");
     }
+    if (header_.text_size > kMaxTextSize) {
+      return Malformed("base text exceeds the 4 GiB limit");
+    }
     if (nodes < 1 || nodes > kInvalidNode) {
       return Malformed("bad node table size");
     }
@@ -505,12 +510,11 @@ class ArenaLoader {
     if (Sec(ArenaSection::kIndexMaxEnd).count != want_tree) {
       return Malformed("index segment tree has wrong size");
     }
-    const uint64_t want_soa = (header_.flags & kArenaFlagSoaValid) ? elements : 0;
-    if (Sec(ArenaSection::kSoaBegin).count != want_soa ||
-        Sec(ArenaSection::kSoaEnd).count != want_soa ||
-        Sec(ArenaSection::kSoaNameKey).count != want_soa ||
-        Sec(ArenaSection::kSoaId).count != want_soa) {
-      return Malformed("SoA section counts disagree with header flags");
+    if (Sec(ArenaSection::kSoaBegin).count != elements ||
+        Sec(ArenaSection::kSoaEnd).count != elements ||
+        Sec(ArenaSection::kSoaNameKey).count != elements ||
+        Sec(ArenaSection::kSoaId).count != elements) {
+      return Malformed("SoA section counts disagree with element count");
     }
     if (Sec(ArenaSection::kStatsNameRefs).count !=
         Sec(ArenaSection::kStatsNameCounts).count) {
@@ -751,23 +755,20 @@ class ArenaLoader {
     stats->length_log2_.assign(hist, hist + 33);
     stats->node_name_keys_ = base::ArrayRef<uint32_t>(
         Records<uint32_t>(ArenaSection::kNodeNameKeys), node_count);
-    if (header_.flags & kArenaFlagSoaValid) {
-      const uint64_t n = header_.element_count;
-      const uint32_t* soa_id = Records<uint32_t>(ArenaSection::kSoaId);
-      for (uint64_t i = 0; i < n; ++i) {
-        if (soa_id[i] >= node_count) {
-          return Malformed("SoA node id out of range");
-        }
+    const uint64_t n = header_.element_count;
+    const uint32_t* soa_id = Records<uint32_t>(ArenaSection::kSoaId);
+    for (uint64_t i = 0; i < n; ++i) {
+      if (soa_id[i] >= node_count) {
+        return Malformed("SoA node id out of range");
       }
-      stats->soa_.begin = base::ArrayRef<uint32_t>(
-          Records<uint32_t>(ArenaSection::kSoaBegin), n);
-      stats->soa_.end =
-          base::ArrayRef<uint32_t>(Records<uint32_t>(ArenaSection::kSoaEnd), n);
-      stats->soa_.name_key = base::ArrayRef<uint32_t>(
-          Records<uint32_t>(ArenaSection::kSoaNameKey), n);
-      stats->soa_.id = base::ArrayRef<NodeId>(soa_id, n);
-      stats->soa_.valid = true;
     }
+    stats->soa_.begin = base::ArrayRef<uint32_t>(
+        Records<uint32_t>(ArenaSection::kSoaBegin), n);
+    stats->soa_.end =
+        base::ArrayRef<uint32_t>(Records<uint32_t>(ArenaSection::kSoaEnd), n);
+    stats->soa_.name_key = base::ArrayRef<uint32_t>(
+        Records<uint32_t>(ArenaSection::kSoaNameKey), n);
+    stats->soa_.id = base::ArrayRef<NodeId>(soa_id, n);
     return OkStatus();
   }
 

@@ -2,8 +2,6 @@
 
 #include "goddag/stats.h"
 
-#include <climits>
-
 namespace mhx::goddag {
 
 namespace {
@@ -29,7 +27,6 @@ SnapshotStats::SnapshotStats(const KyGoddag* goddag) {
   std::vector<uint32_t> soa_begin, soa_end, soa_name_key;
   std::vector<NodeId> soa_id;
   length_log2_.assign(33, 0);
-  const bool pack = text_size_ < static_cast<size_t>(INT32_MAX);
   for (NodeId id = 0; id < node_table_size_; ++id) {
     const GNode& node = goddag->node(id);
     if (node.kind != GNodeKind::kElement) continue;
@@ -44,19 +41,16 @@ SnapshotStats::SnapshotStats(const KyGoddag* goddag) {
     node_name_keys[id] = it->second;
     total_range_length_ += node.range.length();
     ++length_log2_[LengthBucket(node.range.length())];
-    if (pack) {
-      soa_begin.push_back(static_cast<uint32_t>(node.range.begin));
-      soa_end.push_back(static_cast<uint32_t>(node.range.end));
-      soa_name_key.push_back(it->second);
-      soa_id.push_back(id);
-    }
+    soa_begin.push_back(static_cast<uint32_t>(node.range.begin));
+    soa_end.push_back(static_cast<uint32_t>(node.range.end));
+    soa_name_key.push_back(it->second);
+    soa_id.push_back(id);
   }
   node_name_keys_ = base::ArrayRef<uint32_t>(std::move(node_name_keys));
   soa_.begin = base::ArrayRef<uint32_t>(std::move(soa_begin));
   soa_.end = base::ArrayRef<uint32_t>(std::move(soa_end));
   soa_.name_key = base::ArrayRef<uint32_t>(std::move(soa_name_key));
   soa_.id = base::ArrayRef<NodeId>(std::move(soa_id));
-  soa_.valid = pack;
 }
 
 uint32_t SnapshotStats::name_key(std::string_view name) const {

@@ -39,22 +39,22 @@ namespace mhx::goddag {
 // for names the snapshot does not contain. Never equal to any interned key.
 inline constexpr uint32_t kNoNameKey = 0xffffffffu;
 
+// The longest base text a document may have: RangeSoA packs every offset
+// into a uint32. Builder::Build and the arena loader reject longer texts.
+inline constexpr size_t kMaxTextSize = 0xffffffffu;
+
 // Flat structure-of-arrays view of every live element's range, in NodeId
-// order — the kernels' scan surface. All four arrays share one length.
-// Built only when the base text fits int32 (valid == true): the explicit
-// SIMD paths compare begin/end as signed 32-bit lanes, which is exact
-// precisely when every offset < INT32_MAX. Documents beyond 2 GiB of base
-// text fall back to the scalar GNode scan. The arrays are ArrayRefs: the
-// build path owns them, the mmap-adoption path (goddag/persist.h) borrows
-// them straight out of the arena's SoA sections.
+// order — the kernels' scan surface, present for every document. All four
+// arrays share one length and hold raw (unbiased) offsets. The arrays are
+// ArrayRefs: the build path owns them, the mmap-adoption path
+// (goddag/persist.h) borrows them straight out of the arena's SoA sections.
 struct RangeSoA {
   base::ArrayRef<uint32_t> begin;     // range.begin per live element
   base::ArrayRef<uint32_t> end;       // range.end per live element
   base::ArrayRef<uint32_t> name_key;  // interned element name per entry
   base::ArrayRef<NodeId> id;          // node-table id per entry
-  bool valid = false;
 
-  // Number of packed elements (0 when !valid).
+  // Number of packed elements.
   size_t size() const { return id.size(); }
 };
 
@@ -63,16 +63,17 @@ struct RangeSoA {
 // any number of threads.
 class SnapshotStats {
  public:
+  // `goddag`'s base text must be at most kMaxTextSize characters.
   explicit SnapshotStats(const KyGoddag* goddag);
 
-  // Live element nodes at build time (== RangeSoA::size when valid).
+  // Live element nodes at build time (== RangeSoA::size).
   size_t element_count() const { return element_count_; }
 
   // Base-text length in characters.
   size_t text_size() const { return text_size_; }
 
-  // Node-table size at build time (free slots included) — the naive scan's
-  // iteration count, which is what scan cost scales with.
+  // Node-table size at build time (free slots included) — what the
+  // planner's scan cost scales with.
   size_t node_table_size() const { return node_table_size_; }
 
   // Active hierarchies at build time.
@@ -111,7 +112,7 @@ class SnapshotStats {
   // stabbing depth — the planner's xancestor hit estimate.
   size_t total_range_length() const { return total_range_length_; }
 
-  // The packed scan surface (valid == false when the text exceeds int32).
+  // The packed scan surface.
   const RangeSoA& soa() const { return soa_; }
 
  private:

@@ -163,22 +163,8 @@ void AxisEvaluator::NormalizeDocumentOrder(const goddag::OverlayView* view,
     if (ra != rb) return ra < rb;
     return a < b;
   };
-  if (std::is_sorted(ids->begin(), ids->end(), cmp)) {
-    sorts_skipped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  std::sort(ids->begin(), ids->end(), cmp);
-}
-
-void AxisEvaluator::EvaluateExtendedNaiveRange(const TextRange& context,
-                                               NodeId exclude, Axis axis,
-                                               std::vector<NodeId>* out) const {
-  const size_t table = goddag_->node_table_size();
-  for (NodeId id = 0; id < table; ++id) {
-    if (id == exclude) continue;
-    const GNode& node = goddag_->node(id);
-    if (node.kind != GNodeKind::kElement) continue;
-    if (ExtendedAxisMatches(axis, context, node.range)) out->push_back(id);
+  if (!std::is_sorted(ids->begin(), ids->end(), cmp)) {
+    std::sort(ids->begin(), ids->end(), cmp);
   }
 }
 
@@ -413,16 +399,11 @@ bool AxisEvaluator::EvaluateExtendedPlannedBase(
     goddag::ProbeFilter filter;
     if (pushdown) filter = {snapshot_->stats().node_name_keys().data(), key};
     EvaluateExtendedIndexed(context_range, exclude, axis, filter, out);
-    return pushdown;
+  } else {
+    ScanExtendedAxis(snapshot_->stats().soa(), axis, context_range, exclude,
+                     key, KernelIsa::kAuto, out);
   }
-  // Scan side: the vectorized RangeSoA kernels when the snapshot's packed
-  // layout applies, the scalar node-table walk otherwise.
-  if (ScanExtendedAxis(snapshot_->stats().soa(), axis, context_range, exclude,
-                       key, KernelIsa::kAuto, out)) {
-    return pushdown;
-  }
-  EvaluateExtendedNaiveRange(context_range, exclude, axis, out);
-  return false;
+  return pushdown;
 }
 
 std::vector<NodeId> AxisEvaluator::EvaluatePlanned(

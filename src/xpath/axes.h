@@ -12,7 +12,8 @@
 //
 // Every extended axis has two evaluation strategies, chosen per call by a
 // StepExec: lookups against the snapshot's RangeIndex (indexed), and a
-// (vectorized) scan of the whole node table (the literal Definition 1).
+// vectorized scan of the snapshot's RangeSoA, which packs every live
+// element's range (the literal Definition 1).
 // Both return the same node set in document order — the unit tests hold
 // them to a test-side Definition-1 reference.
 //
@@ -35,7 +36,6 @@
 #ifndef MHX_XPATH_AXES_H_
 #define MHX_XPATH_AXES_H_
 
-#include <atomic>
 #include <map>
 #include <string>
 #include <string_view>
@@ -92,9 +92,9 @@ enum class Ordering {
 std::string_view OrderingName(Ordering ordering);
 
 // The Definition-1 range predicate of one extended axis: does `candidate`
-// stand in `axis` relation to a context with range `context`? Shared by the
-// scalar base-table scan and by the overlay scan half of every
-// extended-axis evaluation.
+// stand in `axis` relation to a context with range `context`? The overlay
+// scan half of every extended-axis evaluation runs it, and tests hold the
+// base-table kernels (xpath/kernels.h) to it.
 bool ExtendedAxisMatches(Axis axis, const TextRange& context,
                          const TextRange& candidate);
 
@@ -162,10 +162,9 @@ class AxisEvaluator {
                                        const NodeTest& test) const;
 
   // Planner-driven Evaluate: the extended-axis strategy comes from `exec`
-  // — scans run the vectorized RangeSoA kernels (xpath/kernels.h) when the
-  // packed layout applies, falling back to the scalar node-table scan
-  // otherwise — and exec.pushdown folds a name test into the probe/kernel
-  // as an interned-key compare, so base candidates are pre-filtered.
+  // — scans run the vectorized RangeSoA kernels (xpath/kernels.h) — and
+  // exec.pushdown folds a name test into the probe/kernel as an
+  // interned-key compare, so base candidates are pre-filtered.
   // Output is byte-identical to Evaluate(view, context, axis, test) for
   // every exec; standard axes ignore exec and walk arcs as always.
   std::vector<goddag::NodeId> EvaluatePlanned(const goddag::OverlayView& view,
@@ -194,14 +193,6 @@ class AxisEvaluator {
   // evaluator internals.
   static Ordering ResultOrdering(Axis axis);
 
-  // Document-order sorts EvaluateAxisOnly avoided because the traversal was
-  // already sorted (child/descendant walks, sibling slices, the reversed
-  // ancestor chain). Relaxed atomic: bumped from const evaluation, read by
-  // benchmarks; exactness across racing readers is not required.
-  size_t sorts_skipped() const {
-    return sorts_skipped_.load(std::memory_order_relaxed);
-  }
-
   // The snapshot's build-once index backing indexed mode (overlay churn
   // never invalidates it). Writer-prebuilt snapshots cost this evaluator
   // zero rebuilds; a lazily indexed snapshot (the Build()-time initial
@@ -227,21 +218,15 @@ class AxisEvaluator {
   // Drops the ids whose node fails `test`, keeping the order.
   void RetainMatches(const goddag::OverlayView* view, const NodeTest& test,
                      std::vector<goddag::NodeId>* ids) const;
-  // The literal Definition-1 node-table scan for a bare range; `exclude`
-  // drops the context node (kInvalidNode for leaf contexts). The scan
-  // fallback when the packed RangeSoA is unavailable (texts of 2 GiB or
-  // more).
-  void EvaluateExtendedNaiveRange(const TextRange& context,
-                                  goddag::NodeId exclude, Axis axis,
-                                  std::vector<goddag::NodeId>* out) const;
-  // RangeIndex probe for `context`'s hits, `exclude` dropped.
+  // RangeIndex probe for `context`'s hits; `exclude` drops the context node
+  // (kInvalidNode for leaf contexts).
   void EvaluateExtendedIndexed(const TextRange& context,
                                goddag::NodeId exclude, Axis axis,
                                const goddag::ProbeFilter& filter,
                                std::vector<goddag::NodeId>* out) const;
   // The base-table half of every extended-axis evaluation: indexed probe
-  // or (vectorized) scan per `exec`, pushdown folded in. Returns true when
-  // the appended hits are already filtered by `test`.
+  // or RangeSoA kernel scan per `exec`, pushdown folded in. Returns true
+  // when the appended hits are already filtered by `test`.
   bool EvaluateExtendedPlannedBase(const TextRange& context_range,
                                    goddag::NodeId exclude, Axis axis,
                                    const NodeTest& test, const StepExec& exec,
@@ -259,9 +244,8 @@ class AxisEvaluator {
   void EvaluateStandard(const goddag::OverlayView* view,
                         goddag::NodeId context, Axis axis,
                         std::vector<goddag::NodeId>* out) const;
-  // Establishes document order: a linear is_sorted scan first (counted as a
-  // skipped sort when it passes on 2+ elements), the O(n log n) sort only
-  // when the scan finds an inversion. The scan, rather than a purely static
+  // Establishes document order: a linear is_sorted scan first, the
+  // O(n log n) sort only when the scan finds an inversion. The scan, rather than a purely static
   // per-axis whitelist, is what makes the guarantee honest: overlay hits
   // append after base hits, and a cross-hierarchy descendant walk from the
   // GODDAG root interleaves hierarchies.
@@ -272,7 +256,6 @@ class AxisEvaluator {
   // snapshot_->goddag(), cached for the navigation hot paths.
   const goddag::KyGoddag* goddag_;
   mutable size_t index_rebuild_count_ = 0;
-  mutable std::atomic<size_t> sorts_skipped_{0};
 };
 
 }  // namespace mhx::xpath

@@ -30,15 +30,15 @@ std::atomic<uint64_t> g_simd_dispatch{0};
 constexpr size_t kBlock = 4096;
 
 template <typename Pred>
-void ScalarScan(const RangeSoA& soa, Pred pred, uint32_t name_key,
-                NodeId exclude, std::vector<NodeId>* out) {
+void ScalarScan(const RangeSoA& soa, size_t start, Pred pred,
+                uint32_t name_key, NodeId exclude, std::vector<NodeId>* out) {
   const uint32_t* b = soa.begin.data();
   const uint32_t* e = soa.end.data();
   const uint32_t* k = soa.name_key.data();
   const NodeId* ids = soa.id.data();
   const size_t n = soa.id.size();
   unsigned char match[kBlock];
-  for (size_t base = 0; base < n; base += kBlock) {
+  for (size_t base = start; base < n; base += kBlock) {
     const size_t m = (n - base < kBlock) ? n - base : kBlock;
     if (name_key == kNoNameKey) {
       for (size_t i = 0; i < m; ++i) {
@@ -59,14 +59,16 @@ void ScalarScan(const RangeSoA& soa, Pred pred, uint32_t name_key,
 }
 
 // Runs the scalar core with the per-axis Definition-1 predicate
-// (ExtendedAxisMatches, specialised to flat uint32 operands).
-void ScalarScanAxis(const RangeSoA& soa, Axis axis, uint32_t cb, uint32_t ce,
-                    uint32_t name_key, NodeId exclude,
+// (ExtendedAxisMatches, specialised to flat uint32 operands) over the
+// elements from index `start` on: the whole SoA for the scalar path, the
+// remainder a SIMD loop left behind otherwise.
+void ScalarScanAxis(const RangeSoA& soa, size_t start, Axis axis, uint32_t cb,
+                    uint32_t ce, uint32_t name_key, NodeId exclude,
                     std::vector<NodeId>* out) {
   switch (axis) {
     case Axis::kXAncestor:
       ScalarScan(
-          soa,
+          soa, start,
           [cb, ce](uint32_t b, uint32_t e) {
             return static_cast<unsigned char>((b <= cb) & (ce <= e));
           },
@@ -74,7 +76,7 @@ void ScalarScanAxis(const RangeSoA& soa, Axis axis, uint32_t cb, uint32_t ce,
       return;
     case Axis::kXDescendant:
       ScalarScan(
-          soa,
+          soa, start,
           [cb, ce](uint32_t b, uint32_t e) {
             return static_cast<unsigned char>((cb <= b) & (e <= ce));
           },
@@ -84,7 +86,7 @@ void ScalarScanAxis(const RangeSoA& soa, Axis axis, uint32_t cb, uint32_t ce,
       // Intersects (both non-empty, ranges cross) and neither contains the
       // other; the context's own non-emptiness is checked by the caller.
       ScalarScan(
-          soa,
+          soa, start,
           [cb, ce](uint32_t b, uint32_t e) {
             const unsigned char intersects =
                 (b < e) & (cb < e) & (b < ce);
@@ -98,7 +100,7 @@ void ScalarScanAxis(const RangeSoA& soa, Axis axis, uint32_t cb, uint32_t ce,
       return;
     case Axis::kXFollowing:
       ScalarScan(
-          soa,
+          soa, start,
           [ce](uint32_t b, uint32_t e) {
             (void)e;
             return static_cast<unsigned char>(b >= ce);
@@ -107,7 +109,7 @@ void ScalarScanAxis(const RangeSoA& soa, Axis axis, uint32_t cb, uint32_t ce,
       return;
     case Axis::kXPreceding:
       ScalarScan(
-          soa,
+          soa, start,
           [cb](uint32_t b, uint32_t e) {
             (void)b;
             return static_cast<unsigned char>(e <= cb);
@@ -123,11 +125,12 @@ void ScalarScanAxis(const RangeSoA& soa, Axis axis, uint32_t cb, uint32_t ce,
 
 // --- explicit SIMD paths ---------------------------------------------------
 //
-// Offsets compare as signed int32 lanes (no unsigned compare below AVX-512);
-// RangeSoA guarantees every value < INT32_MAX, so the sign bit is never set
-// and signed order == unsigned order. Each block produces a per-lane match
-// mask (one bit per element via movemask) that the tail of the loop converts
-// to NodeIds — the "bitset to node list in one pass" step.
+// Offsets compare as signed int32 lanes (no unsigned compare below AVX-512),
+// so both operands are biased in-register first: x ^ 0x80000000 flips the
+// sign bit, and signed order of the biased values equals unsigned order of
+// the raw ones across the whole uint32 range. Each block produces a
+// per-lane match mask (one bit per element via movemask) that the tail of
+// the loop converts to NodeIds — the "bitset to node list in one pass" step.
 
 // One bit per 32-bit lane of a 128-bit compare result.
 inline uint32_t LaneMask128(__m128i v) {
@@ -185,8 +188,11 @@ size_t Sse2Scan(const RangeSoA& soa, Axis axis, uint32_t ctx_begin,
   const uint32_t* k = soa.name_key.data();
   const NodeId* ids = soa.id.data();
   const size_t n = soa.id.size();
-  const __m128i cb = _mm_set1_epi32(static_cast<int>(ctx_begin));
-  const __m128i ce = _mm_set1_epi32(static_cast<int>(ctx_end));
+  const __m128i bias = _mm_set1_epi32(INT_MIN);
+  const __m128i cb =
+      _mm_xor_si128(_mm_set1_epi32(static_cast<int>(ctx_begin)), bias);
+  const __m128i ce =
+      _mm_xor_si128(_mm_set1_epi32(static_cast<int>(ctx_end)), bias);
   const __m128i key = _mm_set1_epi32(static_cast<int>(name_key));
   const __m128i excl = _mm_set1_epi32(static_cast<int>(exclude));
   constexpr size_t kBufCap = 256;
@@ -194,10 +200,10 @@ size_t Sse2Scan(const RangeSoA& soa, Axis axis, uint32_t ctx_begin,
   NodeId* dst = buf;
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m128i vb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-    const __m128i ve =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(e + i));
+    const __m128i vb = _mm_xor_si128(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)), bias);
+    const __m128i ve = _mm_xor_si128(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(e + i)), bias);
     uint32_t mask = Sse2AxisMask(axis, cb, ce, vb, ve);
     if (name_key != kNoNameKey) {
       const __m128i vk =
@@ -297,8 +303,11 @@ __attribute__((target("avx2"))) size_t Avx2Scan(
   const uint32_t* k = soa.name_key.data();
   const NodeId* ids = soa.id.data();
   const size_t n = soa.id.size();
-  const __m256i cb = _mm256_set1_epi32(static_cast<int>(ctx_begin));
-  const __m256i ce = _mm256_set1_epi32(static_cast<int>(ctx_end));
+  const __m256i bias = _mm256_set1_epi32(INT_MIN);
+  const __m256i cb =
+      _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(ctx_begin)), bias);
+  const __m256i ce =
+      _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(ctx_end)), bias);
   const __m256i key = _mm256_set1_epi32(static_cast<int>(name_key));
   const __m256i excl = _mm256_set1_epi32(static_cast<int>(exclude));
   constexpr size_t kBufCap = 256;
@@ -308,10 +317,10 @@ __attribute__((target("avx2"))) size_t Avx2Scan(
   NodeId* dst = buf;
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i ve =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(e + i));
+    const __m256i vb = _mm256_xor_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)), bias);
+    const __m256i ve = _mm256_xor_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(e + i)), bias);
     uint32_t mask = Avx2AxisMask(axis, cb, ce, vb, ve);
     if (name_key != kNoNameKey) {
       const __m256i vk =
@@ -337,44 +346,6 @@ __attribute__((target("avx2"))) size_t Avx2Scan(
 }
 
 #endif  // defined(__x86_64__)
-
-// The scalar tail after a SIMD loop consumed `done` elements: a trimmed SoA
-// view starting there would be cleaner, but the scalar core is block-based
-// anyway, so re-running it over a sub-span is simplest.
-void ScalarTail(const RangeSoA& soa, Axis axis, uint32_t cb, uint32_t ce,
-                uint32_t name_key, NodeId exclude, size_t done,
-                std::vector<NodeId>* out) {
-  const size_t n = soa.id.size();
-  for (size_t i = done; i < n; ++i) {
-    bool m = false;
-    const uint32_t b = soa.begin[i];
-    const uint32_t e = soa.end[i];
-    switch (axis) {
-      case Axis::kXAncestor:
-        m = b <= cb && ce <= e;
-        break;
-      case Axis::kXDescendant:
-        m = cb <= b && e <= ce;
-        break;
-      case Axis::kOverlapping:
-        m = b < e && cb < e && b < ce && !(cb <= b && e <= ce) &&
-            !(b <= cb && ce <= e);
-        break;
-      case Axis::kXFollowing:
-        m = b >= ce;
-        break;
-      case Axis::kXPreceding:
-        m = e <= cb;
-        break;
-      default:
-        break;
-    }
-    if (m && (name_key == kNoNameKey || soa.name_key[i] == name_key) &&
-        soa.id[i] != exclude) {
-      out->push_back(soa.id[i]);
-    }
-  }
-}
 
 }  // namespace
 
@@ -402,21 +373,14 @@ KernelIsa DispatchedKernelIsa() {
 #endif
 }
 
-bool ScanExtendedAxis(const RangeSoA& soa, Axis axis,
+void ScanExtendedAxis(const RangeSoA& soa, Axis axis,
                       const TextRange& context, NodeId exclude,
                       uint32_t name_key, KernelIsa isa,
                       std::vector<NodeId>* out) {
-  if (!soa.valid) return false;
-  if (context.begin >= static_cast<size_t>(INT32_MAX) ||
-      context.end >= static_cast<size_t>(INT32_MAX)) {
-    // A context range beyond the packed domain cannot be splatted into
-    // signed lanes; scan the node table instead.
-    return false;
-  }
   if (axis == Axis::kOverlapping && context.empty()) {
     // An empty range intersects nothing, so `overlapping` is empty; the
     // kernels' lane predicates assume a non-empty context.
-    return true;
+    return;
   }
   const uint32_t cb = static_cast<uint32_t>(context.begin);
   const uint32_t ce = static_cast<uint32_t>(context.end);
@@ -428,22 +392,17 @@ bool ScanExtendedAxis(const RangeSoA& soa, Axis axis,
 #else
   resolved = KernelIsa::kScalar;
 #endif
+  size_t done = 0;
 #if defined(__x86_64__)
   if (resolved == KernelIsa::kAvx2) {
     g_simd_dispatch.fetch_add(1, std::memory_order_relaxed);
-    const size_t done = Avx2Scan(soa, axis, cb, ce, name_key, exclude, out);
-    ScalarTail(soa, axis, cb, ce, name_key, exclude, done, out);
-    return true;
-  }
-  if (resolved == KernelIsa::kSse2) {
+    done = Avx2Scan(soa, axis, cb, ce, name_key, exclude, out);
+  } else if (resolved == KernelIsa::kSse2) {
     g_simd_dispatch.fetch_add(1, std::memory_order_relaxed);
-    const size_t done = Sse2Scan(soa, axis, cb, ce, name_key, exclude, out);
-    ScalarTail(soa, axis, cb, ce, name_key, exclude, done, out);
-    return true;
+    done = Sse2Scan(soa, axis, cb, ce, name_key, exclude, out);
   }
 #endif
-  ScalarScanAxis(soa, axis, cb, ce, name_key, exclude, out);
-  return true;
+  ScalarScanAxis(soa, done, axis, cb, ce, name_key, exclude, out);
 }
 
 uint64_t simd_dispatch_count() {

@@ -12,13 +12,15 @@
 //   * explicit SSE2 / AVX2 paths (8/16 int32 lanes per iteration via the
 //     two arrays) selected once per process by runtime CPU dispatch.
 //
-// Every path evaluates exactly ExtendedAxisMatches (xpath/axes.h) —
-// byte-identity to the naive scan is pinned by tests — and emits matches
-// into a bitset that one conversion pass turns into a NodeId list. Offsets
-// are compared as *signed* 32-bit lanes (SSE2/AVX2 have no unsigned
-// compare); RangeSoA is only built when the base text fits INT32_MAX, so
-// the reinterpretation is exact. An optional interned name key (pushdown,
-// goddag::kNoNameKey = off) folds the element-name test into the same scan.
+// Every path evaluates exactly ExtendedAxisMatches (xpath/axes.h) — tests
+// hold every ISA to it byte for byte — and emits matches
+// into a bitset that one conversion pass turns into a NodeId list. SSE2 and
+// AVX2 have no unsigned 32-bit compare, so the SIMD paths XOR both operands
+// with 0x80000000 in-register and compare signed lanes: that order equals
+// unsigned order over every uint32 offset, and the SoA itself stays
+// unbiased. The SIMD remainder runs through the scalar core. An optional
+// interned name key (pushdown, goddag::kNoNameKey = off) folds the
+// element-name test into the same scan.
 //
 // Thread-safety: kernels are pure functions over immutable snapshot state;
 // the only shared mutation is the relaxed dispatch counter.
@@ -53,12 +55,11 @@ KernelIsa DispatchedKernelIsa();
 // (ExtendedAxisMatches semantics), appending matching NodeIds to `out` in
 // soa order (== NodeId order). `exclude` (the context node, or
 // goddag::kInvalidNode) is dropped; `name_key` != goddag::kNoNameKey
-// additionally requires the element's interned name to equal it. Returns
-// false — appending nothing — when `soa` is invalid (text too large for
-// the packed layout); the caller then falls back to the GNode scan.
-// `isa` selects the code path (kAuto = runtime dispatch); wider requests
-// than the CPU supports clamp down, never fault.
-bool ScanExtendedAxis(const goddag::RangeSoA& soa, Axis axis,
+// additionally requires the element's interned name to equal it. `context`
+// lies within the base text, so its offsets fit uint32 (Builder::Build
+// rejects longer texts). `isa` selects the code path (kAuto = runtime
+// dispatch); wider requests than the CPU supports clamp down, never fault.
+void ScanExtendedAxis(const goddag::RangeSoA& soa, Axis axis,
                       const TextRange& context, goddag::NodeId exclude,
                       uint32_t name_key, KernelIsa isa,
                       std::vector<goddag::NodeId>* out);

@@ -891,7 +891,7 @@ class Evaluator {
     } else if (path.steps[0].primary != nullptr) {
       const PathStep& first = path.steps[0];
       MHX_ASSIGN_OR_RETURN(current, Eval(*first.primary, context));
-      MHX_RETURN_IF_ERROR(ApplyPredicates(first, path.offset, &current));
+      MHX_RETURN_IF_ERROR(ApplyPredicates(first, &current));
       step_index = 1;
     } else {
       if (context == nullptr) {
@@ -928,7 +928,7 @@ class Evaluator {
             break;
         }
         // Predicates only filter, so document order and uniqueness survive.
-        MHX_RETURN_IF_ERROR(ApplyPredicates(step, path.offset, &from_item));
+        MHX_RETURN_IF_ERROR(ApplyPredicates(step, &from_item));
         runs.push_back(std::move(from_item));
       }
       current = MergeDocOrderedRuns(std::move(runs));
@@ -984,8 +984,7 @@ class Evaluator {
     engine_->counters_->sorts_skipped.Add();
   }
 
-  Status ApplyPredicates(const PathStep& step, size_t offset,
-                         Sequence* items) {
+  Status ApplyPredicates(const PathStep& step, Sequence* items) {
     // Under kAuto, run the planner's cheapest-first order when it recorded
     // one (only for all-statically-boolean predicate lists, so the
     // positional branch below is unreachable for a reordered step).
@@ -1014,7 +1013,6 @@ class Evaluator {
       }
       *items = std::move(kept);
     }
-    (void)offset;
     return OkStatus();
   }
 

@@ -12,14 +12,13 @@
 namespace mhx::xquery {
 namespace {
 
-// Cost-model constants, in units of one scalar node visit. Cp is the
-// per-tree-level overhead of an index probe, kSoaScanCost the per-element
-// cost of the vectorized kernels relative to a scalar table walk (the E9
-// kernel lanes measure ~10-20x; 0.05 keeps a safety margin), and
-// kScalarScanCost the plain naive scan.
+// Cost-model constants, in units of one scalar node visit. kProbeCost is
+// the per-tree-level overhead of an index probe, kSoaScanCost the
+// per-element cost of the vectorized RangeSoA kernels every scan runs (the
+// E9 kernel lanes measure them ~10-20x faster than a scalar node-table
+// walk; 0.05 keeps a safety margin).
 constexpr double kProbeCost = 4.0;
 constexpr double kSoaScanCost = 0.05;
-constexpr double kScalarScanCost = 1.0;
 
 // The extended axis a step reduces to when evaluated from a leaf context
 // (mirrors the engine's LeafContextStep mapping), or the step's own axis
@@ -127,8 +126,7 @@ void PlanStep(const PathStep& step, const goddag::SnapshotStats& stats,
     }
     sp.est_hits = est;
     sp.cost_indexed = kProbeCost * std::log2(elements + 1.0) + est;
-    sp.cost_scan =
-        (stats.soa().valid ? kSoaScanCost : kScalarScanCost) * table;
+    sp.cost_scan = kSoaScanCost * table;
     sp.exec.use_index = sp.cost_indexed <= sp.cost_scan;
   }
 
@@ -248,11 +246,9 @@ std::string ExplainQueryPlan(const AstNode& root, const QueryPlan& plan,
   out << "plan version=" << plan.snapshot_version
       << " elements=" << stats.element_count()
       << " nodes=" << stats.node_table_size()
-      << " names=" << stats.name_table_size() << " kernel="
-      << xpath::KernelIsaName(stats.soa().valid
-                                  ? xpath::DispatchedKernelIsa()
-                                  : xpath::KernelIsa::kScalar)
-      << (stats.soa().valid ? "" : " (soa unavailable)") << "\n";
+      << " names=" << stats.name_table_size()
+      << " kernel=" << xpath::KernelIsaName(xpath::DispatchedKernelIsa())
+      << "\n";
   RenderSteps(root, plan, &out);
   return out.str();
 }

@@ -16,8 +16,8 @@
 //
 // Cost model (unit: one scalar node visit):
 //     cost_indexed = Cp * log2(E + 1) + est_hits
-//     cost_scan    = Cs * table_size      (Cs << 1 when the vectorized
-//                                          RangeSoA kernels apply)
+//     cost_scan    = Cs * table_size      (Cs << 1: every scan runs the
+//                                          vectorized RangeSoA kernels)
 // with per-axis hit estimates from the stats: containment/overlap axes
 // estimate the mean stabbing depth (total range length / text size), the
 // ordering axes half the elements; a pushed-down name test scales the

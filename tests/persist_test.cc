@@ -4,7 +4,7 @@
 //   * round-trip byte-identity — the paper's pinned queries evaluate to
 //     the same bytes on the parsed document and on its adopted arena,
 //     across every plan mode and thread count;
-//   * reject-don't-crash — truncation, wrong magic/version, checksum
+//   * reject-don't-crash — truncation, wrong magic/version/flags, checksum
 //     damage, out-of-bounds indices, and a deterministic corruption fuzz
 //     all fail with InvalidArgument, never UB (the sanitizer lanes run
 //     this file);
@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <random>
 #include <string>
@@ -291,6 +292,26 @@ TEST(PersistTest, RejectsWrongMagicAndVersion) {
     std::string bad = *image;
     bad[4] = static_cast<char>(goddag::kArenaFormatVersion + 1);
     ExpectRejected(std::move(bad), "future format version");
+  }
+  {
+    // Every arena carries the RangeSoA: one without kArenaFlagSoaValid is
+    // malformed even with a matching header checksum. Resealing with the
+    // flag kept must still load, so the recomputed checksum is the real one.
+    auto reseal = [&image](uint32_t flags) {
+      std::string out = *image;
+      ArenaHeader header;
+      std::memcpy(&header, out.data(), sizeof(header));
+      header.flags = flags;
+      header.header_checksum = 0;
+      header.header_checksum = goddag::ArenaFnv1a64(
+          out.data() + sizeof(header),
+          goddag::kArenaSectionKinds * sizeof(goddag::ArenaSectionEntry),
+          goddag::ArenaFnv1a64(&header, sizeof(header)));
+      std::memcpy(&out[0], &header, sizeof(header));
+      return out;
+    };
+    EXPECT_TRUE(Adopt(reseal(goddag::kArenaFlagSoaValid)).ok());
+    ExpectRejected(reseal(0), "RangeSoA flag cleared");
   }
 }
 

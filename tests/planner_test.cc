@@ -6,7 +6,8 @@
 //   * stats staleness across Writer::Commit — a pinned snapshot's stats
 //     follow its version, never the document head;
 //   * every kernel ISA (scalar / SSE2 / AVX2 / auto) against the naive
-//     Definition-1 predicate, name pushdown and context exclusion included;
+//     Definition-1 predicate, name pushdown and context exclusion included,
+//     on editions and on hand-built SoAs with offsets past 2^31;
 //   * RangeIndex ProbeFilter pushdown vs. post-hoc name filtering;
 //   * planner strategy choices (containment probes vs. ordering scans on a
 //     large edition), predicate-reordering safety, PlanCache replan
@@ -118,7 +119,6 @@ TEST(SnapshotStatsTest, MatchesBruteForceOnRandomizedEditions) {
 
     // The packed scan surface mirrors the live elements in NodeId order.
     const auto& soa = stats.soa();
-    ASSERT_TRUE(soa.valid);
     ASSERT_EQ(soa.size(), elements);
     NodeId prev = 0;
     for (size_t i = 0; i < soa.size(); ++i) {
@@ -172,7 +172,6 @@ TEST(KernelTest, EveryIsaMatchesTheNaivePredicate) {
   auto doc = BuildEdition(150, 11);
   const auto& kg = doc.goddag();
   SnapshotStats stats(&kg);
-  ASSERT_TRUE(stats.soa().valid);
 
   std::vector<NodeId> elements = LiveElements(kg);
   ASSERT_FALSE(elements.empty());
@@ -202,8 +201,8 @@ TEST(KernelTest, EveryIsaMatchesTheNaivePredicate) {
         }
         for (KernelIsa isa : isas) {
           std::vector<NodeId> got;
-          ASSERT_TRUE(xpath::ScanExtendedAxis(stats.soa(), axis, range,
-                                              context, key, isa, &got));
+          xpath::ScanExtendedAxis(stats.soa(), axis, range, context, key,
+                                  isa, &got);
           EXPECT_EQ(got, expected)
               << "axis " << xpath::AxisName(axis) << " isa "
               << xpath::KernelIsaName(isa == KernelIsa::kAuto
@@ -219,20 +218,96 @@ TEST(KernelTest, EveryIsaMatchesTheNaivePredicate) {
 TEST(KernelTest, WiderIsaRequestsClampInsteadOfFaulting) {
   auto doc = BuildEdition(40, 2);
   SnapshotStats stats(&doc.goddag());
-  ASSERT_TRUE(stats.soa().valid);
   const NodeId context = LiveElements(doc.goddag()).front();
   const TextRange range = doc.goddag().node(context).range;
   // kAvx2 on a non-AVX2 machine must clamp down and still answer; on an
   // AVX2 machine it is simply the fast path. Either way: same bytes.
   std::vector<NodeId> wide;
   std::vector<NodeId> scalar;
-  ASSERT_TRUE(xpath::ScanExtendedAxis(stats.soa(), Axis::kXFollowing, range,
-                                      context, kNoNameKey, KernelIsa::kAvx2,
-                                      &wide));
-  ASSERT_TRUE(xpath::ScanExtendedAxis(stats.soa(), Axis::kXFollowing, range,
-                                      context, kNoNameKey,
-                                      KernelIsa::kScalar, &scalar));
+  xpath::ScanExtendedAxis(stats.soa(), Axis::kXFollowing, range, context,
+                          kNoNameKey, KernelIsa::kAvx2, &wide);
+  xpath::ScanExtendedAxis(stats.soa(), Axis::kXFollowing, range, context,
+                          kNoNameKey, KernelIsa::kScalar, &scalar);
   EXPECT_EQ(wide, scalar);
+}
+
+TEST(KernelTest, OffsetsPastTwoToThe31OrderAsUnsignedInEveryIsa) {
+  // Hand-built SoAs whose offsets straddle 2^31 up to the 4 GiB limit: the
+  // SIMD paths compare sign-biased lanes, so a raw signed compare would
+  // misorder everything at or above 2^31. Sizes 0..17 cover empty input,
+  // SSE2-only blocks, AVX2 blocks and every scalar remainder length.
+  constexpr uint64_t kHalf = uint64_t{1} << 31;
+  const uint32_t offsets[] = {0u,
+                              1u,
+                              1000u,
+                              static_cast<uint32_t>(kHalf - 2),
+                              static_cast<uint32_t>(kHalf - 1),
+                              static_cast<uint32_t>(kHalf),
+                              static_cast<uint32_t>(kHalf + 1),
+                              static_cast<uint32_t>(kHalf + 5000),
+                              0xfffffffeu,
+                              0xffffffffu};
+  constexpr size_t kOffsets = sizeof(offsets) / sizeof(offsets[0]);
+  // Context ranges on both sides of 2^31, straddling it, and empty.
+  std::vector<TextRange> contexts;
+  for (size_t i = 0; i < kOffsets; i += 2) {
+    for (size_t j = i; j < kOffsets; j += 3) {
+      contexts.emplace_back(offsets[i], offsets[j]);
+    }
+  }
+  const KernelIsa isas[] = {KernelIsa::kScalar, KernelIsa::kSse2,
+                            KernelIsa::kAvx2, KernelIsa::kAuto};
+  uint64_t rng = 0x9e3779b97f4a7c15ull;
+  auto next = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  for (size_t n = 0; n <= 17; ++n) {
+    std::vector<uint32_t> begin, end, name_key;
+    std::vector<NodeId> id;
+    for (size_t i = 0; i < n; ++i) {
+      uint32_t b = offsets[next() % kOffsets];
+      uint32_t e = offsets[next() % kOffsets];
+      if (b > e) std::swap(b, e);
+      begin.push_back(b);
+      end.push_back(e);
+      name_key.push_back(static_cast<uint32_t>(i % 2));
+      id.push_back(static_cast<NodeId>(3 * i + 1));
+    }
+    const NodeId exclude = n == 0 ? goddag::kInvalidNode : id[n / 2];
+    goddag::RangeSoA soa;
+    soa.begin = base::ArrayRef<uint32_t>(begin);
+    soa.end = base::ArrayRef<uint32_t>(end);
+    soa.name_key = base::ArrayRef<uint32_t>(name_key);
+    soa.id = base::ArrayRef<NodeId>(id);
+    for (const TextRange& context : contexts) {
+      for (Axis axis : kExtendedAxes) {
+        for (uint32_t key : {kNoNameKey, 1u}) {
+          std::vector<NodeId> expected;
+          for (size_t i = 0; i < n; ++i) {
+            if (id[i] == exclude) continue;
+            if (key != kNoNameKey && name_key[i] != key) continue;
+            if (ExtendedAxisMatches(axis, context,
+                                    TextRange(begin[i], end[i]))) {
+              expected.push_back(id[i]);
+            }
+          }
+          for (KernelIsa isa : isas) {
+            std::vector<NodeId> got;
+            xpath::ScanExtendedAxis(soa, axis, context, exclude, key, isa,
+                                    &got);
+            EXPECT_EQ(got, expected)
+                << "n " << n << " axis " << xpath::AxisName(axis) << " isa "
+                << xpath::KernelIsaName(isa) << " key " << key
+                << " context [" << context.begin << ", " << context.end
+                << ")";
+          }
+        }
+      }
+    }
+  }
 }
 
 // --- RangeIndex ProbeFilter -------------------------------------------------
@@ -285,7 +360,6 @@ TEST(ProbeFilterTest, PushdownEqualsPostFilterAcrossProbes) {
 TEST(PlannerTest, ContainmentProbesOrderingScansOnALargeEdition) {
   auto doc = BuildEdition(4000, 17);
   SnapshotStats stats(&doc.goddag());
-  ASSERT_TRUE(stats.soa().valid);
 
   auto contained = xquery::ParseQuery("/descendant::w/xancestor::dmg");
   ASSERT_TRUE(contained.ok());

@@ -46,6 +46,7 @@
 #include "goddag/persist.h"
 #include "obs/trace.h"
 #include "workload/generator.h"
+#include "xpath/kernels.h"
 #include "xquery/engine.h"
 
 namespace {
@@ -103,22 +104,28 @@ int RunExplain() {
       "/descendant::w/xfollowing::line",
       "/descendant::dmg/xpreceding::w",
   };
+  // Plan-shape assertions (cost-model sanity, not byte-exact rendering):
+  // every header ends with exactly the kernel the dispatch resolved to,
+  // containment probes stay indexed, and a name test rides into the probe.
+  const std::string kernel =
+      " kernel=" +
+      std::string(mhx::xpath::KernelIsaName(mhx::xpath::DispatchedKernelIsa()));
   std::string all;
   for (const char* query : kQueries) {
     auto plan = doc->engine()->ExplainPlan(query);
     Check(plan.ok(), "ExplainPlan evaluates");
     std::printf("query: %s\n%s\n", query, plan->c_str());
+    const std::string header = plan->substr(0, plan->find('\n'));
+    Check(header.size() >= kernel.size() &&
+              header.compare(header.size() - kernel.size(), kernel.size(),
+                             kernel) == 0,
+          "plan header ends with kernel=<DispatchedKernelIsa()>");
     all += *plan;
   }
-  // Plan-shape assertions (cost-model sanity, not byte-exact rendering):
-  // containment probes stay indexed, a name test rides into the probe,
-  // and the rendering names the kernel the dispatch resolved to.
   Check(all.find("strategy=indexed") != std::string::npos,
         "some step plans an indexed probe");
   Check(all.find("pushdown=") != std::string::npos,
         "a name test was pushed down");
-  Check(all.find("kernel=") != std::string::npos,
-        "plan header names the dispatched kernel");
   std::fprintf(stderr, "metrics_smoke: OK (--explain)\n");
   return 0;
 }
