@@ -19,10 +19,15 @@
 // per axis, on a small and a large edition. Report-only — no pinned
 // baseline — but the large-edition SIMD lane is expected to hold ≥2x over
 // scalar; the `isa` counter label records what the dispatch resolved to.
+//
+// BM_PathStepUnion times whole set-at-a-time path steps through the
+// engine: `/descendant::w/following::w` must stay within a small constant
+// of `/descendant::w/self::w` at every size (linear, not quadratic).
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <string>
 
 #include "goddag/stats.h"
 #include "workload/generator.h"
@@ -211,6 +216,32 @@ void BM_StandardDescendant(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_StandardDescendant)->Arg(100)->Arg(400)->Arg(1600)->Complexity();
+
+// Whole path steps through the engine: count() over one step taken from
+// every word. Each step runs once over its whole context set
+// (AxisEvaluator::EvaluateSet), so `following::w` costs one walk of the
+// word hierarchy instead of one walk per word and tracks `self::w`
+// linearly in the word count. Args: path index, word count.
+void BM_PathStepUnion(benchmark::State& state) {
+  static const char* const kQueries[] = {
+      "count(/descendant::w/following::w)",
+      "count(/descendant::w/self::w)",
+  };
+  const char* query = kQueries[state.range(0)];
+  MultihierarchicalDocument* doc = EditionDoc(state.range(1));
+  std::string count;
+  for (auto _ : state) {
+    auto out = doc->Query(query);
+    if (!out.ok()) std::abort();
+    benchmark::DoNotOptimize(out);
+    count = std::move(out).value();
+  }
+  state.SetLabel(query);
+  state.counters["result"] = std::stod(count);
+}
+BENCHMARK(BM_PathStepUnion)
+    ->ArgsProduct({{0, 1}, {400, 800, 1600}})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

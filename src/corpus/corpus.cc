@@ -120,6 +120,10 @@ void CorpusService::WireMetrics() {
       "Path-step sort+dedup passes skipped via ordering guarantees",
       &engine_counters_->sorts_skipped);
   registry_.RegisterCounter(
+      "mhx_engine_set_steps_total",
+      "Path steps evaluated once over their whole context sequence",
+      &engine_counters_->set_steps);
+  registry_.RegisterCounter(
       "mhx_engine_parallel_tasks_total",
       "Worker tasks dispatched to the pool by parallel loops",
       &engine_counters_->parallel_tasks);
@@ -293,6 +297,14 @@ StatusOr<std::shared_ptr<MultihierarchicalDocument>> CorpusService::Resident(
       return entry->doc;
     }
   }
+  // Make room first, so the build below never holds more than capacity_
+  // documents (the new one included) at its memory peak.
+  std::vector<std::shared_ptr<MultihierarchicalDocument>> evicted;
+  {
+    std::lock_guard<std::mutex> lock(lru_mu_);
+    EvictDownTo(capacity_ - 1, &evicted);
+  }
+  evicted.clear();  // may destroy documents; in-flight pins keep theirs
   // Build outside lru_mu_ — builds are the expensive part and must not
   // block queries against resident documents. With spill enabled, try the
   // mapped arena first: adopting a spilled snapshot is O(header) validation
@@ -329,7 +341,6 @@ StatusOr<std::shared_ptr<MultihierarchicalDocument>> CorpusService::Resident(
   }
   MHX_RETURN_IF_ERROR(doc->ConfigureEngine(plans_, pool_, engine_counters_));
 
-  std::vector<std::shared_ptr<MultihierarchicalDocument>> evicted;
   {
     std::lock_guard<std::mutex> lock(lru_mu_);
     entry->doc = doc;
@@ -337,18 +348,25 @@ StatusOr<std::shared_ptr<MultihierarchicalDocument>> CorpusService::Resident(
     entry->lru_it = lru_.begin();
     ++entry->builds;
     builds_.Add();
-    while (lru_.size() > capacity_) {
-      Entry* victim = lru_.back();
-      lru_.pop_back();
-      // Defer the drop: destroying a document (its engine joins worker
-      // pools, frees the goddag) should not run under lru_mu_.
-      evicted.push_back(std::move(victim->doc));
-      victim->doc = nullptr;
-      evictions_.Add();
-    }
+    // Concurrent cold builds of other entries may have refilled the room.
+    EvictDownTo(capacity_, &evicted);
   }
-  evicted.clear();  // may destroy documents; in-flight pins keep theirs
+  evicted.clear();
   return doc;
+}
+
+void CorpusService::EvictDownTo(
+    size_t keep,
+    std::vector<std::shared_ptr<MultihierarchicalDocument>>* evicted) {
+  while (lru_.size() > keep) {
+    Entry* victim = lru_.back();
+    lru_.pop_back();
+    // Defer the drop: destroying a document (its engine joins worker
+    // pools, frees the goddag) should not run under lru_mu_.
+    evicted->push_back(std::move(victim->doc));
+    victim->doc = nullptr;
+    evictions_.Add();
+  }
 }
 
 StatusOr<std::string> CorpusService::QueryTraced(Entry* entry,

@@ -206,7 +206,9 @@ class CorpusService {
 
   // Evaluates `query` against the named document: classify (heavy queries
   // go through admission first), pin the document — building or re-building
-  // it if cold, evicting the LRU victim if that overflows capacity — and
+  // it if cold, after evicting the LRU victim if the build would overflow
+  // capacity, so a cold build never holds more than `capacity` documents —
+  // and
   // evaluate through the shared plan cache and pool. NotFound for an
   // unregistered name; parse errors surface before any document is built;
   // ResourceExhausted is admission backpressure. Thread-safety class:
@@ -297,6 +299,12 @@ class CorpusService {
   // `trace` gets a "doc_build" stage span when this call actually builds.
   StatusOr<std::shared_ptr<MultihierarchicalDocument>> Resident(
       Entry* entry, obs::QueryTrace* trace = nullptr);
+  // Drops LRU victims until at most `keep` documents are resident, moving
+  // their references into `evicted` so the caller destroys them outside
+  // lru_mu_. Caller holds lru_mu_.
+  void EvictDownTo(size_t keep,
+                   std::vector<std::shared_ptr<MultihierarchicalDocument>>*
+                       evicted);
   // Query() with the resolved trace (caller-attached, service-internal
   // for the slow log, or null).
   StatusOr<std::string> QueryTraced(Entry* entry, std::string_view query,

@@ -64,18 +64,6 @@ std::string_view AxisName(Axis axis) {
   return "unknown";
 }
 
-std::string_view OrderingName(Ordering ordering) {
-  switch (ordering) {
-    case Ordering::kDocOrderNoDupes:
-      return "doc-order-no-dupes";
-    case Ordering::kSortedMayDupe:
-      return "sorted-may-dupe";
-    case Ordering::kUnordered:
-      return "unordered";
-  }
-  return "unknown";
-}
-
 bool ExtendedAxisMatches(Axis axis, const TextRange& context,
                          const TextRange& candidate) {
   switch (axis) {
@@ -145,13 +133,6 @@ const goddag::RangeIndex& AxisEvaluator::index() const {
   // reports whether this call built).
   if (snapshot_->EnsureIndex()) ++index_rebuild_count_;
   return snapshot_->index();
-}
-
-Ordering AxisEvaluator::ResultOrdering(Axis axis) {
-  // Every axis: each traversal visits a node at most once, and
-  // NormalizeDocumentOrder establishes document order before returning.
-  (void)axis;
-  return Ordering::kDocOrderNoDupes;
 }
 
 void AxisEvaluator::NormalizeDocumentOrder(const goddag::OverlayView* view,
@@ -229,12 +210,13 @@ void AxisEvaluator::EvaluateStandard(const goddag::OverlayView* view,
                                      NodeId context, Axis axis,
                                      std::vector<NodeId>* out) const {
   const GNode& node = NodeAt(view, context);
+  const size_t first = out->size();
   switch (axis) {
     case Axis::kSelf:
       out->push_back(context);
       return;
     case Axis::kChild:
-      *out = node.children;
+      out->insert(out->end(), node.children.begin(), node.children.end());
       return;
     case Axis::kParent:
       if (node.parent != kInvalidNode) out->push_back(node.parent);
@@ -266,7 +248,7 @@ void AxisEvaluator::EvaluateStandard(const goddag::OverlayView* view,
       }
       // The walk-up visits innermost-first — exactly reverse document order.
       // Reverse here so normalisation sees a sorted chain and skips the sort.
-      std::reverse(out->begin(), out->end());
+      std::reverse(out->begin() + first, out->end());
       return;
     }
     case Axis::kFollowingSibling:
@@ -318,43 +300,175 @@ void AxisEvaluator::EvaluateStandard(const goddag::OverlayView* view,
 
 void AxisEvaluator::RetainMatches(const goddag::OverlayView* view,
                                   const NodeTest& test,
-                                  std::vector<NodeId>* ids) const {
-  ids->erase(std::remove_if(ids->begin(), ids->end(),
+                                  std::vector<NodeId>* ids,
+                                  size_t first) const {
+  ids->erase(std::remove_if(ids->begin() + first, ids->end(),
                             [&](NodeId id) {
                               return !test.Matches(NodeAt(view, id));
                             }),
              ids->end());
 }
 
+bool AxisEvaluator::IsLiveContext(const goddag::OverlayView* view,
+                                  NodeId context) const {
+  if (goddag::IsOverlayId(context)) {
+    if (view == nullptr || view->overlay_of(context) == nullptr) return false;
+  } else if (context >= goddag_->node_table_size()) {
+    return false;
+  }
+  return NodeAt(view, context).kind != GNodeKind::kFree;
+}
+
+void AxisEvaluator::AppendAxis(const goddag::OverlayView* view,
+                               NodeId context, Axis axis, const NodeTest* test,
+                               const StepExec& exec,
+                               std::vector<NodeId>* out) const {
+  const size_t first = out->size();
+  if (!IsExtendedAxis(axis)) {
+    EvaluateStandard(view, context, axis, out);
+    if (test != nullptr) RetainMatches(view, *test, out, first);
+    return;
+  }
+  static const NodeTest kAny = NodeTest::Any();
+  const TextRange& range = NodeAt(view, context).range;
+  const bool base_filtered = EvaluateExtendedPlannedBase(
+      range, context, axis, test != nullptr ? *test : kAny, exec, out);
+  if (test != nullptr && !base_filtered) {
+    RetainMatches(view, *test, out, first);
+  }
+  if (view != nullptr) {
+    AppendOverlayMatches(*view, axis, range, context, test, out);
+  }
+}
+
 std::vector<NodeId> AxisEvaluator::EvaluateImpl(
     const goddag::OverlayView* view, NodeId context, Axis axis,
     const NodeTest* test, const StepExec& exec) const {
   std::vector<NodeId> out;
-  if (goddag::IsOverlayId(context)) {
-    if (view == nullptr || view->overlay_of(context) == nullptr) return out;
-  } else if (context >= goddag_->node_table_size()) {
-    return out;
-  }
-  const GNode& context_node = NodeAt(view, context);
-  if (context_node.kind == GNodeKind::kFree) return out;
-  if (!IsExtendedAxis(axis)) {
-    EvaluateStandard(view, context, axis, &out);
-    NormalizeDocumentOrder(view, &out);
-    if (test != nullptr) RetainMatches(view, *test, &out);
-    return out;
-  }
-  static const NodeTest kAny = NodeTest::Any();
-  const bool base_filtered = EvaluateExtendedPlannedBase(
-      context_node.range, context, axis, test != nullptr ? *test : kAny, exec,
-      &out);
-  if (test != nullptr && !base_filtered) RetainMatches(view, *test, &out);
-  if (view != nullptr) {
-    AppendOverlayMatches(*view, axis, context_node.range, context, test,
-                         &out);
-  }
+  if (!IsLiveContext(view, context)) return out;
+  AppendAxis(view, context, axis, test, exec, &out);
   // Filtering before the sort returns the same bytes as sort-then-filter:
   // the comparator is a strict total order and removal is subset-stable.
   NormalizeDocumentOrder(view, &out);
+  return out;
+}
+
+std::vector<NodeId> AxisEvaluator::CoveringContexts(
+    const goddag::OverlayView& view, std::vector<NodeId> contexts,
+    Axis axis) const {
+  // Only elements have a following/preceding.
+  const bool per_hierarchy =
+      axis == Axis::kFollowing || axis == Axis::kPreceding;
+  contexts.erase(
+      std::remove_if(contexts.begin(), contexts.end(),
+                     [&](NodeId c) {
+                       return !IsLiveContext(&view, c) ||
+                              (per_hierarchy &&
+                               view.node(c).kind != GNodeKind::kElement);
+                     }),
+      contexts.end());
+  std::sort(contexts.begin(), contexts.end());
+  contexts.erase(std::unique(contexts.begin(), contexts.end()),
+                 contexts.end());
+  auto range = [&view](NodeId id) -> const TextRange& {
+    return view.node(id).range;
+  };
+  std::vector<NodeId> covering;
+  switch (axis) {
+    case Axis::kFollowing:
+    case Axis::kPreceding:
+    case Axis::kXFollowing:
+    case Axis::kXPreceding: {
+      // Every hit of a context lies beyond the extreme context m (smallest
+      // end going forward, largest begin going back), so m's hits hold the
+      // rest — except m itself, which another context reaches only when m
+      // is an empty range sitting at that context's bound. The runner-up
+      // reaches m exactly then and holds nothing else. following/preceding
+      // pick per hierarchy; an overlay is its own hierarchy.
+      const bool forward =
+          axis == Axis::kFollowing || axis == Axis::kXFollowing;
+      auto before = [&](NodeId a, NodeId b) {
+        return forward ? range(a).end < range(b).end
+                       : range(a).begin > range(b).begin;
+      };
+      std::map<uint64_t, std::pair<NodeId, NodeId>> extremes;
+      for (NodeId c : contexts) {
+        uint64_t group = 0;
+        if (per_hierarchy) {
+          group = goddag::IsOverlayId(c)
+                      ? uint64_t{1} << 32 | view.overlay_of(c)->id_begin()
+                      : view.node(c).hierarchy;
+        }
+        auto [it, fresh] = extremes.try_emplace(group, c, kInvalidNode);
+        auto& [m, runner_up] = it->second;
+        if (fresh) continue;
+        if (before(c, m)) {
+          runner_up = m;
+          m = c;
+        } else if (runner_up == kInvalidNode || before(c, runner_up)) {
+          runner_up = c;
+        }
+      }
+      for (const auto& [group, pick] : extremes) {
+        covering.push_back(pick.first);
+        if (range(pick.first).empty() && pick.second != kInvalidNode) {
+          covering.push_back(pick.second);
+        }
+      }
+      return covering;
+    }
+    case Axis::kDescendant:
+    case Axis::kDescendantOrSelf:
+      // A context below another context adds nothing: it and its
+      // descendants are the other's descendants. Overlay arcs end at the
+      // overlay root (the base root does not list it as a child).
+      for (NodeId c : contexts) {
+        bool inside = false;
+        for (NodeId p = view.node(c).parent;
+             p != kInvalidNode && !inside &&
+             goddag::IsOverlayId(p) == goddag::IsOverlayId(c);
+             p = view.node(p).parent) {
+          inside = std::binary_search(contexts.begin(), contexts.end(), p);
+        }
+        if (!inside) covering.push_back(c);
+      }
+      return covering;
+    case Axis::kXDescendant: {
+      // A context whose range lies inside another context's range adds
+      // nothing but itself, which the outer context reaches. Equal ranges
+      // contain each other: of a group of equal-extent contexts the first
+      // reaches the others, and the second reaches the first. In document
+      // order, a group lies inside an earlier context iff one ends at or
+      // after the group's end.
+      std::sort(contexts.begin(), contexts.end(), [&](NodeId a, NodeId b) {
+        return range(a) != range(b) ? range(a) < range(b) : a < b;
+      });
+      for (auto it = contexts.begin(); it != contexts.end();) {
+        auto end = std::find_if(it, contexts.end(), [&](NodeId c) {
+          return range(c) != range(*it);
+        });
+        if (covering.empty() || range(covering.back()).end < range(*it).end) {
+          covering.push_back(*it);
+          if (end - it > 1) covering.push_back(it[1]);
+        }
+        it = end;
+      }
+      return covering;
+    }
+    default:
+      return contexts;
+  }
+}
+
+std::vector<NodeId> AxisEvaluator::EvaluateSet(
+    const goddag::OverlayView& view, const std::vector<NodeId>& contexts,
+    Axis axis, const NodeTest& test, const StepExec& exec) const {
+  std::vector<NodeId> out;
+  for (NodeId c : CoveringContexts(view, contexts, axis)) {
+    AppendAxis(&view, c, axis, &test, exec, &out);
+  }
+  NormalizeDocumentOrder(&view, &out);
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
@@ -363,20 +477,9 @@ std::vector<NodeId> AxisEvaluator::EvaluateAxisOnly(NodeId context,
   return EvaluateImpl(nullptr, context, axis, nullptr, StepExec());
 }
 
-std::vector<NodeId> AxisEvaluator::EvaluateAxisOnly(
-    const goddag::OverlayView& view, NodeId context, Axis axis) const {
-  return EvaluateImpl(&view, context, axis, nullptr, StepExec());
-}
-
 std::vector<NodeId> AxisEvaluator::Evaluate(NodeId context, Axis axis,
                                             const NodeTest& test) const {
   return EvaluateImpl(nullptr, context, axis, &test, StepExec());
-}
-
-std::vector<NodeId> AxisEvaluator::Evaluate(const goddag::OverlayView& view,
-                                            NodeId context, Axis axis,
-                                            const NodeTest& test) const {
-  return EvaluateImpl(&view, context, axis, &test, StepExec());
 }
 
 bool AxisEvaluator::EvaluateExtendedPlannedBase(

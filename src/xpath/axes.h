@@ -17,10 +17,12 @@
 // Both return the same node set in document order — the unit tests hold
 // them to a test-side Definition-1 reference.
 //
-// Overlay views: every entry point has a goddag::OverlayView overload that
-// evaluates against an evaluation's overlay namespace as well as the base
-// document. Extended axes then read uniformly as "base index (or base scan)
-// + overlay scan" — overlay nodes are never indexed, their delta is tiny —
+// Overlay views: the planned entry points (EvaluatePlanned,
+// EvaluateRangePlanned, EvaluateSet) take a goddag::OverlayView and
+// evaluate against an evaluation's overlay namespace as well as the base
+// document; Evaluate and EvaluateAxisOnly see the base document alone.
+// Extended axes then read uniformly as "base index (or base scan) +
+// overlay scan" — overlay nodes are never indexed, their delta is tiny —
 // and standard axes resolve parent/child arcs through the view. Views fork
 // (goddag/overlay.h): a parallel worker's private view chains to the
 // coordinator's, and both the overlay scan here and the view's own id
@@ -77,20 +79,6 @@ bool IsExtendedAxis(Axis axis);
 std::string_view AxisName(Axis axis);
 StatusOr<Axis> AxisFromName(std::string_view name);
 
-// What a producer of a node/leaf sequence guarantees about its output. The
-// XQuery engine's step loop keys off this to replace its former
-// unconditional sort+dedup with the cheapest sufficient fix-up: nothing for
-// kDocOrderNoDupes, a linear dedup pass for kSortedMayDupe (the state a
-// linear merge of doc-ordered runs leaves behind), a full sort+dedup only
-// for kUnordered.
-enum class Ordering {
-  kDocOrderNoDupes,  // document order, every item at most once
-  kSortedMayDupe,    // document order, items may repeat
-  kUnordered,        // no guarantee
-};
-
-std::string_view OrderingName(Ordering ordering);
-
 // The Definition-1 range predicate of one extended axis: does `candidate`
 // stand in `axis` relation to a context with range `context`? The overlay
 // scan half of every extended-axis evaluation runs it, and tests hold the
@@ -145,53 +133,52 @@ class AxisEvaluator {
   explicit AxisEvaluator(const goddag::DocumentSnapshot* snapshot);
 
   // Nodes reachable from `context` along `axis`, in document order
-  // (range.begin ascending, longer ranges first, NodeId as tiebreak).
-  // The base-only overloads see the base document alone; the OverlayView
-  // overloads additionally see (and resolve ids of) the view's overlays.
+  // (range.begin ascending, longer ranges first, NodeId as tiebreak), each
+  // once: every traversal visits a node at most once (base and overlay ids
+  // are disjoint namespaces), and the rare traversal that is not already
+  // in document order is sorted before returning. Base document only.
   std::vector<goddag::NodeId> EvaluateAxisOnly(goddag::NodeId context,
                                                Axis axis) const;
-  std::vector<goddag::NodeId> EvaluateAxisOnly(
-      const goddag::OverlayView& view, goddag::NodeId context,
-      Axis axis) const;
 
   // EvaluateAxisOnly filtered by a node test.
   std::vector<goddag::NodeId> Evaluate(goddag::NodeId context, Axis axis,
                                        const NodeTest& test) const;
-  std::vector<goddag::NodeId> Evaluate(const goddag::OverlayView& view,
-                                       goddag::NodeId context, Axis axis,
-                                       const NodeTest& test) const;
 
-  // Planner-driven Evaluate: the extended-axis strategy comes from `exec`
-  // — scans run the vectorized RangeSoA kernels (xpath/kernels.h) — and
+  // Evaluate through `view`, which additionally sees (and resolves ids of)
+  // the view's overlays. The extended-axis strategy comes from `exec` —
+  // scans run the vectorized RangeSoA kernels (xpath/kernels.h) — and
   // exec.pushdown folds a name test into the probe/kernel as an
-  // interned-key compare, so base candidates are pre-filtered.
-  // Output is byte-identical to Evaluate(view, context, axis, test) for
-  // every exec; standard axes ignore exec and walk arcs as always.
-  std::vector<goddag::NodeId> EvaluatePlanned(const goddag::OverlayView& view,
-                                              goddag::NodeId context,
-                                              Axis axis, const NodeTest& test,
-                                              const StepExec& exec) const;
+  // interned-key compare, so base candidates are pre-filtered. Output is
+  // byte-identical for every exec; standard axes ignore exec and walk arcs
+  // as always.
+  std::vector<goddag::NodeId> EvaluatePlanned(
+      const goddag::OverlayView& view, goddag::NodeId context, Axis axis,
+      const NodeTest& test, const StepExec& exec = StepExec()) const;
 
   // Extended-axis hits for a bare text range (the XQuery engine's leaf
   // contexts), with the same strategy/pushdown contract as
   // EvaluatePlanned: base probe or scan plus overlay scan, already
   // filtered by `test`, so callers skip their own re-filter. Not
   // normalised — index traversal order is not document order, so callers
-  // treat the result as Ordering::kUnordered. `axis` must be an extended
-  // axis.
+  // sort the result. `axis` must be an extended axis.
   std::vector<goddag::NodeId> EvaluateRangePlanned(
       const goddag::OverlayView& view, const TextRange& context, Axis axis,
       const NodeTest& test, const StepExec& exec) const;
 
-  // The ordering guarantee Evaluate/EvaluateAxisOnly declare for `axis`:
-  // always kDocOrderNoDupes — every traversal visits a node at most once
-  // (base ids and overlay ids are disjoint namespaces), and the evaluator
-  // normalises the rare traversals that are not already in document order.
-  // Downstream step loops may therefore skip their own sort+dedup for
-  // single-context axis results (the XQuery engine does, and counts the
-  // skips). Declared per axis so callers key off the contract, not off
-  // evaluator internals.
-  static Ordering ResultOrdering(Axis axis);
+  // Set-at-a-time step: the union over every context of
+  // EvaluatePlanned(view, context, axis, test, exec), in document order
+  // with no duplicates. Contexts may come in any order and may repeat.
+  // The union is evaluated from the few contexts that cover it (DESIGN.md,
+  // "Ordering guarantees"): xfollowing/xpreceding from the context with
+  // the smallest end / largest begin, following/preceding from that
+  // context of each hierarchy (an overlay is its own hierarchy), and
+  // descendant(-or-self)/xdescendant from the contexts no other context
+  // contains. Every other axis evaluates each context, then sorts and
+  // dedups once on ids.
+  std::vector<goddag::NodeId> EvaluateSet(
+      const goddag::OverlayView& view,
+      const std::vector<goddag::NodeId>& contexts, Axis axis,
+      const NodeTest& test, const StepExec& exec) const;
 
   // The snapshot's build-once index backing indexed mode (overlay churn
   // never invalidates it). Writer-prebuilt snapshots cost this evaluator
@@ -205,19 +192,34 @@ class AxisEvaluator {
   size_t index_rebuild_count() const { return index_rebuild_count_; }
 
  private:
-  // The shared implementation of every node-context entry point; `view`
+  // The shared implementation of every single-context entry point; `view`
   // is null for the base-only overloads, `test` null for EvaluateAxisOnly.
   std::vector<goddag::NodeId> EvaluateImpl(const goddag::OverlayView* view,
                                            goddag::NodeId context, Axis axis,
                                            const NodeTest* test,
                                            const StepExec& exec) const;
+  // Whether `context` names a node this evaluator can step from; every
+  // entry point returns nothing for any other id.
+  bool IsLiveContext(const goddag::OverlayView* view,
+                     goddag::NodeId context) const;
+  // Appends `context`'s hits, filtered by a non-null `test` but not yet in
+  // document order. `context` must be live.
+  void AppendAxis(const goddag::OverlayView* view, goddag::NodeId context,
+                  Axis axis, const NodeTest* test, const StepExec& exec,
+                  std::vector<goddag::NodeId>* out) const;
+  // The live contexts whose hits make up the union of all `contexts`'
+  // hits along `axis` (EvaluateSet). Consumes `contexts`.
+  std::vector<goddag::NodeId> CoveringContexts(
+      const goddag::OverlayView& view, std::vector<goddag::NodeId> contexts,
+      Axis axis) const;
   const goddag::GNode& NodeAt(const goddag::OverlayView* view,
                               goddag::NodeId id) const {
     return view != nullptr ? view->node(id) : goddag_->node(id);
   }
-  // Drops the ids whose node fails `test`, keeping the order.
+  // Drops the ids from index `first` on whose node fails `test`, keeping
+  // the order.
   void RetainMatches(const goddag::OverlayView* view, const NodeTest& test,
-                     std::vector<goddag::NodeId>* ids) const;
+                     std::vector<goddag::NodeId>* ids, size_t first = 0) const;
   // RangeIndex probe for `context`'s hits; `exclude` drops the context node
   // (kInvalidNode for leaf contexts).
   void EvaluateExtendedIndexed(const TextRange& context,

@@ -8,7 +8,6 @@
 #include <future>
 #include <limits>
 #include <optional>
-#include <queue>
 #include <tuple>
 #include <utility>
 
@@ -900,80 +899,93 @@ class Evaluator {
       }
       current.push_back(*context);
     }
-    for (; step_index < path.steps.size(); ++step_index) {
+    for (; step_index < path.steps.size() && !current.empty();
+         ++step_index) {
       const PathStep& step = path.steps[step_index];
-      // Predicates are positional *per context node* (XPath semantics):
-      // each context's step result is ordered and filtered on its own, and
-      // only then merged. Every producer declares an xpath::Ordering for its
-      // run; the declared guarantee replaces the former unconditional
-      // sort+dedup with the cheapest sufficient fix-up — nothing, a linear
-      // dedup, or (across runs) a linear k-way merge.
-      std::vector<Sequence> runs;
-      runs.reserve(current.size());
+      if (IsSetStep(step, current)) {
+        MHX_ASSIGN_OR_RETURN(current, EvalSetStep(step, current));
+        continue;
+      }
+      // The per-context loop, for steps whose predicates are positional
+      // (XPath evaluates them per context node, so each context's run is
+      // ordered and filtered on its own) or create temporary hierarchies
+      // (which register in evaluation order), and for leaf contexts and
+      // child::leaf()/self::leaf() steps. Each run is put in document order
+      // before its predicates filter it; the concatenated runs are then
+      // sorted and deduplicated once.
+      Sequence next;
       for (const Item& item : current) {
         Sequence from_item;
-        xpath::Ordering ordering = xpath::Ordering::kUnordered;
-        MHX_RETURN_IF_ERROR(
-            EvalStep(item, step, path.offset, &from_item, &ordering));
-        switch (ordering) {
-          case xpath::Ordering::kDocOrderNoDupes:
-            NoteSortSkipped(from_item);
-            break;
-          case xpath::Ordering::kSortedMayDupe:
-            DedupSorted(&from_item);
-            NoteSortSkipped(from_item);
-            break;
-          case xpath::Ordering::kUnordered:
-            SortAndDedup(&from_item);
-            break;
-        }
+        MHX_RETURN_IF_ERROR(EvalStep(item, step, path.offset, &from_item));
+        SortAndDedup(&from_item);
         // Predicates only filter, so document order and uniqueness survive.
         MHX_RETURN_IF_ERROR(ApplyPredicates(step, &from_item));
-        runs.push_back(std::move(from_item));
+        std::move(from_item.begin(), from_item.end(),
+                  std::back_inserter(next));
       }
-      current = MergeDocOrderedRuns(std::move(runs));
+      if (current.size() > 1) SortAndDedup(&next);
+      current = std::move(next);
     }
     return current;
   }
 
-  // Merges per-context runs — each in document order without duplicates —
-  // into one such sequence. One run passes through untouched; k runs pay a
-  // heap-driven linear merge, whose raw output is kSortedMayDupe (distinct
-  // contexts can reach the same node) until the final linear dedup. Both
-  // paths replace the step loop's former full sort.
-  Sequence MergeDocOrderedRuns(std::vector<Sequence> runs) {
-    runs.erase(std::remove_if(runs.begin(), runs.end(),
-                              [](const Sequence& s) { return s.empty(); }),
-               runs.end());
-    if (runs.empty()) return {};
-    if (runs.size() == 1) {
-      NoteSortSkipped(runs.front());
-      return std::move(runs.front());
+  // Whether `step` may run set-at-a-time over `contexts`: every context is
+  // a node, and every predicate's verdict depends on its item alone
+  // (IsStaticallyBoolean), so filtering the union once keeps exactly the
+  // items that filtering each context's run would. leaf() steps qualify
+  // on the axes whose leaves are those inside the context ranges.
+  bool IsSetStep(const PathStep& step, const Sequence& contexts) const {
+    if (step.test == PathStep::Test::kLeaf &&
+        step.axis != xpath::Axis::kDescendant &&
+        step.axis != xpath::Axis::kDescendantOrSelf &&
+        step.axis != xpath::Axis::kXDescendant) {
+      return false;
     }
-    size_t total = 0;
-    for (const Sequence& run : runs) total += run.size();
-    struct Cursor {
-      size_t run;
-      size_t pos;
-    };
-    auto greater = [this, &runs](const Cursor& a, const Cursor& b) {
-      return DocOrderKey(runs[b.run][b.pos]) <
-             DocOrderKey(runs[a.run][a.pos]);
-    };
-    std::priority_queue<Cursor, std::vector<Cursor>, decltype(greater)> heap(
-        greater);
-    for (size_t r = 0; r < runs.size(); ++r) heap.push(Cursor{r, 0});
-    Sequence merged;
-    merged.reserve(total);
-    while (!heap.empty()) {
-      Cursor cursor = heap.top();
-      heap.pop();
-      merged.push_back(std::move(runs[cursor.run][cursor.pos]));
-      if (++cursor.pos < runs[cursor.run].size()) heap.push(cursor);
+    return std::all_of(contexts.begin(), contexts.end(),
+                       [](const Item& item) {
+                         return item.kind == Item::Kind::kNode;
+                       }) &&
+           std::all_of(step.predicates.begin(), step.predicates.end(),
+                       [](const std::unique_ptr<AstNode>& pred) {
+                         return IsStaticallyBoolean(*pred);
+                       });
+  }
+
+  // One axis evaluation over the whole context sequence, one Item per
+  // result, then the predicates once over the union.
+  StatusOr<Sequence> EvalSetStep(const PathStep& step,
+                                 const Sequence& contexts) {
+    Sequence out;
+    if (step.test == PathStep::Test::kLeaf) {
+      // The leaves inside any context range: those inside the merged
+      // ranges, each emitted once and in order.
+      std::vector<TextRange> ranges;
+      for (const Item& item : contexts) {
+        const TextRange& r = view_->node(item.node).range;
+        if (!r.empty()) ranges.push_back(r);
+      }
+      std::sort(ranges.begin(), ranges.end());
+      for (size_t i = 0; i < ranges.size();) {
+        TextRange merged = ranges[i];
+        for (++i; i < ranges.size() && ranges[i].begin <= merged.end; ++i) {
+          merged.end = std::max(merged.end, ranges[i].end);
+        }
+        AppendLeavesIn(merged, &out);
+      }
+    } else {
+      const xpath::NodeTest test = NodeTestOf(step);
+      std::vector<goddag::NodeId> ids;
+      ids.reserve(contexts.size());
+      for (const Item& item : contexts) ids.push_back(item.node);
+      const xpath::StepExec exec = StepExecFor(step);
+      ids = axes_.EvaluateSet(*view_, ids, step.axis, test, exec);
+      if (xpath::IsExtendedAxis(step.axis)) NotePlannedStep(exec, test);
+      AppendNodeItems(step, ids, &out);
     }
-    DedupSorted(&merged);
-    NoteSortSkipped(merged);
-    return merged;
+    engine_->counters_->set_steps.Add();
+    NoteSortSkipped(out);
+    MHX_RETURN_IF_ERROR(ApplyPredicates(step, &out));
+    return out;
   }
 
   // Counts a skipped sort+dedup pass. Singletons and empty sequences do not
@@ -1016,51 +1028,47 @@ class Evaluator {
     return OkStatus();
   }
 
-  // Evaluates one axis step from one context item, declaring via `ordering`
-  // what the produced run guarantees (filters below never disturb an
-  // already-established order, they only remove items).
+  // Evaluates one axis step from one context item. Node contexts read
+  // through the overlay view — base index (or arcs) plus overlay scan,
+  // extended axes under the planned strategy, in document order; leaf
+  // contexts come back in index order.
   Status EvalStep(const Item& item, const PathStep& step, size_t offset,
-                  Sequence* out, xpath::Ordering* ordering) {
+                  Sequence* out) {
     if (step.test == PathStep::Test::kLeaf) {
-      return EvalLeafStep(item, step, offset, out, ordering);
+      return EvalLeafStep(item, step, offset, out);
     }
-    xpath::NodeTest test = step.test == PathStep::Test::kName
-                               ? xpath::NodeTest::Name(step.name)
-                               : xpath::NodeTest::Any();
+    const xpath::NodeTest test = NodeTestOf(step);
     std::vector<goddag::NodeId> ids;
     if (item.kind == Item::Kind::kNode) {
-      // One uniform read through the overlay view: base index (or arcs)
-      // plus overlay scan, normalised to document order by the evaluator.
-      // Extended axes run the planned strategy — indexed probe vs.
-      // vectorized scan, name test pushed into either.
-      if (xpath::IsExtendedAxis(step.axis)) {
-        const xpath::StepExec exec = StepExecFor(step);
-        ids = axes_.EvaluatePlanned(*view_, item.node, step.axis, test, exec);
-        NotePlannedStep(exec, test);
-      } else {
-        ids = axes_.Evaluate(*view_, item.node, step.axis, test);
-      }
-      *ordering = xpath::AxisEvaluator::ResultOrdering(step.axis);
+      const xpath::StepExec exec = StepExecFor(step);
+      ids = axes_.EvaluatePlanned(*view_, item.node, step.axis, test, exec);
+      if (xpath::IsExtendedAxis(step.axis)) NotePlannedStep(exec, test);
     } else if (item.kind == Item::Kind::kLeaf) {
       MHX_RETURN_IF_ERROR(
           LeafContextStep(item.range, step, test, offset, &ids));
-      // RangeIndex traversal (plus any overlay tail) comes back in index
-      // order, not document order.
-      *ordering = xpath::Ordering::kUnordered;
     } else {
       return EvalErrorAt(offset, "path step over an atomic value");
     }
-    if (step.test == PathStep::Test::kAnyElement) {
-      ids.erase(std::remove_if(ids.begin(), ids.end(),
-                               [&](goddag::NodeId id) {
-                                 return view_->node(id).kind !=
-                                        goddag::GNodeKind::kElement;
-                               }),
-                ids.end());
-    }
-    out->reserve(out->size() + ids.size());
-    for (goddag::NodeId id : ids) out->push_back(Item::Node(id));
+    AppendNodeItems(step, ids, out);
     return OkStatus();
+  }
+
+  static xpath::NodeTest NodeTestOf(const PathStep& step) {
+    return step.test == PathStep::Test::kName ? xpath::NodeTest::Name(step.name)
+                                              : xpath::NodeTest::Any();
+  }
+
+  // Appends one Item per id, dropping the GODDAG root under a `*` test.
+  void AppendNodeItems(const PathStep& step,
+                       const std::vector<goddag::NodeId>& ids,
+                       Sequence* out) const {
+    out->reserve(out->size() + ids.size());
+    for (goddag::NodeId id : ids) {
+      if (step.test != PathStep::Test::kAnyElement ||
+          view_->node(id).kind == goddag::GNodeKind::kElement) {
+        out->push_back(Item::Node(id));
+      }
+    }
   }
 
   // Resolves the physical execution of one extended-axis step: the forced
@@ -1140,11 +1148,10 @@ class Evaluator {
   }
 
   Status EvalLeafStep(const Item& item, const PathStep& step, size_t offset,
-                      Sequence* out, xpath::Ordering* ordering) {
+                      Sequence* out) {
     // Every production below emits leaves ascending by range with no
     // repeats: the shared leaf partition is sorted, and child-axis
     // filtering only removes items.
-    *ordering = xpath::Ordering::kDocOrderNoDupes;
     switch (step.axis) {
       case xpath::Axis::kSelf:
         if (item.kind == Item::Kind::kLeaf) out->push_back(item);
@@ -1219,8 +1226,7 @@ class Evaluator {
   }
 
   // Collapses duplicates (same node / same leaf reached from several context
-  // items) in an already document-ordered sequence — the linear fix-up for
-  // xpath::Ordering::kSortedMayDupe.
+  // items) in an already document-ordered sequence.
   void DedupSorted(Sequence* items) const {
     items->erase(std::unique(items->begin(), items->end(),
                              [](const Item& a, const Item& b) {
@@ -1233,12 +1239,18 @@ class Evaluator {
                  items->end());
   }
 
-  // Full normalisation for xpath::Ordering::kUnordered producers.
+  // Puts a step's run, or the concatenation of per-context runs, in
+  // document order without duplicates; the sort runs only when a linear
+  // scan finds an inversion.
   void SortAndDedup(Sequence* items) const {
-    std::sort(items->begin(), items->end(),
-              [this](const Item& a, const Item& b) {
-                return DocOrderKey(a) < DocOrderKey(b);
-              });
+    auto before = [this](const Item& a, const Item& b) {
+      return DocOrderKey(a) < DocOrderKey(b);
+    };
+    if (std::is_sorted(items->begin(), items->end(), before)) {
+      NoteSortSkipped(*items);
+    } else {
+      std::sort(items->begin(), items->end(), before);
+    }
     DedupSorted(items);
   }
 

@@ -148,6 +148,8 @@ struct QueryOptions {
 // engine alone, as before.
 struct EngineCounters {
   obs::Counter sorts_skipped;
+  // Path steps evaluated once over their whole context sequence.
+  obs::Counter set_steps;
   obs::Counter parallel_tasks;
   obs::Counter steals;
   obs::Counter index_rebuilds;
@@ -160,7 +162,8 @@ struct EngineCounters {
   obs::Counter overlay_id_exhausted;
   // Planned extended-axis step executions that probed the RangeIndex /
   // ran the (vectorized) table scan — how often the cost model picked
-  // each physical strategy (forced modes count here too).
+  // each physical strategy (forced modes count here too). A set step
+  // counts once, however many contexts it covers.
   obs::Counter plan_steps_indexed;
   obs::Counter plan_steps_scanned;
   // Name tests folded into the probe/kernel as interned-key compares
@@ -318,12 +321,19 @@ class Engine {
   size_t temporary_hierarchy_count() const;
 
   // Path-step sort+dedup passes the step loop skipped because an ordering
-  // guarantee (xpath::Ordering) made them unnecessary — replaced by nothing
-  // (single sorted run) or by a linear merge. Monotonic; thin read over the
-  // obs::Counter (shared across engines when a corpus injected one),
-  // surfaced by bench_xquery.
+  // guarantee (xpath::Ordering) made them unnecessary — once per set step,
+  // once per context run on the per-context path. Monotonic; thin read
+  // over the obs::Counter (shared across engines when a corpus injected
+  // one), surfaced by bench_xquery.
   size_t sorts_skipped() const {
     return static_cast<size_t>(counters_->sorts_skipped.value());
+  }
+
+  // Path steps evaluated set-at-a-time: one axis evaluation over the whole
+  // context sequence (xpath::AxisEvaluator::EvaluateSet) instead of one
+  // per context item. Monotonic.
+  size_t set_steps() const {
+    return static_cast<size_t>(counters_->set_steps.value());
   }
 
   // Worker tasks dispatched to the thread pool by parallel loops (the

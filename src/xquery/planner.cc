@@ -75,32 +75,6 @@ double EstimateHits(xpath::Axis extended, const goddag::SnapshotStats& stats) {
   }
 }
 
-// True when a predicate provably evaluates to a boolean regardless of the
-// item it filters — the precondition for reordering a conjunction. Integer
-// results are positional tests (order-sensitive by definition), and any
-// non-boolean root could produce one, so only boolean-rooted expressions
-// qualify; analyze-string() anywhere in the subtree disqualifies too, since
-// its temporary hierarchies register into the evaluation's overlay view in
-// predicate order.
-bool IsStaticallyBoolean(const AstNode& pred) {
-  switch (pred.kind) {
-    case ExprKind::kCompare:
-    case ExprKind::kOr:
-    case ExprKind::kAnd:
-    case ExprKind::kQuantified:
-      break;
-    case ExprKind::kFunctionCall:
-      if (pred.name != "not" && pred.name != "true" && pred.name != "false" &&
-          pred.name != "matches") {
-        return false;
-      }
-      break;
-    default:
-      return false;
-  }
-  return !ContainsAnalyzeString(pred);
-}
-
 // AST size as the reordering cost proxy: cheaper predicates filter first.
 size_t SubtreeSize(const AstNode& node) {
   size_t n = 1;
@@ -219,6 +193,25 @@ void RenderSteps(const AstNode& node, const QueryPlan& plan,
 }
 
 }  // namespace
+
+bool IsStaticallyBoolean(const AstNode& pred) {
+  switch (pred.kind) {
+    case ExprKind::kCompare:
+    case ExprKind::kOr:
+    case ExprKind::kAnd:
+    case ExprKind::kQuantified:
+      break;
+    case ExprKind::kFunctionCall:
+      if (pred.name != "not" && pred.name != "true" && pred.name != "false" &&
+          pred.name != "matches") {
+        return false;
+      }
+      break;
+    default:
+      return false;
+  }
+  return !ContainsAnalyzeString(pred);
+}
 
 std::string_view PlanModeName(PlanMode mode) {
   switch (mode) {

@@ -78,6 +78,16 @@ struct QueryPlan {
   uint64_t snapshot_version = 0;
 };
 
+// True when a predicate provably evaluates to a boolean regardless of the
+// item it filters. Integer results are positional tests (order-sensitive
+// by definition), and any non-boolean root could produce one, so only
+// boolean-rooted expressions qualify; analyze-string() anywhere in the
+// subtree disqualifies too, since its temporary hierarchies register into
+// the evaluation's overlay view in predicate order. Such predicates may be
+// reordered within a conjunction (PlanQuery) and may filter a whole step's
+// union at once instead of each context's run (the engine's set steps).
+bool IsStaticallyBoolean(const AstNode& pred);
+
 // Plans `root` against `stats` (the pinned snapshot's statistics block).
 // Pure function: no locks, no globals — safe to call from any thread.
 QueryPlan PlanQuery(const AstNode& root, const goddag::SnapshotStats& stats,

@@ -244,6 +244,191 @@ TEST(EditionAxesTest, EvaluatorKeepsItsSnapshotAcrossCommits) {
   EXPECT_EQ(at_v2.index_rebuild_count(), 0u);  // the writer prebuilt it
 }
 
+// --- set-at-a-time steps -----------------------------------------------------
+
+constexpr Axis kAllAxes[] = {
+    Axis::kSelf,           Axis::kChild,          Axis::kParent,
+    Axis::kDescendant,     Axis::kDescendantOrSelf, Axis::kAncestor,
+    Axis::kAncestorOrSelf, Axis::kFollowingSibling, Axis::kPrecedingSibling,
+    Axis::kFollowing,      Axis::kPreceding,      Axis::kXAncestor,
+    Axis::kXDescendant,    Axis::kOverlapping,    Axis::kXFollowing,
+    Axis::kXPreceding};
+
+// The reference for EvaluateSet: each context's own planned evaluation,
+// concatenated, sorted into document order and deduplicated.
+std::vector<NodeId> PerContextUnion(const AxisEvaluator& axes,
+                                    const goddag::OverlayView& view,
+                                    const std::vector<NodeId>& contexts,
+                                    Axis axis, const NodeTest& test,
+                                    const StepExec& exec) {
+  std::vector<NodeId> out;
+  for (NodeId c : contexts) {
+    const std::vector<NodeId> hits =
+        axes.EvaluatePlanned(view, c, axis, test, exec);
+    out.insert(out.end(), hits.begin(), hits.end());
+  }
+  std::sort(out.begin(), out.end(), [&view](NodeId a, NodeId b) {
+    const TextRange& ra = view.node(a).range;
+    const TextRange& rb = view.node(b).range;
+    return ra != rb ? ra < rb : a < b;
+  });
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+// EvaluateSet must equal PerContextUnion for every axis, for a wildcard
+// and for each name in `names`, under every strategy (probe or scan, name
+// test pushed down or not), over every context subset of `pool` up to
+// `max_subset` contexts and over the whole pool — each subset also
+// reversed and repeated, since a step's contexts need not be sorted.
+void ExpectSetMatchesPerContextUnion(const DocumentSnapshot& snapshot,
+                                     const goddag::OverlayView& view,
+                                     const std::vector<NodeId>& pool,
+                                     const std::vector<std::string>& names,
+                                     size_t max_subset) {
+  const AxisEvaluator axes(&snapshot);
+  std::vector<NodeTest> tests = {NodeTest::Any()};
+  for (const std::string& name : names) tests.push_back(NodeTest::Name(name));
+  const StepExec execs[] = {{true, false}, {false, false}, {true, true},
+                            {false, true}};
+  std::vector<std::vector<NodeId>> subsets = {pool};
+  for (size_t i = 0; i < pool.size(); ++i) {
+    subsets.push_back({pool[i]});
+    for (size_t j = i + 1; j < pool.size() && max_subset >= 2; ++j) {
+      subsets.push_back({pool[i], pool[j]});
+      for (size_t k = j + 1; k < pool.size() && max_subset >= 3; ++k) {
+        subsets.push_back({pool[i], pool[j], pool[k]});
+      }
+    }
+  }
+  for (const std::vector<NodeId>& contexts : subsets) {
+    std::vector<NodeId> shuffled(contexts.rbegin(), contexts.rend());
+    shuffled.insert(shuffled.end(), contexts.begin(), contexts.end());
+    std::string label = "contexts";
+    for (NodeId c : contexts) {
+      label += " " + std::to_string(c) + "<" + view.node(c).name + ">" +
+               view.node(c).range.ToString();
+    }
+    for (Axis axis : kAllAxes) {
+      for (const NodeTest& test : tests) {
+        for (const StepExec& exec : execs) {
+          const std::vector<NodeId> expected =
+              PerContextUnion(axes, view, contexts, axis, test, exec);
+          const std::string where =
+              label + "\naxis " + std::string(AxisName(axis)) + " test '" +
+              test.name() + "' use_index " + std::to_string(exec.use_index) +
+              " pushdown " + std::to_string(exec.pushdown);
+          EXPECT_EQ(axes.EvaluateSet(view, contexts, axis, test, exec),
+                    expected)
+              << where;
+          EXPECT_EQ(axes.EvaluateSet(view, shuffled, axis, test, exec),
+                    expected)
+              << where << " (reversed + repeated)";
+        }
+      }
+    }
+  }
+}
+
+std::unique_ptr<MultihierarchicalDocument> BuildSmallDocument(
+    const std::string& text,
+    const std::vector<std::pair<std::string, std::string>>& hierarchies) {
+  MultihierarchicalDocument::Builder builder;
+  builder.SetBaseText(text);
+  for (const auto& [name, xml] : hierarchies) builder.AddHierarchy(name, xml);
+  auto doc = builder.Build();
+  EXPECT_TRUE(doc.ok()) << doc.status();
+  if (!doc.ok()) return nullptr;
+  return std::make_unique<MultihierarchicalDocument>(std::move(doc).value());
+}
+
+// The GODDAG root and every live element, in id order.
+std::vector<NodeId> AllNodes(const KyGoddag& kg) {
+  std::vector<NodeId> out;
+  for (NodeId id = 0; id < kg.node_table_size(); ++id) {
+    if (kg.node(id).kind != GNodeKind::kFree) out.push_back(id);
+  }
+  return out;
+}
+
+// Empty-range elements as ordering-axis contexts: an empty context with
+// the smallest end (largest begin) is reached by another context ending
+// (beginning) where it sits, so the union must add it back.
+TEST(SetStepTest, EmptyRangeContextsOnOrderingAxes) {
+  auto doc = BuildSmallDocument(
+      "abcdef", {{"marks", "<r><e/>abc<f/>def<g/></r>"},
+                 {"words", "<q><x>abc</x><y>def</y></q>"}});
+  ASSERT_NE(doc, nullptr);
+  const auto snapshot = doc->PinSnapshot();
+  const goddag::OverlayView view(&snapshot->goddag());
+  ExpectSetMatchesPerContextUnion(*snapshot, view,
+                                  AllNodes(snapshot->goddag()),
+                                  {"f", "x", "nowhere"}, 3);
+}
+
+// Equal-extent elements in different hierarchies contain each other: as
+// xdescendant contexts each must still appear in the other's result.
+TEST(SetStepTest, EqualExtentContextsAcrossHierarchies) {
+  auto doc = BuildSmallDocument(
+      "abcd", {{"h1", "<a><p>ab</p><p>cd</p></a>"},
+               {"h2", "<b><s>ab</s><t>cd</t></b>"},
+               {"h3", "<c><u>abcd</u></c>"}});
+  ASSERT_NE(doc, nullptr);
+  const auto snapshot = doc->PinSnapshot();
+  const goddag::OverlayView view(&snapshot->goddag());
+  ExpectSetMatchesPerContextUnion(*snapshot, view,
+                                  AllNodes(snapshot->goddag()),
+                                  {"p", "s", "u"}, 3);
+}
+
+// Nested contexts of one hierarchy: a descendant context adds nothing of
+// its own, and contexts in other hierarchies are not pruned by it.
+TEST(SetStepTest, NestedSameHierarchyContextsForDescendant) {
+  auto doc = BuildSmallDocument(
+      "abcd", {{"h1", "<a><b><c>ab</c>c</b><d>d</d></a>"},
+               {"h2", "<z>a<k>bc</k>d</z>"}});
+  ASSERT_NE(doc, nullptr);
+  const auto snapshot = doc->PinSnapshot();
+  const goddag::OverlayView view(&snapshot->goddag());
+  ExpectSetMatchesPerContextUnion(*snapshot, view,
+                                  AllNodes(snapshot->goddag()),
+                                  {"c", "k"}, 3);
+}
+
+// Overlay contexts (each overlay is its own hierarchy for following and
+// preceding, and its arcs end at its root), mixed with base contexts, and
+// a name test no base element bears — pushdown then empties the base half
+// by the statistics alone while the overlay half still matches.
+TEST_F(PaperAxesTest, SetStepsOverOverlayContexts) {
+  const KyGoddag& kg = snapshot_->goddag();
+  auto ids = std::make_shared<goddag::OverlayIdAllocator>();
+  goddag::OverlayView view(&kg);
+  auto first = goddag::GoddagOverlay::Create(
+      &kg, ids, "result",
+      {goddag::VirtualElement{"m", TextRange(9, 14), {}},
+       goddag::VirtualElement{"a", TextRange(11, 12), {}},
+       goddag::VirtualElement{"a", TextRange(12, 14), {}}});
+  ASSERT_TRUE(first.ok()) << first.status();
+  auto second = goddag::GoddagOverlay::Create(
+      &kg, ids, "result",
+      {goddag::VirtualElement{"m", TextRange(0, 9), {}},
+       goddag::VirtualElement{"m", TextRange(21, 30), {}}});
+  ASSERT_TRUE(second.ok()) << second.status();
+  std::vector<NodeId> pool;
+  for (const auto& overlay : {*first, *second}) {
+    view.AddOverlay(overlay);
+    for (NodeId id = overlay->id_begin(); id < overlay->id_end(); ++id) {
+      pool.push_back(id);
+    }
+  }
+  pool.push_back(kg.root());
+  pool.push_back(FindElement(kg, 1, "w", "unawendendne"));
+  pool.push_back(FindElement(kg, 1, "w", "sceaft"));
+  pool.push_back(kg.hierarchy(0).nodes[1]);
+  ExpectSetMatchesPerContextUnion(*snapshot_, view, pool, {"m", "a", "w"},
+                                  2);
+}
+
 TEST(AxisNameTest, RoundTrips) {
   for (Axis axis : {Axis::kSelf, Axis::kChild, Axis::kParent, Axis::kDescendant,
                     Axis::kDescendantOrSelf, Axis::kAncestor,

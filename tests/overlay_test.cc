@@ -262,8 +262,8 @@ TEST(OverlayViewTest, ExtendedAxesReadBaseIndexPlusOverlayScan) {
   ASSERT_NE(word, kInvalidNode);
 
   const size_t base_hits =
-      axes.Evaluate(view, word, xpath::Axis::kXDescendant,
-                    xpath::NodeTest::Any())
+      axes.EvaluatePlanned(view, word, xpath::Axis::kXDescendant,
+                           xpath::NodeTest::Any())
           .size();
   auto overlay = MustCreate(&kg, ids, "result",
                             {VirtualElement{"m", TextRange(9, 14), {}},
@@ -272,8 +272,9 @@ TEST(OverlayViewTest, ExtendedAxesReadBaseIndexPlusOverlayScan) {
   view.AddOverlay(overlay);
 
   // xdescendant from the base word now also sees both overlay elements —
-  // in document order, with the base-only overload unchanged.
-  auto hits = axes.EvaluateAxisOnly(view, word, xpath::Axis::kXDescendant);
+  // in document order, with the base-only entry point unchanged.
+  auto hits = axes.EvaluatePlanned(view, word, xpath::Axis::kXDescendant,
+                                   xpath::NodeTest::Any());
   EXPECT_EQ(hits.size(), base_hits + 2);
   EXPECT_TRUE(std::is_sorted(hits.begin(), hits.end(),
                              [&](NodeId a, NodeId b) {
@@ -288,14 +289,14 @@ TEST(OverlayViewTest, ExtendedAxesReadBaseIndexPlusOverlayScan) {
 
   // From the overlay side: xancestor of <a> climbs into the base document.
   const NodeId a = m + 1;
-  auto ancestors = axes.Evaluate(view, a, xpath::Axis::kXAncestor,
-                                 xpath::NodeTest::Name("w"));
+  auto ancestors = axes.EvaluatePlanned(view, a, xpath::Axis::kXAncestor,
+                                        xpath::NodeTest::Name("w"));
   ASSERT_EQ(ancestors.size(), 1u);
   EXPECT_EQ(ancestors[0], word);
 
   // The plumbing root never leaks into extended axes.
-  for (NodeId hit :
-       axes.EvaluateAxisOnly(view, word, xpath::Axis::kXAncestor)) {
+  for (NodeId hit : axes.EvaluatePlanned(view, word, xpath::Axis::kXAncestor,
+                                         xpath::NodeTest::Any())) {
     EXPECT_NE(hit, overlay->root());
   }
 
@@ -322,18 +323,20 @@ TEST(OverlayViewTest, StandardAxesNavigateWithinTheOverlay) {
   const NodeId first = overlay->elements_begin();
   const NodeId second = first + 1;
 
-  auto children = axes.EvaluateAxisOnly(view, overlay->root(),
-                                        xpath::Axis::kChild);
+  const xpath::NodeTest any = xpath::NodeTest::Any();
+  auto children =
+      axes.EvaluatePlanned(view, overlay->root(), xpath::Axis::kChild, any);
   EXPECT_EQ(children, (std::vector<NodeId>{first, second}));
   // following/preceding stay within the overlay "hierarchy".
   auto following =
-      axes.EvaluateAxisOnly(view, first, xpath::Axis::kFollowing);
+      axes.EvaluatePlanned(view, first, xpath::Axis::kFollowing, any);
   EXPECT_EQ(following, (std::vector<NodeId>{second}));
   auto preceding =
-      axes.EvaluateAxisOnly(view, second, xpath::Axis::kPreceding);
+      axes.EvaluatePlanned(view, second, xpath::Axis::kPreceding, any);
   EXPECT_EQ(preceding, (std::vector<NodeId>{first}));
   // ancestor climbs through the overlay root into the base GODDAG root.
-  auto ancestors = axes.EvaluateAxisOnly(view, first, xpath::Axis::kAncestor);
+  auto ancestors =
+      axes.EvaluatePlanned(view, first, xpath::Axis::kAncestor, any);
   ASSERT_EQ(ancestors.size(), 2u);
   EXPECT_EQ(ancestors[0], kg.root());
   EXPECT_EQ(ancestors[1], overlay->root());

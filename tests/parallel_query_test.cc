@@ -455,6 +455,14 @@ constexpr const char* kAxisBatteryQueries[] = {
     "/descendant::line/descendant::leaf()",
     "/descendant::w/descendant::leaf()/ancestor::line",
     "/descendant::dmg/xdescendant::w/xancestor::line",
+    // Context sets whose union collapses to a few covering contexts.
+    "/descendant::dmg/xfollowing::w",
+    "/descendant::res/xpreceding::line",
+    "/descendant::line/following::line",
+    "/descendant::dmg/preceding::*",
+    "/descendant::s/xdescendant::*",
+    "/descendant::w/xdescendant::*",
+    "/descendant::*/descendant::leaf()",
 };
 
 // --- the test-side step interpreter ---------------------------------------
@@ -634,6 +642,78 @@ TEST_F(ParallelQueryTest, Section4QueriesPlanModeInvariantAcrossThreads) {
         EXPECT_EQ(p.coalesce ? CoalesceRuns(out) : out, p.expected)
             << p.query << "\nplan mode " << PlanModeName(mode)
             << " threads " << threads;
+      }
+    }
+  }
+}
+
+// Predicates over a step taken from many contexts. A predicate whose
+// verdict depends on its item alone keeps exactly the reference union's
+// items that pass it — whether it filters each context's run (a path
+// predicate) or the union once (a statically boolean one). A positional
+// predicate keeps per-context semantics: every word contributes its own
+// first xfollowing dmg.
+TEST_F(ParallelQueryTest, SetStepPredicatesMatchReferenceFilters) {
+  const auto snapshot = edition_->PinSnapshot();
+  const goddag::KyGoddag& kg = snapshot->goddag();
+  const xpath::AxisEvaluator axes(snapshot.get());
+  const std::vector<RefItem> unfiltered =
+      ReferencePath(*snapshot, "/descendant::w/xfollowing::dmg");
+  std::vector<RefItem> containing_w;
+  for (const RefItem& item : unfiltered) {
+    if (!axes.Evaluate(item.node, xpath::Axis::kXDescendant,
+                       xpath::NodeTest::Name("w"))
+             .empty()) {
+      containing_w.push_back(item);
+    }
+  }
+  std::vector<RefItem> first_per_word;
+  for (const RefItem& word : ReferencePath(*snapshot, "/descendant::w")) {
+    const std::vector<goddag::NodeId> hits = axes.Evaluate(
+        word.node, xpath::Axis::kXFollowing, xpath::NodeTest::Name("dmg"));
+    if (!hits.empty()) {
+      first_per_word.push_back({hits[0], kg.node(hits[0]).range});
+    }
+  }
+  std::sort(first_per_word.begin(), first_per_word.end(),
+            [](const RefItem& a, const RefItem& b) {
+              return RefOrderKey(a) < RefOrderKey(b);
+            });
+  first_per_word.erase(
+      std::unique(first_per_word.begin(), first_per_word.end(),
+                  [](const RefItem& a, const RefItem& b) {
+                    return a.node == b.node;
+                  }),
+      first_per_word.end());
+  // Non-vacuous: the filter drops some items, and the positional test
+  // keeps more than a union-wide [1] would.
+  ASSERT_LT(containing_w.size(), unfiltered.size());
+  ASSERT_FALSE(containing_w.empty());
+  ASSERT_GT(first_per_word.size(), 1u);
+
+  const std::pair<const char*, const std::vector<RefItem>*> kCases[] = {
+      {"/descendant::w/xfollowing::dmg[xdescendant::w]", &containing_w},
+      {"/descendant::w/xfollowing::dmg[count(xdescendant::w) > 0]",
+       &containing_w},
+      {"/descendant::w/xfollowing::dmg[1]", &first_per_word},
+  };
+  for (const auto& [path, expected] : kCases) {
+    for (PlanMode mode :
+         {PlanMode::kAuto, PlanMode::kForceNaive, PlanMode::kForceIndexed}) {
+      for (unsigned threads : {1u, 4u}) {
+        QueryOptions options;
+        options.plan_mode = mode;
+        options.threads = threads;
+        const std::string label = std::string(path) + "\nplan mode " +
+                                  std::string(PlanModeName(mode)) +
+                                  " threads " + std::to_string(threads);
+        EXPECT_EQ(MustQuery(*edition_, "count(" + std::string(path) + ")",
+                            options),
+                  std::to_string(expected->size()))
+            << label;
+        EXPECT_EQ(MustQuery(*edition_, ListingQuery(path), options),
+                  ReferenceListing(*snapshot, *expected))
+            << label;
       }
     }
   }

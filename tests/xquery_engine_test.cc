@@ -194,6 +194,41 @@ TEST_F(XQueryEngineTest, DroppingTheKeptHandleDropsTheHierarchies) {
             "0");
 }
 
+// Set-at-a-time steps from contexts in kept analyze-string overlays, mixed
+// with base contexts and given out of document order: each overlay is its
+// own hierarchy for following/preceding, and the extended axes see base
+// and overlay nodes alike. The reference takes the step once per context
+// (a for loop) and normalises the concatenation with a self:: step.
+TEST_F(XQueryEngineTest, SetStepsFromKeptOverlayContextsMatchPerContextSteps) {
+  Engine* engine = doc_->engine();
+  auto kept = engine->EvaluateKeepingTemporaries(
+      "for $w in /descendant::w[matches(string(.), '.*e.*')]"
+      " return analyze-string($w, '.*<a>e</a>.*')");
+  ASSERT_TRUE(kept.ok()) << kept.status();
+  ASSERT_GT(engine->temporary_hierarchy_count(), 1u);
+  // Overlay nodes hang off no base node: the extended axes reach them.
+  ASSERT_NE(Query("count(/descendant::line/xdescendant::a)"), "0");
+  const char* kContexts[] = {
+      "/descendant::line/xdescendant::a", "/descendant::line/xdescendant::m",
+      "(/descendant::line/xdescendant::a, /descendant::w)"};
+  const char* kSteps[] = {"following::*", "preceding::*", "following::a",
+                          "xfollowing::*", "xpreceding::a",
+                          "xdescendant::*", "descendant::*"};
+  const size_t set_steps_before = engine->set_steps();
+  for (const char* contexts : kContexts) {
+    for (const char* step : kSteps) {
+      const std::string path = std::string(contexts) + "/" + step;
+      const std::string per_context = "(for $c in " + std::string(contexts) +
+                                      " return $c/" + step + ")/self::*";
+      auto listing = [](const std::string& p) {
+        return "for $n in " + p + " return (name($n), '[', string($n), ']')";
+      };
+      EXPECT_EQ(Query(listing(path)), Query(listing(per_context))) << path;
+    }
+  }
+  EXPECT_GT(engine->set_steps(), set_steps_before);
+}
+
 TEST_F(XQueryEngineTest, PlainEvaluateLeavesKeptTemporariesAlive) {
   Engine* engine = doc_->engine();
   auto kept = engine->EvaluateKeepingTemporaries(

@@ -23,9 +23,10 @@ import sys
 
 # Families the corpus service is contractually expected to export; see
 # CorpusService::WireMetrics. Kept to the ones added for the step planner,
-# the SIMD kernels, and the arena spill path — the generic checks above
-# cover everything else.
+# set-at-a-time path steps, the SIMD kernels, and the arena spill path —
+# the generic checks above cover everything else.
 REQUIRED_FAMILIES = (
+    "mhx_engine_set_steps_total",
     "mhx_plan_steps_indexed_total",
     "mhx_plan_steps_scanned_total",
     "mhx_plan_pushdowns_total",

@@ -367,6 +367,10 @@ int main(int argc, char** argv) {
   // Section-4-shape traffic above must have exercised the planner: its
   // extended-axis steps ran under kAuto, so the strategy counters moved
   // and each (expr, document) pair paid exactly its first-plan build.
+  // A path step taken from many contexts (every word) runs once as a set
+  // step, which the export below must count.
+  Check(corpus.Query("alpha", "count(/descendant::w/xfollowing::dmg)").ok(),
+        "multi-context path evaluates");
   const std::string exported = corpus.metrics().TextExport();
   auto sample = [&exported](const char* name) -> long long {
     const std::string needle = std::string(name) + " ";
@@ -381,6 +385,8 @@ int main(int argc, char** argv) {
         "name-test pushdowns were counted");
   Check(sample("mhx_plan_cache_replans_total") > 0,
         "plan builds were counted");
+  Check(sample("mhx_engine_set_steps_total") > 0,
+        "set steps were counted");
   sample("mhx_kernel_simd_dispatch_total");  // registered (0 off-x86)
 
   std::fputs(exported.c_str(), stdout);
