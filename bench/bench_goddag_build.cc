@@ -3,8 +3,8 @@
 // Experiments E1/E2/E10 (DESIGN.md): KyGODDAG construction cost vs. edition
 // size and number of hierarchies, plus the cost of virtual-hierarchy
 // add/remove cycles (what every analyze-string() call pays). The E10 lanes
-// mutate a bench-owned Clone() of the edition's goddag; their full-rebuild
-// ablation recomputes the leaf partition with FullLeafRebuild below.
+// mutate a bench-owned Clone() of the edition's goddag and time the
+// library's own leaves() derivation after each change.
 
 #include <benchmark/benchmark.h>
 
@@ -23,22 +23,6 @@
 namespace {
 
 using mhx::goddag::KyGoddag;
-
-// The E10 full-rebuild ablation: the leaf partition recomputed from
-// scratch — boundaries recounted from the node table (0 and the text size
-// as sentinels), then one bulk assignment. Returns the leaf count.
-size_t FullLeafRebuild(const KyGoddag& kg,
-                       mhx::goddag::TieredLeafPartition* partition) {
-  std::map<size_t, uint32_t> refs = {{0, 1}, {kg.base_text().size(), 1}};
-  for (mhx::goddag::NodeId id = 0; id < kg.node_table_size(); ++id) {
-    const mhx::goddag::GNode& node = kg.node(id);
-    if (node.kind != mhx::goddag::GNodeKind::kElement) continue;
-    ++refs[node.range.begin];
-    ++refs[node.range.end];
-  }
-  partition->AssignFromBoundaries(refs);
-  return partition->Flatten().size();
-}
 
 void BM_BuildPaperDocument(benchmark::State& state) {
   for (auto _ : state) {
@@ -99,20 +83,14 @@ BENCHMARK(BM_BuildEdition_ByHierarchyCount)->DenseRange(1, 4);
 
 void BM_VirtualHierarchyCycle(benchmark::State& state) {
   // Add + remove a virtual hierarchy (the analyze-string() substrate) on an
-  // edition of the given size. arg1 picks the leaf maintenance (the E10
-  // ablation): 1 reads the incrementally spliced partition, 0 recomputes
-  // it in full after each change (FullLeafRebuild).
+  // edition of the given size, reading the leaf partition after each
+  // change.
   mhx::workload::EditionConfig config;
   config.seed = 5;
   config.word_count = state.range(0);
   auto doc = mhx::workload::BuildEditionDocument(config);
   if (!doc.ok()) std::abort();
   std::unique_ptr<KyGoddag> kg = doc->goddag().Clone();
-  const bool incremental = state.range(1) != 0;
-  mhx::goddag::TieredLeafPartition rebuilt;
-  auto leaf_count = [&] {
-    return incremental ? kg->leaves().size() : FullLeafRebuild(*kg, &rebuilt);
-  };
   size_t n = kg->base_text().size();
   for (auto _ : state) {
     auto h = kg->AddVirtualHierarchy(
@@ -121,14 +99,17 @@ void BM_VirtualHierarchyCycle(benchmark::State& state) {
          mhx::goddag::VirtualElement{"m", mhx::TextRange(n / 3, n / 2 - 1),
                                      {}}});
     if (!h.ok()) std::abort();
-    benchmark::DoNotOptimize(leaf_count());
+    benchmark::DoNotOptimize(kg->leaves().size());
     if (!kg->RemoveVirtualHierarchy(*h).ok()) std::abort();
-    benchmark::DoNotOptimize(leaf_count());
+    benchmark::DoNotOptimize(kg->leaves().size());
   }
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_VirtualHierarchyCycle)
-    ->ArgsProduct({{100, 400, 1600, 6400}, {0, 1}})
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(1600)
+    ->Arg(6400)
     ->Complexity();
 
 void BM_XmlParseOnly(benchmark::State& state) {
@@ -147,26 +128,25 @@ void BM_XmlParseOnly(benchmark::State& state) {
 BENCHMARK(BM_XmlParseOnly)->Arg(400)->Arg(6400);
 
 void BM_LeafPartitionRebuild(benchmark::State& state) {
-  // Isolated cost of a full leaf rebuild after a structural change
-  // (FullLeafRebuild; the partition's own maintenance is a splice — see
-  // BM_VirtualHierarchyCycle's ablation). Each iteration performs one
-  // add + rebuild + remove + rebuild cycle, all timed.
+  // Isolated cost of deriving the leaf partition after a structural
+  // change: one whole-text virtual element, so every derivation sees two
+  // extra cuts. Each iteration performs one add + leaves() + remove +
+  // leaves() cycle, all timed.
   mhx::workload::EditionConfig config;
   config.seed = 5;
   config.word_count = state.range(0);
   auto doc = mhx::workload::BuildEditionDocument(config);
   if (!doc.ok()) std::abort();
   std::unique_ptr<KyGoddag> kg = doc->goddag().Clone();
-  mhx::goddag::TieredLeafPartition rebuilt;
   size_t n = kg->base_text().size();
   for (auto _ : state) {
     auto h = kg->AddVirtualHierarchy(
         "rest",
         {mhx::goddag::VirtualElement{"res", mhx::TextRange(1, n - 1), {}}});
     if (!h.ok()) std::abort();
-    benchmark::DoNotOptimize(FullLeafRebuild(*kg, &rebuilt));
+    benchmark::DoNotOptimize(kg->leaves().size());
     (void)kg->RemoveVirtualHierarchy(*h);
-    benchmark::DoNotOptimize(FullLeafRebuild(*kg, &rebuilt));
+    benchmark::DoNotOptimize(kg->leaves().size());
   }
   state.SetComplexityN(state.range(0));
 }

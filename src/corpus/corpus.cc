@@ -79,19 +79,18 @@ class AdmissionTicket {
 
 CorpusService::CorpusService(const CorpusOptions& options)
     : capacity_(std::max<size_t>(options.capacity, 1)),
-      shard_count_(std::max<size_t>(options.shard_count, 1)),
       slow_threshold_us_(options.slow_query_threshold_us),
       max_writers_in_flight_(options.max_writers_in_flight),
       writer_queue_limit_(options.writer_queue_limit),
       spill_dir_(options.spill_dir),
-      plans_(std::make_shared<xquery::PlanCache>(options.plan_shards)),
+      plans_(std::make_shared<xquery::PlanCache>()),
       pool_(options.pool_threads > 0
                 ? std::make_shared<base::ThreadPool>(options.pool_threads)
                 : nullptr),
       engine_counters_(std::make_shared<xquery::EngineCounters>()),
       heavy_admission_(options.max_heavy_in_flight,
                        options.heavy_queue_limit),
-      shards_(new Shard[shard_count_]),
+      shards_(new Shard[kShardCount]),
       slow_log_(options.slow_query_threshold_us == kNoSlowQueryLog
                     ? 0
                     : options.slow_query_log_capacity) {
@@ -223,7 +222,7 @@ void CorpusService::WireMetrics() {
 }
 
 CorpusService::Shard& CorpusService::ShardFor(std::string_view name) const {
-  return shards_[std::hash<std::string_view>{}(name) % shard_count_];
+  return shards_[std::hash<std::string_view>{}(name) % kShardCount];
 }
 
 namespace {

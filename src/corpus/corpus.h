@@ -93,8 +93,6 @@ struct CorpusOptions {
   // Maximum resident (built) documents; clamped to at least 1. Eviction is
   // strict LRU by last query.
   size_t capacity = 8;
-  // Shards for the name -> document map.
-  size_t shard_count = 8;
   // Workers in the shared fan-out pool handed to every engine. 0 means no
   // shared pool is injected and each engine falls back to growing its own
   // private pool — the pre-corpus behaviour.
@@ -110,8 +108,6 @@ struct CorpusOptions {
   // Writes allowed to wait for a per-document slot before
   // ResourceExhausted.
   size_t writer_queue_limit = 8;
-  // Shards of the process-wide PlanCache.
-  size_t plan_shards = 16;
   // Completed queries at or above this wall time (µs) are captured in the
   // slow-query log with their full stage breakdown: when enabled, every
   // Query() without a caller-attached trace gets a service-internal
@@ -321,7 +317,6 @@ class CorpusService {
   void WireMetrics();
 
   const size_t capacity_;
-  const size_t shard_count_;
   const uint64_t slow_threshold_us_;
   const size_t max_writers_in_flight_;
   const size_t writer_queue_limit_;
@@ -332,6 +327,8 @@ class CorpusService {
   // totals survive eviction (see xquery::EngineCounters).
   std::shared_ptr<xquery::EngineCounters> engine_counters_;
   AdmissionController heavy_admission_;
+  // Shards of the name -> document map.
+  static constexpr size_t kShardCount = 8;
   std::unique_ptr<Shard[]> shards_;
   obs::SlowQueryLog slow_log_;
 

@@ -140,8 +140,9 @@ struct ArenaHierarchy {
   uint32_t reserved;     // zero
 };
 
-// One leaf-partition boundary: text offset + live endpoint refcount
-// (KyGoddag::boundary_refs_, sentinels at 0 and text_size included).
+// One leaf-partition boundary: text offset + live endpoint refcount,
+// sentinels at 0 and text_size included. The serializer computes `refs`
+// from the node table; the loader only checks that it is nonzero.
 struct ArenaBoundary {
   uint64_t pos;
   uint32_t refs;

@@ -58,7 +58,7 @@ NodeId KyGoddag::ConvertXmlElement(const xml::Element& element,
   n.range = element.range;
   n.parent = parent;
   out->nodes.push_back(id);
-  NoteElementAdded(element.range);
+  ++element_count_;
   for (const xml::Element& child : element.children) {
     NodeId child_id = ConvertXmlElement(child, hierarchy, id, out);
     // Re-fetch: the nodes_ vector may have been reallocated by the recursion.
@@ -98,6 +98,7 @@ StatusOr<HierarchyId> KyGoddag::AddHierarchy(const std::string& name,
   h.root = root_id;
   nodes_[0].children.push_back(root_id);
   ++revision_;
+  leaves_dirty_ = true;
   return hid;
 }
 
@@ -167,7 +168,6 @@ StatusOr<HierarchyId> KyGoddag::AddVirtualHierarchy(
   }
   h.root = root_id;
   h.nodes.push_back(root_id);
-  NoteElementAdded(nodes_[root_id].range);
 
   std::vector<NodeId> stack = {root_id};
   for (VirtualElement& e : elements) {
@@ -184,12 +184,13 @@ StatusOr<HierarchyId> KyGoddag::AddVirtualHierarchy(
     node.parent = stack.back();
     nodes_[stack.back()].children.push_back(id);
     h.nodes.push_back(id);
-    NoteElementAdded(node.range);
     stack.push_back(id);
   }
 
   nodes_[0].children.push_back(root_id);
+  element_count_ += h.nodes.size();
   ++revision_;
+  leaves_dirty_ = true;
   return hid;
 }
 
@@ -202,10 +203,8 @@ Status KyGoddag::RemoveVirtualHierarchy(HierarchyId id) {
     return FailedPreconditionError("hierarchy '" + h.name +
                                    "' is persistent and cannot be removed");
   }
-  for (NodeId node_id : h.nodes) {
-    NoteElementRemoved(nodes_[node_id].range);
-    FreeNode(node_id);
-  }
+  for (NodeId node_id : h.nodes) FreeNode(node_id);
+  element_count_ -= h.nodes.size();
   auto& root_children = nodes_[0].children;
   root_children.erase(
       std::remove(root_children.begin(), root_children.end(), h.root),
@@ -213,75 +212,61 @@ Status KyGoddag::RemoveVirtualHierarchy(HierarchyId id) {
   h = Hierarchy();
   free_hierarchies_.push_back(id);
   ++revision_;
+  leaves_dirty_ = true;
   return OkStatus();
 }
 
-void KyGoddag::NoteElementAdded(const TextRange& range) {
-  ++element_count_;
-  NoteBoundaryAdded(range.begin);
-  NoteBoundaryAdded(range.end);
-}
-
-void KyGoddag::NoteElementRemoved(const TextRange& range) {
-  --element_count_;
-  NoteBoundaryRemoved(range.begin);
-  NoteBoundaryRemoved(range.end);
-}
-
-void KyGoddag::NoteBoundaryAdded(size_t pos) {
-  if (base_text_->empty()) return;  // the partition is empty either way
-  if (leaves_dirty_ || boundary_refs_deferred_) {
-    leaves_dirty_ = true;
-    return;
+std::vector<Leaf> SplitLeaves(const std::vector<Leaf>& cells,
+                              std::vector<size_t> cuts) {
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  // Rewrite the partition around the cuts: unaffected cell runs between
+  // consecutive cuts bulk-copy, only the cells a cut actually splits are
+  // rebuilt piecewise.
+  std::vector<Leaf> out;
+  out.reserve(cells.size() + cuts.size());
+  auto rest = cells.cbegin();  // first cell not yet emitted
+  for (auto cut = cuts.cbegin(); cut != cuts.cend();) {
+    // The cell containing this cut: the first with end > cut, at or after
+    // `rest` (cuts ascend, so the search window only narrows).
+    auto cell = std::upper_bound(rest, cells.cend(), *cut,
+                                 [](size_t pos, const Leaf& leaf) {
+                                   return pos < leaf.range.end;
+                                 });
+    out.insert(out.end(), rest, cell);
+    rest = cell;
+    if (cell == cells.cend()) break;
+    if (cell->range.begin >= *cut) {
+      ++cut;  // an existing boundary — no-op
+      continue;
+    }
+    // Split this cell at every cut inside it.
+    size_t begin = cell->range.begin;
+    for (; cut != cuts.cend() && *cut < cell->range.end; ++cut) {
+      out.push_back(Leaf{TextRange(begin, *cut)});
+      begin = *cut;
+    }
+    out.push_back(Leaf{TextRange(begin, cell->range.end)});
+    rest = cell + 1;
   }
-  if (++boundary_refs_[pos] != 1) return;
-  // New boundary: split the leaf that strictly contains `pos`. (pos cannot
-  // be 0 or n — those carry permanent sentinel refs.) The tiered partition
-  // makes this O(log chunks + chunk), the E10 fix.
-  leaves_.InsertBoundary(pos);
-}
-
-void KyGoddag::NoteBoundaryRemoved(size_t pos) {
-  if (base_text_->empty()) return;
-  if (leaves_dirty_ || boundary_refs_deferred_) {
-    leaves_dirty_ = true;
-    return;
-  }
-  auto ref = boundary_refs_.find(pos);
-  if (ref == boundary_refs_.end()) {  // invariant breach; fall back to rebuild
-    leaves_dirty_ = true;
-    return;
-  }
-  if (--ref->second != 0) return;
-  boundary_refs_.erase(ref);
-  // Merge the leaf ending at `pos` with its successor.
-  leaves_.EraseBoundary(pos);
-}
-
-void KyGoddag::RebuildLeaves() const {
-  boundary_refs_.clear();
-  boundary_refs_deferred_ = false;
-  const size_t n = base_text_->size();
-  if (n == 0) {
-    leaves_.Clear();
-    leaves_dirty_ = false;
-    return;
-  }
-  // Permanent sentinel refs keep 0 and n from ever being removed.
-  boundary_refs_[0] = 1;
-  boundary_refs_[n] = 1;
-  for (const GNode& node : nodes_) {
-    if (node.kind != GNodeKind::kElement) continue;
-    ++boundary_refs_[node.range.begin];
-    ++boundary_refs_[node.range.end];
-  }
-  leaves_.AssignFromBoundaries(boundary_refs_);
-  leaves_dirty_ = false;
+  out.insert(out.end(), rest, cells.cend());
+  return out;
 }
 
 const std::vector<Leaf>& KyGoddag::leaves() const {
-  if (leaves_dirty_) RebuildLeaves();
-  return leaves_.Flatten();
+  if (!leaves_dirty_) return leaves_;
+  const size_t n = base_text_->size();
+  std::vector<size_t> cuts;
+  cuts.reserve(2 * element_count_);
+  for (const GNode& node : nodes_) {
+    if (node.kind != GNodeKind::kElement) continue;
+    cuts.push_back(node.range.begin);
+    cuts.push_back(node.range.end);
+  }
+  leaves_ = n == 0 ? std::vector<Leaf>()
+                   : SplitLeaves({Leaf{TextRange(0, n)}}, std::move(cuts));
+  leaves_dirty_ = false;
+  return leaves_;
 }
 
 std::string KyGoddag::NodeString(NodeId id) const {

@@ -13,11 +13,9 @@
 // a contiguous interval of the base text, the leaf partition is fully
 // described by the sorted set of element boundary offsets, and all extended
 // axis semantics reduce to interval arithmetic on node ranges (see
-// xpath/axes.h). The partition is maintained incrementally (boundary
-// refcounts plus a tiered-vector splice, goddag/leaves.h; a splice is
-// O(log chunks + chunk), not O(partition)); a lazy full rebuild that
-// rescans every node runs only for a first build or an arena-adopted
-// goddag's first splice.
+// xpath/axes.h). A goddag derives its partition in one pass (SplitLeaves
+// below) on the first leaves() read after a structural change; a version is
+// never mutated once published, so nothing is maintained incrementally.
 //
 // Thread-safety: unsynchronized — a KyGoddag is mutated only on the writer
 // path (Builder::Build, or Writer::Commit on a private Clone()) and read
@@ -30,8 +28,8 @@
 #ifndef MHX_GODDAG_KYGODDAG_H_
 #define MHX_GODDAG_KYGODDAG_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -40,7 +38,6 @@
 #include "base/status_macros.h"
 #include "base/statusor.h"
 #include "base/text_range.h"
-#include "goddag/leaves.h"
 #include "xml/parser.h"
 
 namespace mhx::goddag {
@@ -80,6 +77,22 @@ struct Hierarchy {
   bool is_virtual = false;
   bool active = false;
 };
+
+// One cell of the shared leaf partition.
+struct Leaf {
+  TextRange range;
+};
+
+// Re-splits `cells`, a text-ordered gap-free partition, at every offset in
+// `cuts` and returns the result. `cuts` may be unsorted and hold duplicates;
+// a cut on an existing cell boundary or outside the cells is a no-op. One
+// sort plus one merge pass (runs of unsplit cells bulk-copy), so
+// O(C log C + P) for C cuts over P cells. KyGoddag::leaves() splits the
+// one-cell partition [0, n) at every live element endpoint;
+// OverlayView::leaves() splits its inherited partition at the queued
+// overlays' endpoints (goddag/overlay.h).
+std::vector<Leaf> SplitLeaves(const std::vector<Leaf>& cells,
+                              std::vector<size_t> cuts);
 
 // One element of a virtual hierarchy, given by its range over the base text.
 // Elements of one AddVirtualHierarchy call must pairwise nest or be disjoint.
@@ -146,7 +159,8 @@ class KyGoddag {
   // Size of the hierarchy table including inactive slots (check .active).
   size_t hierarchy_table_size() const { return hierarchies_.size(); }
 
-  // The shared leaf partition, in text order, rebuilt lazily if stale.
+  // The shared leaf partition, in text order: derived from the node table
+  // on the first call after a structural change, cached until the next.
   const std::vector<Leaf>& leaves() const;
 
   // Base-text content dominated by a node.
@@ -168,11 +182,6 @@ class KyGoddag {
   NodeId ConvertXmlElement(const xml::Element& element, HierarchyId hierarchy,
                            NodeId parent, Hierarchy* out);
   HierarchyId AllocateHierarchySlot();
-  void NoteBoundaryAdded(size_t pos);
-  void NoteBoundaryRemoved(size_t pos);
-  void NoteElementAdded(const TextRange& range);
-  void NoteElementRemoved(const TextRange& range);
-  void RebuildLeaves() const;
 
   // Shared across Clone() copies; immutable after construction.
   std::shared_ptr<const std::string> base_text_;
@@ -183,22 +192,11 @@ class KyGoddag {
   size_t element_count_ = 0;
   uint64_t revision_ = 0;
 
-  // Leaf partition cache. `boundary_refs_` maps a boundary offset to the
-  // number of live element endpoints at that offset (offsets 0 and n carry a
-  // permanent sentinel ref). It is authoritative only while `!leaves_dirty_`
-  // and `!boundary_refs_deferred_`; a full rebuild reconstructs it from the
-  // node table. The partition itself is tiered (goddag/leaves.h) so
-  // incremental splices are cheap; leaves() reads its cached flat view.
-  //
-  // The arena loader sets `boundary_refs_deferred_`: it adopts the partition
-  // straight from the file but skips the O(boundaries) map build, since a
-  // published snapshot's goddag never splices. The first boundary change on
-  // such a goddag (a writer's private clone) falls back to one full rebuild,
-  // after which maintenance is incremental again.
-  mutable TieredLeafPartition leaves_;
-  mutable std::map<size_t, uint32_t> boundary_refs_;
+  // Leaf partition cache; every structural change sets `leaves_dirty_`
+  // and the next leaves() call re-derives `leaves_` from the node table.
+  // The arena loader assigns both straight from the file.
+  mutable std::vector<Leaf> leaves_;
   mutable bool leaves_dirty_ = true;
-  mutable bool boundary_refs_deferred_ = false;
 };
 
 }  // namespace mhx::goddag

@@ -139,72 +139,25 @@ const std::vector<Leaf>& OverlayView::leaves() const {
   // steady state this is an empty-queue check under an uncontended mutex.
   // AddOverlay (owner only, never concurrent with readers) just queues.
   std::lock_guard<std::mutex> lock(leaves_mu_);
-  if (!merged_init_) {
-    merged_leaves_ = inherited_leaves();
-    merged_init_ = true;
-  }
-  if (!unspliced_.empty()) SpliceQueuedBoundaries();
-  return merged_leaves_;
-}
-
-void OverlayView::SpliceQueuedBoundaries() const {
+  if (unspliced_.empty()) return merged_leaves_;
   // Boundaries only accumulate within a view, so each overlay is spliced
   // exactly once no matter how AddOverlay calls interleave with leaf()
-  // steps. The drain is batched: collect every queued boundary, sort once,
-  // then rewrite the partition in a single merge pass — O(partition + N)
-  // for N boundaries where the former per-boundary vector insert paid
-  // O(partition) each. (Each root's 0/n boundaries are partition edges
-  // already, so they are filtered with the other no-op cuts below.)
-  const size_t text_size = base_->base_text().size();
+  // steps, and every queued overlay folds in with one SplitLeaves pass.
   std::vector<size_t> cuts;
   for (const auto& overlay : unspliced_) {
     cuts.reserve(cuts.size() + 2 * overlay->node_count());
     for (NodeId id = overlay->root(); id < overlay->id_end(); ++id) {
       const TextRange& range = overlay->node(id).range;
-      if (range.begin > 0 && range.begin < text_size) {
-        cuts.push_back(range.begin);
-      }
-      if (range.end > 0 && range.end < text_size) cuts.push_back(range.end);
+      cuts.push_back(range.begin);
+      cuts.push_back(range.end);
     }
   }
   unspliced_.clear();
-  std::sort(cuts.begin(), cuts.end());
-  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-  if (cuts.empty()) return;
-
-  // Rewrite the partition around the cuts: unaffected cell runs between
-  // consecutive cuts bulk-copy (memmove fast path), only the cells a cut
-  // actually splits are rebuilt piecewise — O(N log P) search plus one
-  // O(P + N) copy, where the old per-boundary path paid an O(P) vector
-  // insert for every boundary.
-  std::vector<Leaf> merged;
-  merged.reserve(merged_leaves_.size() + cuts.size());
-  auto rest = merged_leaves_.cbegin();  // first cell not yet emitted
-  for (auto cut = cuts.cbegin(); cut != cuts.cend();) {
-    // The cell containing this cut: the first with end > cut, at or after
-    // `rest` (cuts ascend, so the search window only narrows).
-    auto cell = std::upper_bound(rest, merged_leaves_.cend(), *cut,
-                                 [](size_t pos, const Leaf& leaf) {
-                                   return pos < leaf.range.end;
-                                 });
-    merged.insert(merged.end(), rest, cell);
-    rest = cell;
-    if (cell == merged_leaves_.cend()) break;
-    if (cell->range.begin >= *cut) {
-      ++cut;  // an existing boundary — no-op
-      continue;
-    }
-    // Split this cell at every cut inside it.
-    size_t begin = cell->range.begin;
-    for (; cut != cuts.cend() && *cut < cell->range.end; ++cut) {
-      merged.push_back(Leaf{TextRange(begin, *cut)});
-      begin = *cut;
-    }
-    merged.push_back(Leaf{TextRange(begin, cell->range.end)});
-    rest = cell + 1;
-  }
-  merged.insert(merged.end(), rest, merged_leaves_.cend());
-  merged_leaves_ = std::move(merged);
+  merged_leaves_ = SplitLeaves(merged_init_ ? merged_leaves_
+                                            : inherited_leaves(),
+                               std::move(cuts));
+  merged_init_ = true;
+  return merged_leaves_;
 }
 
 const GoddagOverlay* OverlayView::overlay_of(NodeId id) const {

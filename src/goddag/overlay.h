@@ -31,6 +31,7 @@
 #define MHX_GODDAG_OVERLAY_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -188,11 +189,11 @@ class OverlayView {
   // Registers an overlay (kept sorted by id_begin for binary-search
   // resolution) and queues it for the merged leaf partition, which is
   // spliced lazily by the next leaves() call: all queued overlays'
-  // boundaries are folded in one batched sorted pass (O(partition + N) for
-  // N boundaries, not O(partition * N) per-boundary inserts). Evaluations
-  // that never run a leaf() step pay nothing for their overlays. Requires
-  // the base leaf partition to be materialised (the engine does this
-  // before evaluation starts).
+  // boundaries are folded in one SplitLeaves pass (goddag/kygoddag.h;
+  // O(partition + N) for N boundaries, not O(partition * N) per-boundary
+  // inserts). Evaluations that never run a leaf() step pay nothing for
+  // their overlays. Requires the base leaf partition to be materialised
+  // (the engine does this before evaluation starts).
   void AddOverlay(std::shared_ptr<const GoddagOverlay> overlay);
 
   // Overlays registered on THIS view — a forked child's parents hold
@@ -231,9 +232,6 @@ class OverlayView {
   const std::vector<Leaf>& inherited_leaves() const {
     return parent_ != nullptr ? parent_->leaves() : base_->leaves();
   }
-  // Folds every queued overlay's boundaries into merged_leaves_ in one
-  // sorted pass. Caller holds leaves_mu_.
-  void SpliceQueuedBoundaries() const;
 
   const KyGoddag* base_;
   const OverlayView* parent_ = nullptr;

@@ -182,11 +182,10 @@ class SnapshotWriter {
     }
   }
 
-  // Recomputes the leaf-partition boundary refcounts exactly as
-  // KyGoddag::RebuildLeaves does: permanent sentinels at 0 and text size,
-  // one ref per live element endpoint. Writing the derived map (rather
-  // than reaching into possibly-stale private state) keeps the arena a
-  // pure function of the node table.
+  // Computes the leaf-partition boundaries with their refcounts: permanent
+  // sentinels at 0 and text size, one ref per live element endpoint. The
+  // boundaries are those of KyGoddag::leaves(), and deriving them from the
+  // node table keeps the arena a pure function of it.
   void CollectBoundaries(const KyGoddag& g) {
     const size_t n = g.base_text().size();
     if (n == 0) return;
@@ -663,33 +662,27 @@ class ArenaLoader {
     const uint64_t count = Sec(ArenaSection::kLeafBoundaries).count;
     const ArenaBoundary* recs =
         Records<ArenaBoundary>(ArenaSection::kLeafBoundaries);
-    g->boundary_refs_.clear();
+    g->leaves_.clear();
+    g->leaves_dirty_ = false;
     if (header_.text_size == 0) {
       if (count != 0) return Malformed("boundaries present for empty text");
-      g->leaves_.Clear();
-      g->leaves_dirty_ = false;
       return OkStatus();
     }
     if (count < 2 || recs[0].pos != 0 ||
         recs[count - 1].pos != header_.text_size) {
       return Malformed("boundary sentinels missing");
     }
-    // Build the flat partition straight from the records and leave the
-    // boundary refcount map deferred (kygoddag.h): readers never consult it,
-    // and skipping the O(boundaries) std::map build is a large slice of the
-    // cold-start budget. The flat view is forced here, while still
-    // single-threaded, as Create() does.
-    std::vector<Leaf> flat;
-    flat.reserve(count - 1);
+    // The partition comes straight from the records, forced here while
+    // still single-threaded, as Create() does.
+    g->leaves_.reserve(count - 1);
     for (uint64_t i = 0; i < count; ++i) {
       if (recs[i].refs == 0 || (i > 0 && recs[i].pos <= recs[i - 1].pos)) {
         return Malformed("boundaries not strictly increasing");
       }
-      if (i > 0) flat.push_back(Leaf{TextRange(recs[i - 1].pos, recs[i].pos)});
+      if (i > 0) {
+        g->leaves_.push_back(Leaf{TextRange(recs[i - 1].pos, recs[i].pos)});
+      }
     }
-    g->leaves_.AssignFlat(std::move(flat));
-    g->boundary_refs_deferred_ = true;
-    g->leaves_dirty_ = false;
     return OkStatus();
   }
 

@@ -320,9 +320,10 @@ class Engine {
   // evaluation).
   size_t temporary_hierarchy_count() const;
 
-  // Path-step sort+dedup passes the step loop skipped because an ordering
-  // guarantee (xpath::Ordering) made them unnecessary — once per set step,
-  // once per context run on the per-context path. Monotonic; thin read
+  // Path-step sort+dedup passes the step loop skipped — once per set step
+  // (its union comes out in document order), and once per per-context
+  // step whose concatenated runs a linear scan found already in order.
+  // Singleton and empty results are not counted. Monotonic; thin read
   // over the obs::Counter (shared across engines when a corpus injected
   // one), surfaced by bench_xquery.
   size_t sorts_skipped() const {

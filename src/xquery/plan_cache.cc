@@ -2,18 +2,13 @@
 
 #include "xquery/plan_cache.h"
 
-#include <algorithm>
 #include <functional>
 #include <utility>
 
 namespace mhx::xquery {
 
-PlanCache::PlanCache(size_t shard_count)
-    : shard_count_(std::max<size_t>(shard_count, 1)),
-      shards_(new Shard[shard_count_]) {}
-
 PlanCache::Shard& PlanCache::ShardFor(std::string_view key) {
-  return shards_[std::hash<std::string_view>{}(key) % shard_count_];
+  return shards_[std::hash<std::string_view>{}(key) % kShardCount];
 }
 
 StatusOr<const Expr*> PlanCache::Prepare(std::string_view query) {
@@ -77,7 +72,7 @@ std::shared_ptr<const QueryPlan> PlanCache::PlanFor(
 
 size_t PlanCache::plan_count() const {
   size_t count = 0;
-  for (size_t s = 0; s < shard_count_; ++s) {
+  for (size_t s = 0; s < kShardCount; ++s) {
     std::lock_guard<std::mutex> lock(shards_[s].mu);
     count += shards_[s].plans.size();
   }

@@ -77,11 +77,7 @@ T& StringCacheFindOrEmplace(StringCache<T>& cache, std::string key,
 
 class PlanCache {
  public:
-  // `shard_count` is clamped to at least 1. 16 shards keep the expected
-  // contention of a full corpus fleet (dozens of concurrent queries, a
-  // handful of distinct texts) negligible without bloating an engine's
-  // private cache.
-  explicit PlanCache(size_t shard_count = 16);
+  PlanCache() = default;
 
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
@@ -137,7 +133,7 @@ class PlanCache {
 
  private:
   struct Shard {
-    std::mutex mu;
+    mutable std::mutex mu;
     internal::StringCache<std::unique_ptr<Expr>> plans;
     internal::StringCache<regex::Regex> regexes;
   };
@@ -155,8 +151,11 @@ class PlanCache {
 
   Shard& ShardFor(std::string_view key);
 
-  const size_t shard_count_;
-  std::unique_ptr<Shard[]> shards_;
+  // 16 shards keep the expected contention of a full corpus fleet (dozens
+  // of concurrent queries, a handful of distinct texts) negligible without
+  // bloating an engine's private cache.
+  static constexpr size_t kShardCount = 16;
+  Shard shards_[kShardCount];
   obs::Counter hits_;
   obs::Counter misses_;
   obs::Counter regex_hits_;

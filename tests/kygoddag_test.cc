@@ -115,9 +115,9 @@ TEST(KyGoddagTest, VirtualHierarchyAddRemoveRestoresPartition) {
   ExpectTiles(kg);
 }
 
-TEST(KyGoddagTest, IncrementalAndFullRebuildAgree) {
-  // After every step of an add/remove sequence, the incrementally spliced
-  // partition must equal the one recomputed from the node table.
+TEST(KyGoddagTest, PartitionMatchesNodeTableAfterEveryChange) {
+  // After every step of an add/remove sequence, the partition leaves()
+  // derives must equal the boundary set recomputed from the node table.
   struct Op {
     TextRange a, b;
   };
@@ -129,7 +129,6 @@ TEST(KyGoddagTest, IncrementalAndFullRebuildAgree) {
       {TextRange(3, 30), TextRange(29, 30)},
   };
   KyGoddag kg = PaperGoddag();
-  (void)kg.leaves();  // prime the incremental structures
   for (const Op& op : ops) {
     auto h = kg.AddVirtualHierarchy(
         "v", {VirtualElement{"x", op.a, {}}, VirtualElement{"y", op.b, {}}});
@@ -152,9 +151,8 @@ TEST(KyGoddagTest, IncrementalAndFullRebuildAgree) {
   EXPECT_EQ(Boundaries(kg), ReferenceBoundaries(kg));
 }
 
-TEST(KyGoddagTest, SharedBoundaryRefcounting) {
+TEST(KyGoddagTest, SharedBoundarySurvivesRemoval) {
   KyGoddag kg = PaperGoddag();
-  (void)kg.leaves();
   // Word "unawendendne" already contributes boundaries 9 and 21; a virtual
   // element sharing them must not remove them when it goes away.
   auto h = kg.AddVirtualHierarchy("v",
@@ -163,7 +161,7 @@ TEST(KyGoddagTest, SharedBoundaryRefcounting) {
   std::vector<size_t> with = Boundaries(kg);
   ASSERT_TRUE(kg.RemoveVirtualHierarchy(*h).ok());
   std::vector<size_t> after = Boundaries(kg);
-  EXPECT_EQ(with, after);  // 9 and 21 survive via the word's refcount
+  EXPECT_EQ(with, after);  // 9 and 21 survive: the word still ends there
   EXPECT_EQ(after, ReferenceBoundaries(kg));
   EXPECT_NE(std::find(after.begin(), after.end(), 9u), after.end());
   EXPECT_NE(std::find(after.begin(), after.end(), 21u), after.end());

@@ -1,14 +1,16 @@
 // Copyright (c) mhxq authors. Licensed under the MIT license.
 //
-// MVCC coverage: the tiered leaf partition (splice correctness against
-// naive boundary-set references), KyGoddag::Clone
-// copy-on-write isolation, DocumentSnapshot lifecycle (pin/publish
-// versioning, last-pin-drops-frees, kept-handle pinning past engine
-// death), writer-publish byte-identity under concurrent readers, and the
-// index-rebuild accounting across commits.
+// MVCC coverage: each version's leaf partition (randomized Writer commits
+// and a commit on an arena-loaded document, both against a naive model
+// built from the node table), KyGoddag::Clone copy-on-write isolation,
+// DocumentSnapshot lifecycle (pin/publish versioning, last-pin-drops-frees,
+// kept-handle pinning past engine death), writer-publish byte-identity
+// under concurrent readers, and the index-rebuild accounting across
+// commits.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -21,7 +23,7 @@
 
 #include "document.h"
 #include "goddag/kygoddag.h"
-#include "goddag/leaves.h"
+#include "goddag/persist.h"
 #include "goddag/snapshot.h"
 #include "workload/generator.h"
 #include "workload/paper_data.h"
@@ -33,16 +35,23 @@ namespace {
 using goddag::DocumentSnapshot;
 using goddag::KyGoddag;
 using goddag::Leaf;
-using goddag::TieredLeafPartition;
 using goddag::VirtualElement;
 
-// --- TieredLeafPartition -----------------------------------------------------
+// --- Leaf partition per version ---------------------------------------------
 
-// Reference model: leaves derived directly from a sorted boundary set.
-std::vector<Leaf> LeavesFromBoundaries(const std::set<size_t>& boundaries) {
+// Reference model: 0, the text size, and both ends of every live element,
+// recomputed from the node table, as consecutive cells.
+std::vector<Leaf> NaiveLeaves(const KyGoddag& kg) {
+  const size_t n = kg.base_text().size();
   std::vector<Leaf> out;
+  if (n == 0) return out;
+  std::set<size_t> boundaries = {0, n};
+  for (goddag::NodeId id = 0; id < kg.node_table_size(); ++id) {
+    if (kg.node(id).kind != goddag::GNodeKind::kElement) continue;
+    boundaries.insert(kg.node(id).range.begin);
+    boundaries.insert(kg.node(id).range.end);
+  }
   auto it = boundaries.begin();
-  if (it == boundaries.end()) return out;
   size_t prev = *it;
   for (++it; it != boundaries.end(); ++it) {
     out.push_back(Leaf{TextRange(prev, *it)});
@@ -59,66 +68,167 @@ void ExpectSameLeaves(const std::vector<Leaf>& got,
   }
 }
 
-TEST(TieredLeafPartitionTest, RandomizedSplicesMatchNaiveModel) {
-  // Enough boundaries to force multiple chunks and chunk splits/merges.
-  std::mt19937 rng(12345);
-  const size_t kTextSize = 20000;
-  std::set<size_t> model = {0, kTextSize};
-  std::map<size_t, uint32_t> seed_refs;
-  for (size_t b : model) seed_refs[b] = 1;
-  TieredLeafPartition partition;
-  partition.AssignFromBoundaries(seed_refs);
-  ExpectSameLeaves(partition.Flatten(), LeavesFromBoundaries(model));
-
-  std::vector<size_t> inserted;
-  for (int step = 0; step < 4000; ++step) {
-    const bool insert = inserted.empty() || rng() % 3 != 0;
-    if (insert) {
-      size_t pos = 1 + rng() % (kTextSize - 1);
-      if (model.count(pos) != 0) continue;  // boundary refcounts are the
-                                            // caller's job; stay unique here
-      model.insert(pos);
-      partition.InsertBoundary(pos);
-      inserted.push_back(pos);
-    } else {
-      const size_t at = rng() % inserted.size();
-      const size_t pos = inserted[at];
-      inserted[at] = inserted.back();
-      inserted.pop_back();
-      model.erase(pos);
-      partition.EraseBoundary(pos);
-    }
-  }
-  ExpectSameLeaves(partition.Flatten(), LeavesFromBoundaries(model));
-  EXPECT_EQ(partition.leaf_count(), model.size() - 1);
-  // The boundary volume above must have spilled past one chunk, or the
-  // test is not exercising the tiering at all.
-  EXPECT_GT(partition.chunk_count(), 1u);
+// Commits `elements` as a new virtual hierarchy and checks the published
+// version's partition against the naive model.
+void CommitAndCheck(MultihierarchicalDocument* doc, const std::string& name,
+                    std::vector<VirtualElement> elements) {
+  auto writer = doc->NewWriter();
+  writer.AddVirtualHierarchy(name, std::move(elements));
+  ASSERT_TRUE(writer.Commit().ok()) << name;
+  auto pin = doc->PinSnapshot();
+  ExpectSameLeaves(pin->goddag().leaves(), NaiveLeaves(pin->goddag()));
 }
 
-TEST(TieredLeafPartitionTest, IncrementalGoddagMatchesFullRebuild) {
-  // A mutation sequence spliced incrementally (tiered splice) must yield
-  // the partition recomputed from scratch from the node table.
-  KyGoddag kg(std::string(workload::kPaperBaseText));
-  auto phys = xml::Parse(workload::kPaperPhysicalXml);
-  ASSERT_TRUE(phys.ok());
-  ASSERT_TRUE(kg.AddHierarchy("physical", *phys).ok());
-  (void)kg.leaves();  // prime the incremental structures
-  auto vid = kg.AddVirtualHierarchy(
-      "v", {VirtualElement{"m", TextRange(3, 11), {}},
-            VirtualElement{"m", TextRange(15, 22), {}}});
-  ASSERT_TRUE(vid.ok());
-  auto vid2 = kg.AddVirtualHierarchy(
-      "v2", {VirtualElement{"m", TextRange(10, 16), {}}});
-  ASSERT_TRUE(vid2.ok());
-  ASSERT_TRUE(kg.RemoveVirtualHierarchy(*vid).ok());
-  std::set<size_t> boundaries = {0, kg.base_text().size()};
-  for (goddag::NodeId id = 0; id < kg.node_table_size(); ++id) {
-    if (kg.node(id).kind != goddag::GNodeKind::kElement) continue;
-    boundaries.insert(kg.node(id).range.begin);
-    boundaries.insert(kg.node(id).range.end);
+void RemoveAndCheck(MultihierarchicalDocument* doc, const std::string& name) {
+  auto writer = doc->NewWriter();
+  writer.RemoveVirtualHierarchy(name);
+  ASSERT_TRUE(writer.Commit().ok()) << name;
+  auto pin = doc->PinSnapshot();
+  ExpectSameLeaves(pin->goddag().leaves(), NaiveLeaves(pin->goddag()));
+}
+
+TEST(LeafPartitionTest, RandomWriterCommitsMatchNaiveModel) {
+  workload::EditionConfig config;
+  config.seed = 19;
+  config.word_count = 160;
+  config.chars_per_line = 24;
+  auto doc = workload::BuildEditionDocument(config);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  auto first = doc->PinSnapshot();
+  const std::vector<Leaf> first_leaves = first->goddag().leaves();
+  ExpectSameLeaves(first_leaves, NaiveLeaves(first->goddag()));
+  const size_t n = first->goddag().base_text().size();
+
+  // Endpoints of persistent elements, so virtual elements can share them.
+  std::vector<size_t> persistent;
+  for (goddag::NodeId id = 0; id < first->goddag().node_table_size(); ++id) {
+    if (first->goddag().node(id).kind != goddag::GNodeKind::kElement) {
+      continue;
+    }
+    persistent.push_back(first->goddag().node(id).range.begin);
+    persistent.push_back(first->goddag().node(id).range.end);
   }
-  ExpectSameLeaves(kg.leaves(), LeavesFromBoundaries(boundaries));
+  const std::set<size_t> persistent_set(persistent.begin(), persistent.end());
+  // A text offset that is no persistent boundary, at or after `from`.
+  auto fresh_offset = [&](size_t from) {
+    while (persistent_set.count(from) != 0) ++from;
+    return from;
+  };
+
+  // Two hierarchies share the fresh boundary `shared`; removing one must
+  // keep it and drop the other one's private boundary `a`.
+  const size_t a = fresh_offset(n / 5);
+  const size_t shared = fresh_offset(a + 3);
+  const size_t b = fresh_offset(shared + 3);
+  ASSERT_LT(b, n);
+  CommitAndCheck(&*doc, "left", {VirtualElement{"x", TextRange(a, shared), {}}});
+  CommitAndCheck(&*doc, "right",
+                 {VirtualElement{"y", TextRange(shared, b), {}}});
+  RemoveAndCheck(&*doc, "left");
+  auto kept_pin = doc->PinSnapshot();
+  const std::vector<Leaf>& kept = kept_pin->goddag().leaves();
+  auto has_boundary = [&](size_t pos) {
+    return std::any_of(kept.begin(), kept.end(), [&](const Leaf& leaf) {
+      return leaf.range.begin == pos;
+    });
+  };
+  EXPECT_TRUE(has_boundary(shared));
+  EXPECT_FALSE(has_boundary(a));
+  RemoveAndCheck(&*doc, "right");
+
+  std::mt19937 rng(20240611);
+  auto pick = [&](size_t bound) { return static_cast<size_t>(rng() % bound); };
+  // Endpoint source: persistent boundaries half the time, else anywhere.
+  auto endpoint = [&] {
+    return pick(2) == 0 ? persistent[pick(persistent.size())] : pick(n + 1);
+  };
+  std::vector<std::string> live;
+  for (int step = 0; step < 60; ++step) {
+    if (!live.empty() && pick(3) == 0) {
+      const size_t at = pick(live.size());
+      RemoveAndCheck(&*doc, live[at]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+      continue;
+    }
+    // Disjoint elements between sorted endpoints, each with a chance of an
+    // equal-extent twin and of a nested child.
+    std::vector<size_t> cuts(2 + 2 * pick(4));
+    for (size_t& cut : cuts) cut = endpoint();
+    std::sort(cuts.begin(), cuts.end());
+    std::vector<VirtualElement> elements;
+    for (size_t i = 0; i + 1 < cuts.size(); i += 2) {
+      const TextRange range(cuts[i], cuts[i + 1]);
+      if (range.empty()) continue;
+      elements.push_back(VirtualElement{"e", range, {}});
+      if (pick(3) == 0) elements.push_back(VirtualElement{"twin", range, {}});
+      if (range.length() > 2 && pick(2) == 0) {
+        elements.push_back(VirtualElement{
+            "inner", TextRange(range.begin + 1, range.end - 1), {}});
+      }
+    }
+    // Equal extent across hierarchies: a persistent element's own range.
+    if (pick(4) == 0) {
+      const size_t at = pick(persistent.size() / 2) * 2;
+      const TextRange range(persistent[at], persistent[at + 1]);
+      if (!range.empty()) elements = {VirtualElement{"same", range, {}}};
+    }
+    const std::string name = "v" + std::to_string(step);
+    CommitAndCheck(&*doc, name, std::move(elements));
+    live.push_back(name);
+    // The version pinned before the sequence keeps its own partition.
+    ExpectSameLeaves(first->goddag().leaves(), first_leaves);
+  }
+  ExpectSameLeaves(first->goddag().leaves(), first_leaves);
+}
+
+TEST(LeafPartitionTest, CommitOnLoadedArenaMatchesNaiveModel) {
+  // A loaded document's partition comes from the arena's boundary records;
+  // the first commit on it derives the next version's from the node table.
+  workload::EditionConfig config;
+  config.seed = 23;
+  config.word_count = 120;
+  auto parsed = workload::BuildEditionDocument(config);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  auto parsed_pin = parsed->PinSnapshot();
+  const KyGoddag& parsed_kg = parsed_pin->goddag();
+  const size_t n = parsed_kg.base_text().size();
+  // A persistent word's range, so the virtual element shares both ends.
+  TextRange word;
+  for (goddag::NodeId id = 0; id < parsed_kg.node_table_size(); ++id) {
+    if (parsed_kg.node(id).name == "w") {
+      word = parsed_kg.node(id).range;
+      break;
+    }
+  }
+  ASSERT_FALSE(word.empty());
+  CommitAndCheck(&*parsed, "kept",
+                 {VirtualElement{"k", word, {}},
+                  VirtualElement{"k", TextRange(n / 2 + 1, n - 3), {}}});
+
+  auto image = goddag::SerializeSnapshot(*parsed->PinSnapshot());
+  ASSERT_TRUE(image.ok()) << image.status();
+  auto mapped = goddag::AdoptArenaBuffer(
+      std::make_shared<const std::string>(std::move(image).value()));
+  ASSERT_TRUE(mapped.ok()) << mapped.status();
+  MultihierarchicalDocument loaded =
+      MultihierarchicalDocument::FromSnapshot(std::move(mapped->snapshot));
+  auto loaded_pin = loaded.PinSnapshot();
+  const std::vector<Leaf> loaded_leaves = loaded_pin->goddag().leaves();
+  ExpectSameLeaves(loaded_leaves, NaiveLeaves(loaded_pin->goddag()));
+  ExpectSameLeaves(loaded_leaves, parsed->PinSnapshot()->goddag().leaves());
+
+  // Same commits on both documents: remove the hierarchy the arena carried
+  // (its word-aligned boundaries must survive), then add one.
+  for (MultihierarchicalDocument* doc : {&loaded, &*parsed}) {
+    RemoveAndCheck(doc, "kept");
+    CommitAndCheck(doc, "added",
+                   {VirtualElement{"m", TextRange(3, n / 3), {}},
+                    VirtualElement{"m", TextRange(3, n / 3), {}}});
+  }
+  ExpectSameLeaves(loaded.PinSnapshot()->goddag().leaves(),
+                   parsed->PinSnapshot()->goddag().leaves());
+  // The loaded version stays as it was.
+  ExpectSameLeaves(loaded_pin->goddag().leaves(), loaded_leaves);
 }
 
 // --- Clone (copy-on-write) ---------------------------------------------------
