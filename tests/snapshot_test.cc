@@ -1,8 +1,9 @@
 // Copyright (c) mhxq authors. Licensed under the MIT license.
 //
-// MVCC coverage: each version's leaf partition (randomized Writer commits
-// and a commit on an arena-loaded document, both against a naive model
-// built from the node table), KyGoddag::Clone copy-on-write isolation,
+// MVCC coverage: each version's leaf partition (SplitLeaves against a
+// boundary-set model; randomized Writer commits and a commit on an
+// arena-loaded document, both against a naive model built from the node
+// table), KyGoddag::Clone copy-on-write isolation,
 // DocumentSnapshot lifecycle (pin/publish versioning, last-pin-drops-frees,
 // kept-handle pinning past engine death), writer-publish byte-identity
 // under concurrent readers, and the index-rebuild accounting across
@@ -12,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <random>
@@ -35,6 +37,7 @@ namespace {
 using goddag::DocumentSnapshot;
 using goddag::KyGoddag;
 using goddag::Leaf;
+using goddag::SplitLeaves;
 using goddag::VirtualElement;
 
 // --- Leaf partition per version ---------------------------------------------
@@ -66,6 +69,99 @@ void ExpectSameLeaves(const std::vector<Leaf>& got,
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].range, want[i].range) << "leaf " << i;
   }
+}
+
+// Reference model: leaves derived directly from a sorted boundary set.
+std::vector<Leaf> LeavesFromBoundaries(const std::set<size_t>& boundaries) {
+  std::vector<Leaf> out;
+  auto it = boundaries.begin();
+  if (it == boundaries.end()) return out;
+  size_t prev = *it;
+  for (++it; it != boundaries.end(); ++it) {
+    out.push_back(Leaf{TextRange(prev, *it)});
+    prev = *it;
+  }
+  return out;
+}
+
+// The TieredLeafPartitionTest suite keeps its name from the chunked
+// partition it first covered; both cases now check SplitLeaves and the
+// partition KyGoddag derives with it.
+
+TEST(TieredLeafPartitionTest, RandomizedSplicesMatchNaiveModel) {
+  // Random batches of cuts (unsorted, duplicated, on existing boundaries or
+  // outside the text) split the running partition; erased boundaries
+  // re-derive it from the one-cell partition with the surviving cuts.
+  std::mt19937 rng(12345);
+  const size_t kTextSize = 20000;
+  const std::vector<Leaf> whole = {Leaf{TextRange(0, kTextSize)}};
+  std::set<size_t> model = {0, kTextSize};
+  std::vector<Leaf> partition = SplitLeaves(whole, {});
+  ExpectSameLeaves(partition, LeavesFromBoundaries(model));
+
+  for (int step = 0; step < 400; ++step) {
+    if (model.size() > 2 && rng() % 4 == 0) {
+      std::vector<size_t> inner(std::next(model.begin()),
+                                std::prev(model.end()));
+      for (size_t drop = 1 + rng() % 8; drop > 0 && !inner.empty(); --drop) {
+        const size_t at = rng() % inner.size();
+        model.erase(inner[at]);
+        inner[at] = inner.back();
+        inner.pop_back();
+      }
+      std::shuffle(inner.begin(), inner.end(), rng);
+      partition = SplitLeaves(whole, std::move(inner));
+    } else {
+      std::vector<size_t> cuts(rng() % 24);
+      for (size_t& cut : cuts) {
+        switch (rng() % 8) {
+          case 0:  // an existing boundary, the text's ends included
+            cut = *std::next(model.begin(),
+                             static_cast<std::ptrdiff_t>(rng() % model.size()));
+            break;
+          case 1:  // past the text
+            cut = kTextSize + 1 + rng() % 16;
+            break;
+          default:
+            cut = rng() % (kTextSize + 1);
+        }
+      }
+      if (!cuts.empty() && rng() % 2 == 0) cuts.push_back(cuts.front());
+      for (size_t cut : cuts) {
+        if (cut <= kTextSize) model.insert(cut);
+      }
+      partition = SplitLeaves(partition, std::move(cuts));
+    }
+    ExpectSameLeaves(partition, LeavesFromBoundaries(model));
+  }
+  // The sequence must have left many boundaries, or it exercised little.
+  EXPECT_GT(model.size(), 500u);
+}
+
+TEST(TieredLeafPartitionTest, IncrementalGoddagMatchesFullRebuild) {
+  // A mutation sequence applied one change at a time must yield the
+  // partition recomputed from scratch from the node table.
+  KyGoddag kg(std::string(workload::kPaperBaseText));
+  auto phys = xml::Parse(workload::kPaperPhysicalXml);
+  ASSERT_TRUE(phys.ok());
+  ASSERT_TRUE(kg.AddHierarchy("physical", *phys).ok());
+  (void)kg.leaves();  // derive once before the changes below
+  auto vid = kg.AddVirtualHierarchy(
+      "v", {VirtualElement{"m", TextRange(3, 11), {}},
+            VirtualElement{"m", TextRange(15, 22), {}}});
+  ASSERT_TRUE(vid.ok());
+  auto vid2 = kg.AddVirtualHierarchy(
+      "v2", {VirtualElement{"m", TextRange(10, 16), {}}});
+  ASSERT_TRUE(vid2.ok());
+  ASSERT_TRUE(kg.RemoveVirtualHierarchy(*vid).ok());
+  std::set<size_t> boundaries = {0, kg.base_text().size()};
+  for (goddag::NodeId id = 0; id < kg.node_table_size(); ++id) {
+    if (kg.node(id).kind != goddag::GNodeKind::kElement) continue;
+    boundaries.insert(kg.node(id).range.begin);
+    boundaries.insert(kg.node(id).range.end);
+  }
+  ExpectSameLeaves(kg.leaves(), LeavesFromBoundaries(boundaries));
+  ExpectSameLeaves(kg.leaves(), NaiveLeaves(kg));
 }
 
 // Commits `elements` as a new virtual hierarchy and checks the published
