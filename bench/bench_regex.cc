@@ -3,8 +3,9 @@
 // Experiment E11 (DESIGN.md): throughput of the regex substrate behind
 // matches() and analyze-string() — literal cores, wildcard contexts, classes,
 // alternations, capture groups, and the XML-fragment translation, including
-// the pathological case where backtracking engines blow up and the Pike VM
-// stays linear.
+// the pathological case where backtracking engines blow up and the DFA and
+// the Pike VM stay linear. ContainsMatch runs the DFA; the PikeFallback lane
+// times the same words on a pattern past the DFA budget.
 
 #include <benchmark/benchmark.h>
 
@@ -87,8 +88,27 @@ void BM_ContainsMatch_WildcardContext(benchmark::State& state) {
 }
 BENCHMARK(BM_ContainsMatch_WildcardContext);
 
+void BM_ContainsMatch_PikeFallback(benchmark::State& state) {
+  // The same words against a pattern past the DFA's state budget ("an e
+  // followed by 12 more characters" needs 2^12 states): every call runs
+  // the Pike VM, the engine the DFA replaces for existence tests.
+  auto words = mhx::workload::SampleVocabulary(13, 512);
+  Regex re = MustCompile(".*e.{12}.*");
+  if (re.has_dfa()) std::abort();
+  for (auto _ : state) {
+    size_t hits = 0;
+    for (const std::string& w : words) {
+      if (re.ContainsMatch(w)) ++hits;
+    }
+    benchmark::DoNotOptimize(hits);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          words.size());
+}
+BENCHMARK(BM_ContainsMatch_PikeFallback);
+
 void BM_PathologicalLinear(benchmark::State& state) {
-  // (a|a)*b over a^n: exponential for backtrackers, linear for the Pike VM.
+  // (a|a)*b over a^n: exponential for backtrackers, linear for the DFA.
   std::string text(static_cast<size_t>(state.range(0)), 'a');
   Regex re = MustCompile("(a|a)*b");
   for (auto _ : state) {
@@ -98,7 +118,13 @@ void BM_PathologicalLinear(benchmark::State& state) {
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_PathologicalLinear)->Arg(16)->Arg(64)->Arg(256)->Complexity();
+BENCHMARK(BM_PathologicalLinear)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Complexity();
 
 void BM_FragmentPatternTranslate(benchmark::State& state) {
   for (auto _ : state) {

@@ -115,6 +115,10 @@ void CorpusService::WireMetrics() {
                             "Compiled-regex lookups that compiled",
                             &plans_->regex_misses_counter());
   registry_.RegisterCounter(
+      "mhx_regex_dfa_fallbacks_total",
+      "Cached regex patterns over the DFA budget (Pike VM only)",
+      &plans_->regex_dfa_fallbacks_counter());
+  registry_.RegisterCounter(
       "mhx_engine_sorts_skipped_total",
       "Path-step sort+dedup passes skipped via ordering guarantees",
       &engine_counters_->sorts_skipped);

@@ -10,7 +10,7 @@
 //   goddag/   KyGoddag core + DocumentSnapshot MVCC + RangeIndex lookups
 //   xpath/    standard + extended (overlap-aware) axis evaluation
 //   xquery/   FLWOR query engine over the extended axes + analyze-string()
-//   regex/    Pike-VM regex behind matches()/analyze-string()
+//   regex/    DFA + Pike-VM regex behind matches()/analyze-string()
 //
 // Versioning (the full contract lives in CONCURRENCY.md): the document is a
 // sequence of immutable goddag::DocumentSnapshot versions. Builder::Build

@@ -3,6 +3,7 @@
 #include "regex/regex.h"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 
 #include "base/status_macros.h"
@@ -19,6 +20,16 @@ constexpr size_t kUnset = internal::kUnsetPos;
 // program size) so hostile patterns cannot allocate without limit.
 constexpr uint32_t kMaxBoundedRepeat = 512;
 constexpr size_t kMaxProgramSize = 1 << 16;
+// The existence-test DFAs are built only for programs up to
+// kMaxDfaProgramSize instructions and kept only when subset construction
+// stays within kMaxDfaStates states per DFA (the dead and match rows
+// included) and kMaxDfaBuildSteps steps (closure visits plus set-union
+// words, both DFAs together). Past any of the three the pattern keeps the
+// Pike VM alone, so compile work and table memory stay bounded for hostile
+// patterns.
+constexpr size_t kMaxDfaProgramSize = 1024;
+constexpr size_t kMaxDfaStates = 256;
+constexpr size_t kMaxDfaBuildSteps = size_t{1} << 20;
 // Parser (and therefore compiler/destructor) recursion is proportional to
 // group nesting; cap it so hostile patterns error instead of overflowing
 // the stack.
@@ -476,6 +487,337 @@ class RegexCompiler {
   Regex* re_;
 };
 
+namespace {
+
+bool Consumes(const Inst& inst, const std::vector<CharClass>& classes,
+              unsigned char b) {
+  switch (inst.op) {
+    case Inst::Op::kChar:
+      return static_cast<unsigned char>(inst.ch) == b;
+    case Inst::Op::kClass:
+      return ClassHas(classes[inst.arg], b);
+    case Inst::Op::kAnyChar:
+      return b != '\n';
+    default:
+      return false;
+  }
+}
+
+// A set of program counters: `words` 64-bit words, bit pc % 64 of word
+// pc / 64.
+void SetBit(uint64_t* set, uint32_t pc) {
+  set[pc / 64] |= uint64_t{1} << (pc % 64);
+}
+
+// Splits the 256 byte values into classes that every consuming instruction
+// treats alike, without testing every byte against every instruction: a
+// range boundary falls wherever some kChar/kClass/kAnyChar set changes
+// membership between byte b - 1 and b, and ranges that every instruction
+// treats alike share a class. Returns, per class, the set of program
+// counters whose instruction consumes that class's bytes.
+std::vector<uint64_t> ComputeByteClasses(const std::vector<Inst>& program,
+                                         const std::vector<CharClass>& classes,
+                                         size_t words, internal::Dfa* dfa) {
+  CharClass bounds{};
+  ClassAdd(&bounds, 0);
+  auto edge = [&bounds](unsigned c) {
+    if (c < 256) ClassAdd(&bounds, static_cast<unsigned char>(c));
+  };
+  for (const Inst& inst : program) {
+    if (inst.op == Inst::Op::kChar) {
+      edge(static_cast<unsigned char>(inst.ch));
+      edge(static_cast<unsigned char>(inst.ch) + 1u);
+    } else if (inst.op == Inst::Op::kAnyChar) {
+      edge('\n');
+      edge('\n' + 1u);
+    }
+  }
+  for (const CharClass& cls : classes) {
+    // Bit b of (cls ^ (cls << 1)) is set where membership of b differs
+    // from membership of b - 1.
+    uint64_t carry = 0;
+    for (size_t w = 0; w < cls.size(); ++w) {
+      bounds[w] |= cls[w] ^ ((cls[w] << 1) | carry);
+      carry = cls[w] >> 63;
+    }
+  }
+  std::array<uint16_t, 257> range_begin;
+  size_t ranges = 0;
+  for (size_t w = 0; w < bounds.size(); ++w) {
+    for (uint64_t bits = bounds[w]; bits != 0; bits &= bits - 1) {
+      range_begin[ranges++] =
+          static_cast<uint16_t>(64 * w + __builtin_ctzll(bits));
+    }
+  }
+  range_begin[ranges] = 256;
+  std::vector<uint64_t> accepts;  // class_count sets of `words` words
+  std::vector<uint64_t> range(words);
+  uint32_t class_count = 0;
+  for (size_t r = 0; r < ranges; ++r) {
+    const auto b = static_cast<unsigned char>(range_begin[r]);
+    std::fill(range.begin(), range.end(), 0);
+    for (uint32_t pc = 0; pc < program.size(); ++pc) {
+      if (Consumes(program[pc], classes, b)) SetBit(range.data(), pc);
+    }
+    uint32_t c = 0;
+    while (c < class_count &&
+           !std::equal(range.begin(), range.end(), &accepts[c * words])) {
+      ++c;
+    }
+    if (c == class_count) {
+      accepts.insert(accepts.end(), range.begin(), range.end());
+      ++class_count;
+    }
+    std::fill(dfa->byte_class.begin() + range_begin[r],
+              dfa->byte_class.begin() + range_begin[r + 1],
+              static_cast<uint8_t>(c));
+  }
+  dfa->class_count = class_count;
+  return accepts;
+}
+
+// Subset construction over the compiled program. A DFA state is the set of
+// program counters where epsilon closure stops: consuming instructions,
+// kMatch, and kAssertEnd (kept in the set; it passes only when the text
+// ends, which accept_at_end folds in). Sets are bitsets, so a transition is
+// the union of the precomputed closures behind the instructions that
+// consume the class. ^ passes only in the closure that builds the
+// position-0 start state. When ^ also changes that state's end-of-text
+// acceptance, as in "$^$", the start state is kept out of the set-to-state
+// index, so a later state with the same set gets its own row.
+class DfaBuilder {
+ public:
+  DfaBuilder(const std::vector<Inst>& program,
+             const std::vector<CharClass>& classes, internal::Dfa* dfa)
+      : program_(program),
+        words_(program.size() / 64 + 1),
+        mark_(program.size(), 0),
+        after_(program.size() * words_, 0),
+        closed_(program.size(), 0),
+        set_(words_),
+        current_(words_),
+        end_set_(words_),
+        later_start_(words_, 0),
+        matches_(words_, 0),
+        ends_(words_, 0) {
+    accepts_ = ComputeByteClasses(program, classes, words_, dfa);
+    for (uint32_t pc = 0; pc < program.size(); ++pc) {
+      if (program[pc].op == Inst::Op::kMatch) SetBit(matches_.data(), pc);
+      if (program[pc].op == Inst::Op::kAssertEnd) SetBit(ends_.data(), pc);
+    }
+    Close(0, /*at_start=*/false, /*at_end=*/false, later_start_.data());
+  }
+
+  // Fills `dfa`'s states: unanchored for ContainsMatch (a thread starts at
+  // every position and the first match ends the scan), else anchored for
+  // FullMatch. False when a budget is exceeded.
+  bool Build(bool unanchored, internal::Dfa* dfa) {
+    unanchored_ = unanchored;
+    sets_.assign(2 * words_, 0);  // rows 0 (dead) and 1 (match) hold no set
+    index_.fill(0);
+    const uint32_t n = dfa->class_count;
+    // Rows 0 and 1 loop on themselves; no scan reads them.
+    dfa->accept_at_end = {0, 1};
+    dfa->next.assign(2 * n, 0);
+    std::fill(dfa->next.begin() + n, dfa->next.end(), n);
+
+    std::fill(set_.begin(), set_.end(), 0);
+    Close(0, /*at_start=*/true, /*at_end=*/false, set_.data());
+    uint32_t start;
+    if (!Finish(dfa, /*at_start=*/true, &start)) return false;
+    dfa->start = start * n;
+    for (uint32_t state = 2; state < sets_.size() / words_; ++state) {
+      // A copy: Finish may grow sets_.
+      std::copy_n(&sets_[state * words_], words_, current_.begin());
+      for (uint32_t c = 0; c < n; ++c) {
+        if (unanchored_) {
+          set_ = later_start_;
+        } else {
+          std::fill(set_.begin(), set_.end(), 0);
+        }
+        for (size_t w = 0; w < words_; ++w) {
+          for (uint64_t bits = current_[w] & accepts_[c * words_ + w];
+               bits != 0; bits &= bits - 1) {
+            const auto pc =
+                static_cast<uint32_t>(64 * w + __builtin_ctzll(bits));
+            const uint64_t* after = After(pc);
+            for (size_t v = 0; v < words_; ++v) set_[v] |= after[v];
+            steps_ += words_;
+          }
+        }
+        uint32_t target;
+        if (!Finish(dfa, /*at_start=*/false, &target)) return false;
+        dfa->next[state * n + c] = target * n;
+      }
+    }
+    return true;
+  }
+
+ private:
+  bool Intersects(const std::vector<uint64_t>& a,
+                  const std::vector<uint64_t>& b) const {
+    for (size_t w = 0; w < words_; ++w) {
+      if ((a[w] & b[w]) != 0) return true;
+    }
+    return false;
+  }
+
+  // The closure of pc + 1 with ^ blocked: what consuming `pc` leads to.
+  const uint64_t* After(uint32_t pc) {
+    uint64_t* out = &after_[pc * words_];
+    if (!closed_[pc]) {
+      closed_[pc] = 1;
+      Close(pc + 1, /*at_start=*/false, /*at_end=*/false, out);
+    }
+    return out;
+  }
+
+  // Adds the epsilon closure of `pc` to the set `out`. ^ passes only
+  // `at_start` and $ only `at_end`; a blocked $ stays in the set.
+  void Close(uint32_t pc, bool at_start, bool at_end, uint64_t* out) {
+    ++generation_;
+    stack_.push_back(pc);
+    while (!stack_.empty()) {
+      const uint32_t at = stack_.back();
+      stack_.pop_back();
+      if (mark_[at] == generation_) continue;
+      mark_[at] = generation_;
+      ++steps_;
+      const Inst& inst = program_[at];
+      switch (inst.op) {
+        case Inst::Op::kJmp:
+          stack_.push_back(inst.next_a);
+          break;
+        case Inst::Op::kSplit:
+          stack_.push_back(inst.next_b);
+          stack_.push_back(inst.next_a);
+          break;
+        case Inst::Op::kSave:
+          stack_.push_back(at + 1);
+          break;
+        case Inst::Op::kAssertStart:
+          if (at_start) stack_.push_back(at + 1);
+          break;
+        case Inst::Op::kAssertEnd:
+          if (at_end) {
+            stack_.push_back(at + 1);
+          } else {
+            SetBit(out, at);
+          }
+          break;
+        default:  // consuming instructions and kMatch
+          SetBit(out, at);
+          break;
+      }
+    }
+  }
+
+  // True when a text ending in a state holding set_ matches: the set holds
+  // kMatch, or a kAssertEnd whose closure — $ now passing, ^ too when the
+  // text is empty — reaches kMatch.
+  bool AcceptsAtEnd(bool at_start) {
+    if (Intersects(set_, matches_)) return true;
+    std::fill(end_set_.begin(), end_set_.end(), 0);
+    for (size_t w = 0; w < words_; ++w) {
+      for (uint64_t bits = set_[w] & ends_[w]; bits != 0; bits &= bits - 1) {
+        const auto pc = static_cast<uint32_t>(64 * w + __builtin_ctzll(bits));
+        Close(pc, at_start, /*at_end=*/true, end_set_.data());
+      }
+    }
+    return Intersects(end_set_, matches_);
+  }
+
+  // Maps set_ to a state index: 1 when the unanchored DFA has seen a match,
+  // 0 when no thread survives, else the interned set (a new state when
+  // unseen). False when the state or step budget is exceeded.
+  bool Finish(internal::Dfa* dfa, bool at_start, uint32_t* state) {
+    if (steps_ > kMaxDfaBuildSteps) return false;
+    if (unanchored_ && Intersects(set_, matches_)) {
+      *state = 1;
+      return true;
+    }
+    if (std::all_of(set_.begin(), set_.end(),
+                    [](uint64_t w) { return w == 0; })) {
+      *state = 0;
+      return true;
+    }
+    // The position-0 start state stays out of the index when ^ changes its
+    // end-of-text acceptance; otherwise it is interchangeable with a later
+    // state holding the same set.
+    bool interned = true;
+    bool accepts = false;
+    if (at_start) {
+      accepts = AcceptsAtEnd(/*at_start=*/true);
+      interned = accepts == AcceptsAtEnd(/*at_start=*/false);
+    }
+    uint64_t hash = 0xcbf29ce484222325ull;
+    for (uint64_t w : set_) hash = (hash ^ w) * 0x100000001b3ull;
+    size_t slot = (hash ^ (hash >> 32)) & (index_.size() - 1);
+    for (; interned && index_[slot] != 0;
+         slot = (slot + 1) & (index_.size() - 1)) {
+      const uint32_t id = index_[slot];
+      if (std::equal(set_.begin(), set_.end(), &sets_[id * words_])) {
+        *state = id;
+        return true;
+      }
+    }
+    const auto id = static_cast<uint32_t>(sets_.size() / words_);
+    if (id >= kMaxDfaStates) return false;
+    if (!at_start) accepts = AcceptsAtEnd(/*at_start=*/false);
+    if (interned) index_[slot] = id;
+    sets_.insert(sets_.end(), set_.begin(), set_.end());
+    dfa->accept_at_end.push_back(accepts ? 1 : 0);
+    dfa->next.resize((id + 1) * size_t{dfa->class_count}, 0);
+    *state = id;
+    return true;
+  }
+
+  const std::vector<Inst>& program_;
+  const size_t words_;  // per program-counter set
+  bool unanchored_ = false;
+  size_t steps_ = 0;
+  // Closure bookkeeping: visited marks per generation, the work stack.
+  std::vector<uint32_t> mark_;
+  uint32_t generation_ = 0;
+  std::vector<uint32_t> stack_;
+  // Per class: the program counters consuming its bytes.
+  std::vector<uint64_t> accepts_;
+  // Per program counter: After(pc), valid once closed_[pc] is set.
+  std::vector<uint64_t> after_;
+  std::vector<uint8_t> closed_;
+  // The set being built, the state being expanded, AcceptsAtEnd's
+  // closure, the closure of 0 past position 0, and the kMatch and
+  // kAssertEnd instructions.
+  std::vector<uint64_t> set_, current_, end_set_, later_start_, matches_,
+      ends_;
+  // State sets: state i holds sets_[i * words_, (i + 1) * words_).
+  std::vector<uint64_t> sets_;
+  // Open-addressing set-to-state index over the interned sets; 0 marks an
+  // empty slot (rows 0 and 1 are never interned). Twice the state budget
+  // keeps probes short.
+  std::array<uint32_t, 2 * kMaxDfaStates> index_;
+  static_assert((kMaxDfaStates & (kMaxDfaStates - 1)) == 0,
+                "index_ probes by masking with its size");
+};
+
+// Builds the unanchored and anchored DFAs, or neither when the program is
+// too large or either construction exceeds its budget.
+void BuildDfas(const std::vector<Inst>& program,
+               const std::vector<CharClass>& classes,
+               internal::Dfa* contains, internal::Dfa* full) {
+  if (program.size() > kMaxDfaProgramSize) return;
+  DfaBuilder builder(program, classes, contains);
+  full->byte_class = contains->byte_class;
+  full->class_count = contains->class_count;
+  if (!builder.Build(/*unanchored=*/true, contains) ||
+      !builder.Build(/*unanchored=*/false, full)) {
+    *contains = internal::Dfa{};
+    *full = internal::Dfa{};
+  }
+}
+
+}  // namespace
+
 StatusOr<Regex> Regex::Compile(std::string_view pattern) {
   Regex re{std::string(pattern)};
   PatternParser parser(re.pattern_, &re.classes_);
@@ -483,6 +825,7 @@ StatusOr<Regex> Regex::Compile(std::string_view pattern) {
   re.group_count_ = parser.group_count();
   RegexCompiler compiler(&re);
   MHX_RETURN_IF_ERROR(compiler.CompileProgram(root));
+  BuildDfas(re.program_, re.classes_, &re.contains_dfa_, &re.full_dfa_);
   return re;
 }
 
@@ -601,7 +944,9 @@ bool Regex::Search(std::string_view text, size_t from, bool anchored,
     if ((pos == from || (!anchored && !have_best))) {
       AddThread(seed_ctx, &clist, 0, pool.Alloc());
     }
-    if (clist.empty()) break;
+    // With no live thread only a later seed can still match: stop unless
+    // none will come (anchored, or a leftmost match is already in hand).
+    if (clist.empty() && (anchored || have_best)) break;
     for (size_t t = 0; t < clist.pcs.size(); ++t) {
       const uint32_t pc = clist.pcs[t];
       const uint32_t saves = clist.saves[t];
@@ -673,7 +1018,7 @@ bool Regex::Search(std::string_view text, size_t from, bool anchored,
   return have_best;
 }
 
-std::vector<Regex::Match> Regex::FindAll(std::string_view text) const {
+std::vector<Regex::Match> Regex::PikeFindAll(std::string_view text) const {
   std::vector<Match> matches;
   SearchScratch scratch;
   size_t pos = 0;
@@ -697,18 +1042,45 @@ std::vector<Regex::Match> Regex::FindAll(std::string_view text) const {
   return matches;
 }
 
-bool Regex::ContainsMatch(std::string_view text) const {
+bool Regex::PikeContainsMatch(std::string_view text) const {
   SearchScratch scratch;
   SearchResult r;
   return Search(text, 0, /*anchored=*/false, /*full=*/false,
                 /*first_only=*/true, &scratch, &r);
 }
 
-bool Regex::FullMatch(std::string_view text) const {
+bool Regex::PikeFullMatch(std::string_view text) const {
   SearchScratch scratch;
   SearchResult r;
   return Search(text, 0, /*anchored=*/true, /*full=*/true,
                 /*first_only=*/true, &scratch, &r);
+}
+
+bool internal::Dfa::Matches(std::string_view text) const {
+  const uint32_t stop = 2 * class_count;  // rows 0 and 1
+  uint32_t s = start;
+  const uint32_t* table = next.data();
+  for (char c : text) {
+    if (s < stop) break;
+    s = table[s + byte_class[static_cast<unsigned char>(c)]];
+  }
+  if (s < stop) return s == class_count;
+  return accept_at_end[s / class_count] != 0;
+}
+
+std::vector<Regex::Match> Regex::FindAll(std::string_view text) const {
+  // A text with no match never starts the VM.
+  if (contains_dfa_.built() && !contains_dfa_.Matches(text)) return {};
+  return PikeFindAll(text);
+}
+
+bool Regex::ContainsMatch(std::string_view text) const {
+  return contains_dfa_.built() ? contains_dfa_.Matches(text)
+                               : PikeContainsMatch(text);
+}
+
+bool Regex::FullMatch(std::string_view text) const {
+  return full_dfa_.built() ? full_dfa_.Matches(text) : PikeFullMatch(text);
 }
 
 }  // namespace mhx::regex

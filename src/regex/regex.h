@@ -1,18 +1,29 @@
 // Copyright (c) mhxq authors. Licensed under the MIT license.
 //
 // The regular-expression substrate behind the XQuery matches() and
-// analyze-string() built-ins: a Pike-VM style NFA simulation (linear time
-// even on the (a|a)*b pathologies benchmarked in bench_regex.cc) over the
-// XPath/XQuery regex dialect subset — literals, '.', classes, alternation,
-// grouping with captures, the ^/$ anchors, and the ?/*/+/{m,n} quantifiers.
+// analyze-string() built-ins, over the XPath/XQuery regex dialect subset —
+// literals, '.', classes, alternation, grouping with captures, the ^/$
+// anchors, and the ?/*/+/{m,n} quantifiers.
 //
 // Compile parses the pattern into a small AST, then flattens it into a
 // bytecode program (kChar/kClass/kSplit/kJmp/kSave/kMatch plus the two
-// assertions). The matcher advances every live NFA thread one input
-// character at a time, deduplicating threads by program counter, so run time
-// is O(|text| * |program|) regardless of the pattern. Submatches ride along
-// as per-thread save slots; FindAll selects leftmost-longest (POSIX-style)
-// rather than leftmost-first matches.
+// assertions). Two engines run that program:
+//
+// * Existence tests (ContainsMatch, FullMatch) run one of two DFAs that
+//   Compile builds eagerly by subset construction over byte equivalence
+//   classes: one table lookup per input byte. A pattern whose program or
+//   state count exceeds a fixed budget gets no DFA (has_dfa() is false)
+//   and is answered by the Pike VM instead.
+// * FindAll runs a Pike-VM NFA simulation for leftmost-longest
+//   (POSIX-style) spans and captures: every live thread advances one
+//   character at a time, deduplicated by program counter, so run time is
+//   O(|text| * |program|) regardless of the pattern (linear even on the
+//   (a|a)*b pathologies benchmarked in bench_regex.cc). Submatches ride
+//   along as per-thread save slots. A DFA existence test gates it, so a
+//   text with no match never starts the VM.
+//
+// Both DFAs are immutable after Compile, so a Regex is shared across
+// threads with no lazy state and no lock.
 
 #ifndef MHX_REGEX_REGEX_H_
 #define MHX_REGEX_REGEX_H_
@@ -52,6 +63,30 @@ struct Inst {
 
 // A 256-bit character-set bitmap.
 using CharClass = std::array<uint64_t, 4>;
+
+// A DFA over byte equivalence classes: bytes that every kChar/kClass/
+// kAnyChar instruction treats alike share a class, so a row holds one
+// transition per class rather than per byte. State ids are premultiplied
+// row offsets into `next`. Row 0 is the dead state and row 1 the match
+// state; both end a scan (Matches reads which one it reached), and an
+// anchored DFA never enters the match row, since it accepts only at end of
+// text. An empty `next` means no DFA was built.
+struct Dfa {
+  std::array<uint8_t, 256> byte_class{};
+  uint32_t class_count = 0;
+  uint32_t start = 0;
+  std::vector<uint32_t> next;
+  // Per state (row index): accepts when the text ends in this state. Folds
+  // in the $ instructions the state still holds, and for the position-0
+  // start state also ^, so "$^$" accepts the empty text only.
+  std::vector<uint8_t> accept_at_end;
+
+  bool built() const { return !next.empty(); }
+
+  // True when the scan over `text` reaches the match row or ends in a
+  // state that accepts at end of text.
+  bool Matches(std::string_view text) const;
+};
 
 // "Position not recorded" marker for capture save slots.
 inline constexpr size_t kUnsetPos = static_cast<size_t>(-1);
@@ -201,6 +236,9 @@ class Regex {
   size_t group_count() const { return group_count_; }
   // Program length — the per-character work bound of the Pike VM.
   size_t program_size() const { return program_.size(); }
+  // True when Compile built the existence-test DFAs; false when the
+  // pattern exceeded the DFA budget and every call runs the Pike VM.
+  bool has_dfa() const { return contains_dfa_.built(); }
 
  private:
   struct SearchResult {
@@ -220,12 +258,23 @@ class Regex {
               bool first_only, internal::SearchScratch* scratch,
               SearchResult* out) const;
 
+  // The Pike-VM halves of the public calls, with no DFA involved.
+  std::vector<Match> PikeFindAll(std::string_view text) const;
+  bool PikeContainsMatch(std::string_view text) const;
+  bool PikeFullMatch(std::string_view text) const;
+
   std::string pattern_;
   std::vector<internal::Inst> program_;
   std::vector<internal::CharClass> classes_;
   size_t group_count_ = 0;
+  // Unanchored (ContainsMatch, the FindAll gate) and anchored (FullMatch)
+  // DFAs; both built or neither.
+  internal::Dfa contains_dfa_;
+  internal::Dfa full_dfa_;
 
   friend class RegexCompiler;
+  // Defined by the regex tests, which use the Pike VM as the DFA's oracle.
+  friend struct RegexTestPeer;
 };
 
 }  // namespace mhx::regex

@@ -45,8 +45,13 @@ StatusOr<const regex::Regex*> PlanCache::CompileRegex(
   if (!compiled.ok()) return compiled.status();
   regex_misses_.Add();
   std::lock_guard<std::mutex> lock(shard.mu);
-  return &internal::StringCacheFindOrEmplace(
+  const size_t cached = shard.regexes.size();
+  const regex::Regex& re = internal::StringCacheFindOrEmplace(
       shard.regexes, std::string(pattern), std::move(compiled).value());
+  if (shard.regexes.size() > cached && !re.has_dfa()) {
+    regex_dfa_fallbacks_.Add();
+  }
+  return &re;
 }
 
 std::shared_ptr<const QueryPlan> PlanCache::PlanFor(

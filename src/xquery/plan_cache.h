@@ -1,8 +1,8 @@
 // Copyright (c) mhxq authors. Licensed under the MIT license.
 //
 // A process-wide compiled-plan cache: query text -> parsed Expr and regex
-// pattern -> compiled Pike-VM program, sharded by key hash so unrelated
-// queries never contend on one mutex. This is the lift of the former
+// pattern -> compiled regex (DFAs plus Pike-VM program), sharded by key
+// hash so unrelated queries never contend on one mutex. This is the lift of the former
 // per-engine query_cache_/regex_cache_ (xquery/engine.h): plans and
 // compiled patterns are document-independent, so one PlanCache shared by
 // every engine in a process — the corpus service wires exactly that —
@@ -88,9 +88,9 @@ class PlanCache {
   // lifetime.
   StatusOr<const Expr*> Prepare(std::string_view query);
 
-  // The compiled Pike-VM program for `pattern`, cached likewise. Returns
-  // Regex::Compile's error verbatim (callers anchor it to their source
-  // offset).
+  // The compiled pattern (DFAs plus Pike-VM program) for `pattern`, cached
+  // likewise. Returns Regex::Compile's error verbatim (callers anchor it to
+  // their source offset).
   StatusOr<const regex::Regex*> CompileRegex(std::string_view pattern);
 
   // Relaxed monotonic counters: a Prepare/CompileRegex that found its
@@ -108,6 +108,14 @@ class PlanCache {
   const obs::Counter& misses_counter() const { return misses_; }
   const obs::Counter& regex_hits_counter() const { return regex_hits_; }
   const obs::Counter& regex_misses_counter() const { return regex_misses_; }
+
+  // Cached patterns that compiled without a DFA (over its state or program
+  // budget), so every matches() on them runs the Pike VM. Counted once per
+  // cached pattern: a lost insert race does not count.
+  size_t regex_dfa_fallbacks() const { return regex_dfa_fallbacks_.value(); }
+  const obs::Counter& regex_dfa_fallbacks_counter() const {
+    return regex_dfa_fallbacks_;
+  }
 
   // Distinct plans currently cached (sums the shards; each shard locked in
   // turn, so the count is a snapshot, exact once traffic quiesces).
@@ -160,6 +168,7 @@ class PlanCache {
   obs::Counter misses_;
   obs::Counter regex_hits_;
   obs::Counter regex_misses_;
+  obs::Counter regex_dfa_fallbacks_;
   obs::Counter plan_replans_;
   std::mutex annotations_mu_;
   std::unordered_map<const Expr*, std::unique_ptr<ExprPlans>> annotations_;

@@ -293,6 +293,24 @@ TEST(CorpusServiceTest, MvccMetricsAreExported) {
   EXPECT_EQ(corpus.stats().overlay_id_exhausted, 0u);
 }
 
+TEST(CorpusServiceTest, RegexDfaFallbacksCountCachedPatterns) {
+  CorpusService corpus(SerialOptions(4));
+  ASSERT_TRUE(corpus.Register("a", SmallEdition(1)).ok());
+  // ".*a.*" gets a DFA; "[ab]*a[ab]{12}" needs 2^13 states and falls back
+  // to the Pike VM. Repeating a query hits the cache and counts nothing.
+  for (int i = 0; i < 2; ++i) {
+    for (const char* pattern : {".*a.*", "[ab]*a[ab]{12}"}) {
+      auto out = corpus.Query(
+          "a", std::string("count(/descendant::w[matches(string(.), '") +
+                   pattern + "')])");
+      ASSERT_TRUE(out.ok()) << out.status().message();
+    }
+  }
+  EXPECT_NE(corpus.metrics().TextExport().find(
+                "mhx_regex_dfa_fallbacks_total 1\n"),
+            std::string::npos);
+}
+
 TEST(CorpusServiceTest, SharedPoolServesParallelQueriesAcrossDocuments) {
   CorpusOptions options;
   options.capacity = 4;

@@ -130,6 +130,13 @@ TEST_F(XQueryEngineTest, MatchesUsesThePikeVm) {
   EXPECT_EQ(Query("count(/descendant::w[matches(string(.), 'a')])"), "6");
 }
 
+TEST_F(XQueryEngineTest, MatchesFindsAnEndAnchorPastTheFirstPosition) {
+  // No thread can run at offsets 0-2; the match is the empty one at 3.
+  EXPECT_EQ(Query("if (matches('abc', '$')) then 'y' else 'n'"), "y");
+  EXPECT_EQ(Query("if (matches('abc', 'c$')) then 'y' else 'n'"), "y");
+  EXPECT_EQ(Query("if (matches('abc', 'b$')) then 'y' else 'n'"), "n");
+}
+
 TEST_F(XQueryEngineTest, EvaluationErrorsAreAnchored) {
   auto out = doc_->Query("$nosuch");
   ASSERT_FALSE(out.ok());

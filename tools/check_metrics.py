@@ -23,8 +23,8 @@ import sys
 
 # Families the corpus service is contractually expected to export; see
 # CorpusService::WireMetrics. Kept to the ones added for the step planner,
-# set-at-a-time path steps, the SIMD kernels, and the arena spill path —
-# the generic checks above cover everything else.
+# set-at-a-time path steps, the SIMD kernels, the arena spill path and the
+# regex DFA fallback — the generic checks above cover everything else.
 REQUIRED_FAMILIES = (
     "mhx_engine_set_steps_total",
     "mhx_plan_steps_indexed_total",
@@ -35,6 +35,7 @@ REQUIRED_FAMILIES = (
     "mhx_snapshots_persisted_total",
     "mhx_mmap_loads_total",
     "mhx_load_fallbacks_total",
+    "mhx_regex_dfa_fallbacks_total",
 )
 
 METRIC_NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
