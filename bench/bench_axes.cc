@@ -108,11 +108,13 @@ void RunAxis(benchmark::State& state, Axis axis, bool use_index) {
   MultihierarchicalDocument* doc = EditionDoc(state.range(0));
   const auto snapshot = doc->PinSnapshot();
   AxisEvaluator axes(snapshot.get());
+  const mhx::goddag::OverlayView base(&snapshot->goddag());
+  const mhx::xpath::NodeTest any = mhx::xpath::NodeTest::Any();
   std::vector<NodeId> contexts = WordSample(*doc, 64);
   size_t results = 0;
   for (auto _ : state) {
     for (NodeId context : contexts) {
-      auto nodes = use_index ? axes.EvaluateAxisOnly(context, axis)
+      auto nodes = use_index ? axes.EvaluatePlanned(base, context, axis, any)
                              : Definition1(snapshot->goddag(), context, axis);
       results += nodes.size();
       benchmark::DoNotOptimize(nodes);
@@ -208,9 +210,11 @@ void BM_StandardDescendant(benchmark::State& state) {
   MultihierarchicalDocument* doc = EditionDoc(state.range(0));
   const auto snapshot = doc->PinSnapshot();
   AxisEvaluator axes(snapshot.get());
+  const mhx::goddag::OverlayView base(&snapshot->goddag());
+  const mhx::xpath::NodeTest any = mhx::xpath::NodeTest::Any();
   for (auto _ : state) {
-    auto nodes = axes.EvaluateAxisOnly(doc->goddag().root(),
-                                       Axis::kDescendant);
+    auto nodes = axes.EvaluatePlanned(base, snapshot->goddag().root(),
+                                      Axis::kDescendant, any);
     benchmark::DoNotOptimize(nodes);
   }
   state.SetComplexityN(state.range(0));

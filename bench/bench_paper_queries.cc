@@ -214,12 +214,11 @@ BENCHMARK(BM_ScenarioI2_Scaled)->Arg(100)->Arg(400)->Arg(1600)->Complexity();
 // The paper's hottest workload (query II.1 / E5-E7 shape) with an intra-
 // query threads axis (arg 1 = QueryOptions::threads; /1 is the serial
 // baseline). Worker slots evaluate the analyze-string bodies in private
-// sub-overlays with work-stealing balancing the regex-skewed iteration
-// costs — every parallel iteration is verified byte-identical to the
-// serial output of the same edition, and `index_rebuilds` must stay flat
-// at 1 no matter the width. Counters: `steals` (binding ranges stolen
-// between worker deques) next to `parallel_tasks` and `sorts_skipped`, all
-// engine-lifetime monotonic.
+// sub-overlays, each slot claiming the next chunk of bindings off a shared
+// cursor so the regex-skewed iteration costs balance — every parallel iteration is
+// verified byte-identical to the serial output of the same edition, and
+// `index_rebuilds` must stay flat at 1 no matter the width. Counters:
+// `parallel_tasks` and `sorts_skipped`, engine-lifetime monotonic.
 void BM_ScenarioII_AnalyzeStringScaled(benchmark::State& state) {
   const unsigned threads = static_cast<unsigned>(state.range(1));
   MultihierarchicalDocument* doc = EditionDoc(state.range(0), threads);
@@ -258,8 +257,6 @@ return (
       static_cast<double>(doc->engine()->index_rebuild_count());
   state.counters["parallel_tasks"] =
       static_cast<double>(doc->engine()->parallel_tasks());
-  state.counters["steals"] =
-      static_cast<double>(doc->engine()->steals());
   state.counters["sorts_skipped"] =
       static_cast<double>(doc->engine()->sorts_skipped());
 }

@@ -71,13 +71,15 @@ void BM_OverlapJoin_KyGoddag(benchmark::State& state) {
   const auto& kg = setup.doc->goddag();
   const auto snapshot = setup.doc->PinSnapshot();
   AxisEvaluator axes(snapshot.get());
+  const mhx::goddag::OverlayView base(&snapshot->goddag());
   size_t total = 0;
   for (auto _ : state) {
     size_t pairs = 0;
     for (NodeId id : kg.hierarchy(1).nodes) {
       const auto& n = kg.node(id);
       if (n.kind == mhx::goddag::GNodeKind::kElement && n.name == "w") {
-        pairs += axes.Evaluate(id, Axis::kOverlapping, NodeTest::Name("line"))
+        pairs += axes.EvaluatePlanned(base, id, Axis::kOverlapping,
+                                      NodeTest::Name("line"))
                      .size();
       }
     }
@@ -157,6 +159,7 @@ void BM_PointOverlap_KyGoddag(benchmark::State& state) {
   const auto& kg = setup.doc->goddag();
   const auto snapshot = setup.doc->PinSnapshot();
   AxisEvaluator axes(snapshot.get());
+  const mhx::goddag::OverlayView base(&snapshot->goddag());
   // Middle word of the document.
   std::vector<NodeId> words;
   for (NodeId id : kg.hierarchy(1).nodes) {
@@ -167,8 +170,8 @@ void BM_PointOverlap_KyGoddag(benchmark::State& state) {
   }
   NodeId target = words[words.size() / 2];
   for (auto _ : state) {
-    auto lines = axes.Evaluate(target, Axis::kOverlapping,
-                               NodeTest::Name("line"));
+    auto lines = axes.EvaluatePlanned(base, target, Axis::kOverlapping,
+                                      NodeTest::Name("line"));
     benchmark::DoNotOptimize(lines);
   }
 }
@@ -217,12 +220,14 @@ void BM_Containment_KyGoddag(benchmark::State& state) {
   const auto& kg = setup.doc->goddag();
   const auto snapshot = setup.doc->PinSnapshot();
   AxisEvaluator axes(snapshot.get());
+  const mhx::goddag::OverlayView base(&snapshot->goddag());
   for (auto _ : state) {
     size_t count = 0;
     for (NodeId id : kg.hierarchy(1).nodes) {
       const auto& n = kg.node(id);
       if (n.kind == mhx::goddag::GNodeKind::kElement && n.name == "w" &&
-          !axes.Evaluate(id, Axis::kXDescendant, NodeTest::Name("dmg"))
+          !axes.EvaluatePlanned(base, id, Axis::kXDescendant,
+                                NodeTest::Name("dmg"))
                .empty()) {
         ++count;
       }
@@ -250,11 +255,13 @@ void BM_StringSearch_KyGoddag(benchmark::State& state) {
   // case for the baseline), else the middle word.
   const auto snapshot = setup.doc->PinSnapshot();
   AxisEvaluator axes(snapshot.get());
+  const mhx::goddag::OverlayView base(&snapshot->goddag());
   std::string target;
   for (NodeId id : kg.hierarchy(1).nodes) {
     const auto& n = kg.node(id);
     if (n.kind == mhx::goddag::GNodeKind::kElement && n.name == "w" &&
-        !axes.Evaluate(id, Axis::kOverlapping, NodeTest::Name("line"))
+        !axes.EvaluatePlanned(base, id, Axis::kOverlapping,
+                              NodeTest::Name("line"))
              .empty()) {
       target = kg.NodeString(id);
       break;
@@ -280,11 +287,13 @@ void BM_StringSearch_Fragmentation(benchmark::State& state) {
   const auto& kg = setup.doc->goddag();
   const auto snapshot = setup.doc->PinSnapshot();
   AxisEvaluator axes(snapshot.get());
+  const mhx::goddag::OverlayView base(&snapshot->goddag());
   std::string target;
   for (NodeId id : kg.hierarchy(1).nodes) {
     const auto& n = kg.node(id);
     if (n.kind == mhx::goddag::GNodeKind::kElement && n.name == "w" &&
-        !axes.Evaluate(id, Axis::kOverlapping, NodeTest::Name("line"))
+        !axes.EvaluatePlanned(base, id, Axis::kOverlapping,
+                              NodeTest::Name("line"))
              .empty()) {
       target = kg.NodeString(id);
       break;

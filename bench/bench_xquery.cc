@@ -78,10 +78,6 @@ void RunQuery(benchmark::State& state, const char* query,
       static_cast<double>(doc->engine()->sorts_skipped());
   state.counters["parallel_tasks"] =
       static_cast<double>(doc->engine()->parallel_tasks());
-  // Binding ranges stolen between worker deques by the work-stealing
-  // scheduler; 0 on serial lanes, and can stay 0 on parallel lanes whose
-  // iteration costs happen to balance.
-  state.counters["steals"] = static_cast<double>(doc->engine()->steals());
 }
 
 void BM_Eval_FlworIteration(benchmark::State& state) {

@@ -10,8 +10,9 @@
 // and then passively wait on the same pool — a worker blocked on a task
 // queued behind it deadlocks. Callers that need to join work they fanned
 // out have two safe shapes: wait only for tasks that are already *running*
-// (the XQuery engine's binding scheduler waits for claimed bindings, never
-// for queued helper tasks — unstarted helpers find no work and return), and
+// (the XQuery engine's parallel loops wait for claimed bindings, never for
+// queued helper tasks — a helper that starts late finds the claim cursor
+// exhausted and returns), and
 // call RunPendingTask() while waiting so the blocked thread drains the
 // queue instead of sleeping on it.
 

@@ -29,7 +29,7 @@ Status AdmissionController::Acquire() {
   if (waiting_ >= queue_limit_ || slots_ == 0) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return ResourceExhaustedError(
-        "analyze-string admission queue full (" +
+        name_ + " admission queue full (" +
         std::to_string(in_flight_) + " in flight, " +
         std::to_string(waiting_) + " waiting)");
   }
@@ -88,7 +88,7 @@ CorpusService::CorpusService(const CorpusOptions& options)
                 ? std::make_shared<base::ThreadPool>(options.pool_threads)
                 : nullptr),
       engine_counters_(std::make_shared<xquery::EngineCounters>()),
-      heavy_admission_(options.max_heavy_in_flight,
+      heavy_admission_("analyze-string", options.max_heavy_in_flight,
                        options.heavy_queue_limit),
       shards_(new Shard[kShardCount]),
       slow_log_(options.slow_query_threshold_us == kNoSlowQueryLog
@@ -130,10 +130,6 @@ void CorpusService::WireMetrics() {
       "mhx_engine_parallel_tasks_total",
       "Worker tasks dispatched to the pool by parallel loops",
       &engine_counters_->parallel_tasks);
-  registry_.RegisterCounter(
-      "mhx_engine_steals_total",
-      "Binding ranges stolen between work-stealing slots",
-      &engine_counters_->steals);
   registry_.RegisterCounter("mhx_engine_index_rebuilds_total",
                             "RangeIndex (re)constructions across engines",
                             &engine_counters_->index_rebuilds);
@@ -264,7 +260,7 @@ Status CorpusService::Register(std::string name,
     entry->spill_path = SpillPathFor(spill_dir_, name);
   }
   entry->write_admission = std::make_unique<AdmissionController>(
-      max_writers_in_flight_, writer_queue_limit_);
+      "write", max_writers_in_flight_, writer_queue_limit_);
   shard.entries.emplace(std::move(name), std::move(entry));
   return OkStatus();
 }
@@ -440,7 +436,6 @@ StatusOr<std::string> CorpusService::Query(std::string_view doc_name,
     record.total_us = total_us;
     record.spans = trace->spans();
     record.parallel_tasks = trace->parallel_tasks();
-    record.steals = trace->steals();
     slow_log_.Record(std::move(record));
   }
   return result;

@@ -70,6 +70,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "base/statusor.h"
@@ -128,11 +129,12 @@ struct CorpusOptions {
 // Bounded-queue admission for one class of expensive work. Acquire either
 // returns OkStatus() holding a slot (possibly after waiting in the bounded
 // queue) or ResourceExhausted without blocking further; every Ok Acquire
-// must be paired with Release.
+// must be paired with Release. `name` names the class ("analyze-string",
+// "write") in the rejection message.
 class AdmissionController {
  public:
-  AdmissionController(size_t slots, size_t queue_limit)
-      : slots_(slots), queue_limit_(queue_limit) {}
+  AdmissionController(std::string name, size_t slots, size_t queue_limit)
+      : name_(std::move(name)), slots_(slots), queue_limit_(queue_limit) {}
 
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
@@ -155,6 +157,7 @@ class AdmissionController {
   }
 
  private:
+  const std::string name_;
   const size_t slots_;
   const size_t queue_limit_;
   mutable std::mutex mu_;

@@ -234,7 +234,7 @@ class MultihierarchicalDocument {
 
   // As above, with per-query options — QueryOptions{.threads = 4} fans
   // independent FLWOR iterations and quantifier bindings out across a
-  // work-stealing thread pool, analyze-string() bodies included (workers
+  // thread pool, analyze-string() bodies included (workers
   // materialise temporaries in private sub-overlays merged at join), with
   // results byte-identical to the serial evaluation (see the engine.h
   // contract for the two narrow caveats).

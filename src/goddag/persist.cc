@@ -337,8 +337,8 @@ class SnapshotWriter {
 
 // Validates an arena image and materialises it back into a KyGoddag plus
 // an adopted DocumentSnapshot. Friend of KyGoddag, RangeIndex, and
-// SnapshotStats. Validation is layered: O(header) structural checks, an
-// optional full-body checksum, then per-record bounds checks folded into
+// SnapshotStats. Validation is layered: O(header) structural checks, the
+// full-body checksum, then per-record bounds checks folded into
 // the single linear materialisation pass — every rejection is a clean
 // InvalidArgument, never UB.
 class ArenaLoader {
@@ -359,8 +359,7 @@ class ArenaLoader {
 
   ArenaLoader(const char* data, size_t size) : data_(data), size_(size) {}
 
-  StatusOr<MappedSnapshot> Load(const LoadOptions& options,
-                                std::shared_ptr<const void> keepalive) {
+  StatusOr<MappedSnapshot> Load(std::shared_ptr<const void> keepalive) {
     MHX_RETURN_IF_ERROR(HostGate());
     MHX_RETURN_IF_ERROR(ValidateHeaderAndTable());
     MHX_RETURN_IF_ERROR(CrossCheckCounts());
@@ -372,7 +371,7 @@ class ArenaLoader {
     // The checksum runs before materialization only as belt-and-braces: the
     // materializers bounds-check everything they read anyway, but verifying
     // first means garbage never even gets copied.
-    if (options.verify_body_checksum && !BodyChecksumOk()) {
+    if (!BodyChecksumOk()) {
       return Malformed("body checksum mismatch");
     }
     MHX_RETURN_IF_ERROR(MaterializeNodes(goddag.get()));
@@ -800,7 +799,7 @@ Status WriteSnapshotFile(const DocumentSnapshot& snapshot,
 }
 
 StatusOr<MappedSnapshot> AdoptArenaBuffer(
-    std::shared_ptr<const std::string> bytes, const LoadOptions& options) {
+    std::shared_ptr<const std::string> bytes) {
   if (bytes == nullptr) return Malformed("null buffer");
   if (reinterpret_cast<uintptr_t>(bytes->data()) % 8 != 0) {
     // The in-place casts need 8-byte alignment; realign into a fresh
@@ -810,14 +809,13 @@ StatusOr<MappedSnapshot> AdoptArenaBuffer(
     std::memcpy(aligned->data(), bytes->data(), bytes->size());
     ArenaLoader loader(reinterpret_cast<const char*>(aligned->data()),
                        bytes->size());
-    return loader.Load(options, std::move(aligned));
+    return loader.Load(std::move(aligned));
   }
   ArenaLoader loader(bytes->data(), bytes->size());
-  return loader.Load(options, std::move(bytes));
+  return loader.Load(std::move(bytes));
 }
 
-StatusOr<MappedSnapshot> LoadSnapshotFile(const std::string& path,
-                                          const LoadOptions& options) {
+StatusOr<MappedSnapshot> LoadSnapshotFile(const std::string& path) {
 #if MHX_PERSIST_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
@@ -851,13 +849,13 @@ StatusOr<MappedSnapshot> LoadSnapshotFile(const std::string& path,
   std::shared_ptr<const void> mapping(
       addr, [size](const void* p) { ::munmap(const_cast<void*>(p), size); });
   ArenaLoader loader(static_cast<const char*>(addr), size);
-  return loader.Load(options, std::move(mapping));
+  return loader.Load(std::move(mapping));
 #else
   std::ifstream in(path, std::ios::binary);
   if (!in) return NotFoundError("arena: no such file: " + path);
   auto bytes = std::make_shared<std::string>(
       std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  return AdoptArenaBuffer(std::move(bytes), options);
+  return AdoptArenaBuffer(std::move(bytes));
 #endif
 }
 

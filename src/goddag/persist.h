@@ -50,15 +50,6 @@ struct MappedSnapshot {
   size_t arena_bytes = 0;
 };
 
-// Knobs for the load path.
-struct LoadOptions {
-  // Verify the FNV-1a body checksum over every section byte before
-  // adopting. Default on: with it, a corrupted arena can never load
-  // successfully. Turning it off trades that guarantee for O(header)
-  // validation only — structural bounds checks still run.
-  bool verify_body_checksum = true;
-};
-
 // Serializes a published snapshot into an in-memory arena image (the exact
 // bytes WriteSnapshotFile would write). Forces the snapshot's index and
 // stats builds first, so the arena always carries them prebuilt.
@@ -72,15 +63,15 @@ Status WriteSnapshotFile(const DocumentSnapshot& snapshot,
 
 // Adopts an arena image held in memory. The buffer is retained (as the
 // snapshot's keepalive) for the lifetime of the returned snapshot; the
-// caller must not mutate it afterwards.
+// caller must not mutate it afterwards. Every load verifies the header and
+// body checksums, so a corrupted arena never loads successfully.
 StatusOr<MappedSnapshot> AdoptArenaBuffer(
-    std::shared_ptr<const std::string> bytes, const LoadOptions& options = {});
+    std::shared_ptr<const std::string> bytes);
 
 // Maps `path` read-only (mmap + madvise(WILLNEED) on POSIX; a plain read
 // into memory elsewhere) and adopts it. NotFound when the file does not
 // exist; InvalidArgument for any malformed content.
-StatusOr<MappedSnapshot> LoadSnapshotFile(const std::string& path,
-                                          const LoadOptions& options = {});
+StatusOr<MappedSnapshot> LoadSnapshotFile(const std::string& path);
 
 // One section-table row, decoded for display.
 struct ArenaSectionInfo {

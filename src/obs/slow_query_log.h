@@ -38,7 +38,6 @@ struct SlowQueryRecord {
   uint64_t total_us = 0;
   std::vector<QueryTrace::Span> spans;
   uint64_t parallel_tasks = 0;
-  uint64_t steals = 0;
 };
 
 // The fixed-capacity lock-light ring of SlowQueryRecords (see the file

@@ -40,17 +40,12 @@ std::string QueryTrace::DebugString() const {
            std::to_string((span.end_ns - span.begin_ns) / 1000) + "us";
     if (span.kind == SpanKind::kSlot) {
       out += " (slot " + std::to_string(span.slot) + ", bindings " +
-             std::to_string(span.bindings) + ", steals " +
-             std::to_string(span.steals) + ")";
+             std::to_string(span.bindings) + ")";
     }
     out += "\n";
   }
-  const uint64_t total_steals = steals();
   const uint64_t tasks = parallel_tasks();
-  if (tasks > 0 || total_steals > 0) {
-    out += "parallel_tasks=" + std::to_string(tasks) +
-           " steals=" + std::to_string(total_steals) + "\n";
-  }
+  if (tasks > 0) out += "parallel_tasks=" + std::to_string(tasks) + "\n";
   return out;
 }
 

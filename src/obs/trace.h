@@ -4,8 +4,7 @@
 // collects monotonic-clock spans for each stage of a query's life —
 // parse, plan-cache lookup, admission wait, document build, index
 // materialisation, evaluation, serialisation — plus, when the query fans
-// out, one span per work-stealing scheduler slot with the slot's binding
-// count and steal attribution.
+// out, one span per parallel-loop slot with the slot's binding count.
 //
 // Contract:
 //   * Zero cost when absent. QueryOptions::trace defaults to nullptr and
@@ -16,8 +15,8 @@
 //     queries pay it); parallel-loop slot spans are written slot-private
 //     inside the loop and merged by the coordinator at the join, sorted
 //     by each slot's first binding index, so a traced parallel query is
-//     TSan-clean and its span list is deterministic given the steal
-//     pattern.
+//     TSan-clean and its span list is deterministic given which slot
+//     claimed which bindings.
 //
 // Span model (see DESIGN.md "Observability"): `kind == kStage` spans are
 // the top-level pipeline — consecutive, non-overlapping, and together
@@ -43,7 +42,7 @@ class QueryTrace {
  public:
   enum class SpanKind {
     kStage,  // one top-level pipeline stage; stages never overlap
-    kSlot,   // one scheduler slot's share of a parallel loop
+    kSlot,   // one worker slot's share of a parallel loop
   };
 
   struct Span {
@@ -51,11 +50,9 @@ class QueryTrace {
     SpanKind kind = SpanKind::kStage;
     uint64_t begin_ns = 0;  // on this trace's clock (0 = construction)
     uint64_t end_ns = 0;
-    // kSlot attribution: which slot, how many bindings it evaluated, how
-    // many of its claims were steals out of a sibling's deque.
+    // kSlot attribution: which slot, how many bindings it claimed.
     uint64_t slot = 0;
     uint64_t bindings = 0;
-    uint64_t steals = 0;
   };
 
   QueryTrace() : epoch_(std::chrono::steady_clock::now()) {}
@@ -76,16 +73,10 @@ class QueryTrace {
 
   std::vector<Span> spans() const;
 
-  // Per-query totals accumulated at parallel-loop joins (relaxed; nested
+  // Per-query total accumulated at parallel-loop joins (relaxed; nested
   // loops join on worker threads).
-  void NoteSteals(uint64_t n) {
-    steals_.fetch_add(n, std::memory_order_relaxed);
-  }
   void NoteParallelTasks(uint64_t n) {
     parallel_tasks_.fetch_add(n, std::memory_order_relaxed);
-  }
-  uint64_t steals() const {
-    return steals_.load(std::memory_order_relaxed);
   }
   uint64_t parallel_tasks() const {
     return parallel_tasks_.load(std::memory_order_relaxed);
@@ -99,7 +90,6 @@ class QueryTrace {
   const std::chrono::steady_clock::time_point epoch_;
   mutable std::mutex mu_;
   std::vector<Span> spans_;
-  std::atomic<uint64_t> steals_{0};
   std::atomic<uint64_t> parallel_tasks_{0};
 };
 

@@ -135,12 +135,12 @@ const goddag::RangeIndex& AxisEvaluator::index() const {
   return snapshot_->index();
 }
 
-void AxisEvaluator::NormalizeDocumentOrder(const goddag::OverlayView* view,
+void AxisEvaluator::NormalizeDocumentOrder(const goddag::OverlayView& view,
                                            std::vector<NodeId>* ids) const {
   if (ids->size() < 2) return;
-  auto cmp = [this, view](NodeId a, NodeId b) {
-    const TextRange& ra = NodeAt(view, a).range;
-    const TextRange& rb = NodeAt(view, b).range;
+  auto cmp = [&view](NodeId a, NodeId b) {
+    const TextRange& ra = view.node(a).range;
+    const TextRange& rb = view.node(b).range;
     if (ra != rb) return ra < rb;
     return a < b;
   };
@@ -183,7 +183,7 @@ void AxisEvaluator::EvaluateExtendedIndexed(const TextRange& c,
 void AxisEvaluator::AppendOverlayMatches(const goddag::OverlayView& view,
                                          Axis axis,
                                          const TextRange& context_range,
-                                         NodeId exclude, const NodeTest* test,
+                                         NodeId exclude, const NodeTest& test,
                                          std::vector<NodeId>* out) const {
   // A forked worker view holds only the overlays its own evaluation
   // created; everything else visible to it (kept hierarchies, the
@@ -197,7 +197,7 @@ void AxisEvaluator::AppendOverlayMatches(const goddag::OverlayView& view,
            ++id) {
         if (id == exclude) continue;
         const GNode& node = overlay->node(id);
-        if (test != nullptr && !test->Matches(node)) continue;
+        if (!test.Matches(node)) continue;
         if (ExtendedAxisMatches(axis, context_range, node.range)) {
           out->push_back(id);
         }
@@ -206,10 +206,10 @@ void AxisEvaluator::AppendOverlayMatches(const goddag::OverlayView& view,
   }
 }
 
-void AxisEvaluator::EvaluateStandard(const goddag::OverlayView* view,
+void AxisEvaluator::EvaluateStandard(const goddag::OverlayView& view,
                                      NodeId context, Axis axis,
                                      std::vector<NodeId>* out) const {
-  const GNode& node = NodeAt(view, context);
+  const GNode& node = view.node(context);
   const size_t first = out->size();
   switch (axis) {
     case Axis::kSelf:
@@ -231,7 +231,7 @@ void AxisEvaluator::EvaluateStandard(const goddag::OverlayView* view,
         NodeId id = stack.back();
         stack.pop_back();
         out->push_back(id);
-        const GNode& n = NodeAt(view, id);
+        const GNode& n = view.node(id);
         stack.insert(stack.end(), n.children.rbegin(), n.children.rend());
       }
       return;
@@ -241,9 +241,9 @@ void AxisEvaluator::EvaluateStandard(const goddag::OverlayView* view,
       [[fallthrough]];
     case Axis::kAncestor: {
       // An overlay root's parent is the base GODDAG root, so the chain may
-      // cross from overlay into base ids; NodeAt resolves both.
+      // cross from overlay into base ids; the view resolves both.
       for (NodeId p = node.parent; p != kInvalidNode;
-           p = NodeAt(view, p).parent) {
+           p = view.node(p).parent) {
         out->push_back(p);
       }
       // The walk-up visits innermost-first — exactly reverse document order.
@@ -254,8 +254,7 @@ void AxisEvaluator::EvaluateStandard(const goddag::OverlayView* view,
     case Axis::kFollowingSibling:
     case Axis::kPrecedingSibling: {
       if (node.parent == kInvalidNode) return;
-      const std::vector<NodeId>& siblings =
-          NodeAt(view, node.parent).children;
+      const std::vector<NodeId>& siblings = view.node(node.parent).children;
       auto self = std::find(siblings.begin(), siblings.end(), context);
       if (self == siblings.end()) return;
       if (axis == Axis::kFollowingSibling) {
@@ -273,7 +272,7 @@ void AxisEvaluator::EvaluateStandard(const goddag::OverlayView* view,
       // overlay node's hierarchy is its overlay.
       if (node.kind != GNodeKind::kElement) return;
       if (goddag::IsOverlayId(context)) {
-        const goddag::GoddagOverlay* overlay = view->overlay_of(context);
+        const goddag::GoddagOverlay* overlay = view.overlay_of(context);
         for (NodeId id = overlay->elements_begin(); id < overlay->id_end();
              ++id) {
           const GNode& n = overlay->node(id);
@@ -298,59 +297,42 @@ void AxisEvaluator::EvaluateStandard(const goddag::OverlayView* view,
   }
 }
 
-void AxisEvaluator::RetainMatches(const goddag::OverlayView* view,
+void AxisEvaluator::RetainMatches(const goddag::OverlayView& view,
                                   const NodeTest& test,
                                   std::vector<NodeId>* ids,
                                   size_t first) const {
   ids->erase(std::remove_if(ids->begin() + first, ids->end(),
                             [&](NodeId id) {
-                              return !test.Matches(NodeAt(view, id));
+                              return !test.Matches(view.node(id));
                             }),
              ids->end());
 }
 
-bool AxisEvaluator::IsLiveContext(const goddag::OverlayView* view,
+bool AxisEvaluator::IsLiveContext(const goddag::OverlayView& view,
                                   NodeId context) const {
   if (goddag::IsOverlayId(context)) {
-    if (view == nullptr || view->overlay_of(context) == nullptr) return false;
+    if (view.overlay_of(context) == nullptr) return false;
   } else if (context >= goddag_->node_table_size()) {
     return false;
   }
-  return NodeAt(view, context).kind != GNodeKind::kFree;
+  return view.node(context).kind != GNodeKind::kFree;
 }
 
-void AxisEvaluator::AppendAxis(const goddag::OverlayView* view,
-                               NodeId context, Axis axis, const NodeTest* test,
+void AxisEvaluator::AppendAxis(const goddag::OverlayView& view,
+                               NodeId context, Axis axis, const NodeTest& test,
                                const StepExec& exec,
                                std::vector<NodeId>* out) const {
   const size_t first = out->size();
   if (!IsExtendedAxis(axis)) {
     EvaluateStandard(view, context, axis, out);
-    if (test != nullptr) RetainMatches(view, *test, out, first);
+    RetainMatches(view, test, out, first);
     return;
   }
-  static const NodeTest kAny = NodeTest::Any();
-  const TextRange& range = NodeAt(view, context).range;
-  const bool base_filtered = EvaluateExtendedPlannedBase(
-      range, context, axis, test != nullptr ? *test : kAny, exec, out);
-  if (test != nullptr && !base_filtered) {
-    RetainMatches(view, *test, out, first);
+  const TextRange& range = view.node(context).range;
+  if (!EvaluateExtendedPlannedBase(range, context, axis, test, exec, out)) {
+    RetainMatches(view, test, out, first);
   }
-  if (view != nullptr) {
-    AppendOverlayMatches(*view, axis, range, context, test, out);
-  }
-}
-
-std::vector<NodeId> AxisEvaluator::EvaluateImpl(
-    const goddag::OverlayView* view, NodeId context, Axis axis,
-    const NodeTest* test, const StepExec& exec) const {
-  std::vector<NodeId> out;
-  if (!IsLiveContext(view, context)) return out;
-  AppendAxis(view, context, axis, test, exec, &out);
-  // Filtering before the sort returns the same bytes as sort-then-filter:
-  // the comparator is a strict total order and removal is subset-stable.
-  NormalizeDocumentOrder(view, &out);
-  return out;
+  AppendOverlayMatches(view, axis, range, context, test, out);
 }
 
 std::vector<NodeId> AxisEvaluator::CoveringContexts(
@@ -362,7 +344,7 @@ std::vector<NodeId> AxisEvaluator::CoveringContexts(
   contexts.erase(
       std::remove_if(contexts.begin(), contexts.end(),
                      [&](NodeId c) {
-                       return !IsLiveContext(&view, c) ||
+                       return !IsLiveContext(view, c) ||
                               (per_hierarchy &&
                                view.node(c).kind != GNodeKind::kElement);
                      }),
@@ -465,21 +447,11 @@ std::vector<NodeId> AxisEvaluator::EvaluateSet(
     Axis axis, const NodeTest& test, const StepExec& exec) const {
   std::vector<NodeId> out;
   for (NodeId c : CoveringContexts(view, contexts, axis)) {
-    AppendAxis(&view, c, axis, &test, exec, &out);
+    AppendAxis(view, c, axis, test, exec, &out);
   }
-  NormalizeDocumentOrder(&view, &out);
+  NormalizeDocumentOrder(view, &out);
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
-}
-
-std::vector<NodeId> AxisEvaluator::EvaluateAxisOnly(NodeId context,
-                                                    Axis axis) const {
-  return EvaluateImpl(nullptr, context, axis, nullptr, StepExec());
-}
-
-std::vector<NodeId> AxisEvaluator::Evaluate(NodeId context, Axis axis,
-                                            const NodeTest& test) const {
-  return EvaluateImpl(nullptr, context, axis, &test, StepExec());
 }
 
 bool AxisEvaluator::EvaluateExtendedPlannedBase(
@@ -512,7 +484,13 @@ bool AxisEvaluator::EvaluateExtendedPlannedBase(
 std::vector<NodeId> AxisEvaluator::EvaluatePlanned(
     const goddag::OverlayView& view, NodeId context, Axis axis,
     const NodeTest& test, const StepExec& exec) const {
-  return EvaluateImpl(&view, context, axis, &test, exec);
+  std::vector<NodeId> out;
+  if (!IsLiveContext(view, context)) return out;
+  AppendAxis(view, context, axis, test, exec, &out);
+  // Filtering before the sort returns the same bytes as sort-then-filter:
+  // the comparator is a strict total order and removal is subset-stable.
+  NormalizeDocumentOrder(view, &out);
+  return out;
 }
 
 std::vector<NodeId> AxisEvaluator::EvaluateRangePlanned(
@@ -521,8 +499,8 @@ std::vector<NodeId> AxisEvaluator::EvaluateRangePlanned(
   std::vector<NodeId> out;
   const bool base_filtered = EvaluateExtendedPlannedBase(
       context, kInvalidNode, axis, test, exec, &out);
-  if (!base_filtered) RetainMatches(&view, test, &out);
-  AppendOverlayMatches(view, axis, context, kInvalidNode, &test, &out);
+  if (!base_filtered) RetainMatches(view, test, &out);
+  AppendOverlayMatches(view, axis, context, kInvalidNode, test, &out);
   return out;
 }
 

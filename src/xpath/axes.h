@@ -17,16 +17,16 @@
 // Both return the same node set in document order — the unit tests hold
 // them to a test-side Definition-1 reference.
 //
-// Overlay views: the planned entry points (EvaluatePlanned,
-// EvaluateRangePlanned, EvaluateSet) take a goddag::OverlayView and
-// evaluate against an evaluation's overlay namespace as well as the base
-// document; Evaluate and EvaluateAxisOnly see the base document alone.
-// Extended axes then read uniformly as "base index (or base scan) +
-// overlay scan" — overlay nodes are never indexed, their delta is tiny —
-// and standard axes resolve parent/child arcs through the view. Views fork
-// (goddag/overlay.h): a parallel worker's private view chains to the
-// coordinator's, and both the overlay scan here and the view's own id
-// resolution walk that chain. Overlay churn never touches the snapshot's
+// Overlay views: every entry point (EvaluatePlanned, EvaluateRangePlanned,
+// EvaluateSet) takes a goddag::OverlayView and evaluates against an
+// evaluation's overlay namespace as well as the base document; a root
+// view with no overlays, `goddag::OverlayView(&snapshot.goddag())`, sees
+// the base document alone. Extended axes read uniformly as "base index
+// (or base scan) + overlay scan" — overlay nodes are never indexed, their
+// delta is tiny — and standard axes resolve parent/child arcs through the
+// view. Views fork (goddag/overlay.h): a parallel worker's private view
+// chains to the coordinator's, and both the overlay scan here and the
+// view's own id resolution walk that chain. Overlay churn never touches the snapshot's
 // index, which is what keeps analyze-string() cycles rebuild-free
 // (index_rebuild_count()).
 //
@@ -117,8 +117,7 @@ class NodeTest {
 // whether a name test is pushed down into the probe/kernel so base
 // candidates are filtered before they materialise. Every combination
 // returns byte-identical node sets — the planner only moves cost. The
-// default is an un-pushed indexed probe, which is what the unplanned
-// entry points (Evaluate, EvaluateAxisOnly) run.
+// default is an un-pushed indexed probe.
 struct StepExec {
   bool use_index = true;
   bool pushdown = false;
@@ -132,20 +131,13 @@ class AxisEvaluator {
   // the evaluator — the XQuery engine pairs the two in one pinned entry.
   explicit AxisEvaluator(const goddag::DocumentSnapshot* snapshot);
 
-  // Nodes reachable from `context` along `axis`, in document order
-  // (range.begin ascending, longer ranges first, NodeId as tiebreak), each
-  // once: every traversal visits a node at most once (base and overlay ids
-  // are disjoint namespaces), and the rare traversal that is not already
-  // in document order is sorted before returning. Base document only.
-  std::vector<goddag::NodeId> EvaluateAxisOnly(goddag::NodeId context,
-                                               Axis axis) const;
-
-  // EvaluateAxisOnly filtered by a node test.
-  std::vector<goddag::NodeId> Evaluate(goddag::NodeId context, Axis axis,
-                                       const NodeTest& test) const;
-
-  // Evaluate through `view`, which additionally sees (and resolves ids of)
-  // the view's overlays. The extended-axis strategy comes from `exec` —
+  // Nodes reachable from `context` along `axis` that pass `test`, in
+  // document order (range.begin ascending, longer ranges first, NodeId as
+  // tiebreak), each once: every traversal visits a node at most once (base
+  // and overlay ids are disjoint namespaces), and the rare traversal that
+  // is not already in document order is sorted before returning. `view`
+  // resolves ids and contributes its overlays' hits; a context it cannot
+  // resolve yields nothing. The extended-axis strategy comes from `exec` —
   // scans run the vectorized RangeSoA kernels (xpath/kernels.h) — and
   // exec.pushdown folds a name test into the probe/kernel as an
   // interned-key compare, so base candidates are pre-filtered. Output is
@@ -192,33 +184,23 @@ class AxisEvaluator {
   size_t index_rebuild_count() const { return index_rebuild_count_; }
 
  private:
-  // The shared implementation of every single-context entry point; `view`
-  // is null for the base-only overloads, `test` null for EvaluateAxisOnly.
-  std::vector<goddag::NodeId> EvaluateImpl(const goddag::OverlayView* view,
-                                           goddag::NodeId context, Axis axis,
-                                           const NodeTest* test,
-                                           const StepExec& exec) const;
   // Whether `context` names a node this evaluator can step from; every
   // entry point returns nothing for any other id.
-  bool IsLiveContext(const goddag::OverlayView* view,
+  bool IsLiveContext(const goddag::OverlayView& view,
                      goddag::NodeId context) const;
-  // Appends `context`'s hits, filtered by a non-null `test` but not yet in
-  // document order. `context` must be live.
-  void AppendAxis(const goddag::OverlayView* view, goddag::NodeId context,
-                  Axis axis, const NodeTest* test, const StepExec& exec,
+  // Appends `context`'s hits, filtered by `test` but not yet in document
+  // order. `context` must be live.
+  void AppendAxis(const goddag::OverlayView& view, goddag::NodeId context,
+                  Axis axis, const NodeTest& test, const StepExec& exec,
                   std::vector<goddag::NodeId>* out) const;
   // The live contexts whose hits make up the union of all `contexts`'
   // hits along `axis` (EvaluateSet). Consumes `contexts`.
   std::vector<goddag::NodeId> CoveringContexts(
       const goddag::OverlayView& view, std::vector<goddag::NodeId> contexts,
       Axis axis) const;
-  const goddag::GNode& NodeAt(const goddag::OverlayView* view,
-                              goddag::NodeId id) const {
-    return view != nullptr ? view->node(id) : goddag_->node(id);
-  }
   // Drops the ids from index `first` on whose node fails `test`, keeping
   // the order.
-  void RetainMatches(const goddag::OverlayView* view, const NodeTest& test,
+  void RetainMatches(const goddag::OverlayView& view, const NodeTest& test,
                      std::vector<goddag::NodeId>* ids, size_t first = 0) const;
   // RangeIndex probe for `context`'s hits; `exclude` drops the context node
   // (kInvalidNode for leaf contexts).
@@ -237,21 +219,22 @@ class AxisEvaluator {
   // the view's overlay elements (plumbing roots excluded) against the
   // Definition-1 predicate. Walks the view's fork chain, so a worker's
   // private view scans the coordinator's overlays and the kept
-  // hierarchies as well as its own. A non-null `test` filters matches as
-  // they append.
+  // hierarchies as well as its own. `test` filters matches as they
+  // append.
   void AppendOverlayMatches(const goddag::OverlayView& view, Axis axis,
                             const TextRange& context_range,
-                            goddag::NodeId exclude, const NodeTest* test,
+                            goddag::NodeId exclude, const NodeTest& test,
                             std::vector<goddag::NodeId>* out) const;
-  void EvaluateStandard(const goddag::OverlayView* view,
+  void EvaluateStandard(const goddag::OverlayView& view,
                         goddag::NodeId context, Axis axis,
                         std::vector<goddag::NodeId>* out) const;
   // Establishes document order: a linear is_sorted scan first, the
-  // O(n log n) sort only when the scan finds an inversion. The scan, rather than a purely static
-  // per-axis whitelist, is what makes the guarantee honest: overlay hits
-  // append after base hits, and a cross-hierarchy descendant walk from the
-  // GODDAG root interleaves hierarchies.
-  void NormalizeDocumentOrder(const goddag::OverlayView* view,
+  // O(n log n) sort only when the scan finds an inversion. The scan,
+  // rather than a purely static per-axis whitelist, is what makes the
+  // guarantee honest: overlay hits append after base hits, and a
+  // cross-hierarchy descendant walk from the GODDAG root interleaves
+  // hierarchies.
+  void NormalizeDocumentOrder(const goddag::OverlayView& view,
                               std::vector<goddag::NodeId>* ids) const;
 
   const goddag::DocumentSnapshot* snapshot_;

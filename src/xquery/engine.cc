@@ -33,108 +33,6 @@ Status EvalErrorAt(size_t offset, const std::string& what) {
                               std::to_string(offset) + ": " + what);
 }
 
-// Work-stealing distributor of one parallel loop's binding indices. Slot s
-// starts owning a contiguous range; an owner pops its own front, and a slot
-// whose deque drained steals the back half of the first non-empty victim's
-// remainder — so skewed per-binding costs (regex-heavy analyze-string
-// bodies) cannot leave slots idle behind a few hot bindings. Every index is
-// claimed exactly once; AllDone flips only after every claimed index was
-// marked done, which is the join condition: a coordinator waits for
-// *claimed* work only, never for queued helper tasks (a helper that starts
-// after the loop drained claims nothing and returns).
-class BindingScheduler {
- public:
-  BindingScheduler(size_t bindings, size_t slots)
-      : slots_(std::max<size_t>(slots, 1)),
-        ranges_(new Range[slots_]),
-        unfinished_(bindings) {
-    const size_t per = bindings / slots_;
-    const size_t extra = bindings % slots_;
-    size_t begin = 0;
-    for (size_t s = 0; s < slots_; ++s) {
-      const size_t count = per + (s < extra ? 1 : 0);
-      ranges_[s].next = begin;
-      ranges_[s].end = begin + count;
-      begin += count;
-    }
-  }
-
-  // Claims one binding index for `slot`; *stolen reports that the claim
-  // came out of a victim's deque. Returns false when no deque holds
-  // claimable work (work a victim is installing concurrently is claimed by
-  // that victim's own loop, never lost).
-  bool Claim(size_t slot, size_t* index, bool* stolen) {
-    *stolen = false;
-    Range& own = ranges_[slot];
-    {
-      std::lock_guard<std::mutex> lock(own.mu);
-      if (own.next < own.end) {
-        *index = own.next++;
-        return true;
-      }
-    }
-    for (size_t k = 1; k < slots_; ++k) {
-      Range& victim = ranges_[(slot + k) % slots_];
-      size_t begin = 0;
-      size_t end = 0;
-      {
-        std::lock_guard<std::mutex> lock(victim.mu);
-        if (victim.next < victim.end) {
-          const size_t take = (victim.end - victim.next + 1) / 2;
-          begin = victim.end - take;
-          end = victim.end;
-          victim.end = begin;
-        }
-      }
-      if (begin < end) {
-        *stolen = true;
-        // Install the stolen range as this slot's new deque (it was empty;
-        // only the owning thread installs, so no other write can race) and
-        // claim its first index.
-        std::lock_guard<std::mutex> lock(own.mu);
-        own.next = begin + 1;
-        own.end = end;
-        *index = begin;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  // Marks one claimed binding finished (evaluated or skipped).
-  void MarkDone() {
-    if (unfinished_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(done_mu_);
-      done_cv_.notify_all();
-    }
-  }
-
-  bool AllDone() const {
-    return unfinished_.load(std::memory_order_acquire) == 0;
-  }
-
-  // Blocks until every binding is done. The acquire load in AllDone pairs
-  // with the release decrement in MarkDone, so every slot's binding
-  // results are visible to the joining thread.
-  void WaitAllDone() {
-    std::unique_lock<std::mutex> lock(done_mu_);
-    done_cv_.wait(lock, [this] { return AllDone(); });
-  }
-
- private:
-  struct Range {
-    std::mutex mu;
-    size_t next = 0;
-    size_t end = 0;
-  };
-
-  const size_t slots_;
-  std::unique_ptr<Range[]> ranges_;
-  std::atomic<size_t> unfinished_;
-  std::mutex done_mu_;
-  std::condition_variable done_cv_;
-};
-
 }  // namespace
 
 // The per-query tree-walking interpreter. One Evaluator runs one query
@@ -367,17 +265,19 @@ class Evaluator {
         MHX_ASSIGN_OR_RETURN(int64_t rhs,
                              IntegerOperand(*node.children[1], context));
         int64_t value = 0;
+        bool overflow = false;
         switch (node.arith_op) {
           case ArithOp::kAdd:
-            value = lhs + rhs;
+            overflow = __builtin_add_overflow(lhs, rhs, &value);
             break;
           case ArithOp::kSub:
-            value = lhs - rhs;
+            overflow = __builtin_sub_overflow(lhs, rhs, &value);
             break;
           case ArithOp::kMul:
-            value = lhs * rhs;
+            overflow = __builtin_mul_overflow(lhs, rhs, &value);
             break;
         }
+        if (overflow) return EvalErrorAt(node.offset, "integer overflow");
         return Sequence{Item::Integer(value)};
       }
       case ExprKind::kPath:
@@ -466,7 +366,7 @@ class Evaluator {
   // fork and binding-stack snapshot — tiny inner loops of two or three
   // bindings are cheaper run inline), and the body provably cannot touch
   // state shared mutably across workers. Workers fan nested `for` loops
-  // out again through the same scheduler — the join below waits only for
+  // out again through the same machinery — the join below waits only for
   // claimed bindings, so nesting cannot deadlock the fixed-size pool.
   static constexpr size_t kMinParallelBindings = 4;
   bool ShouldParallelize(const AstNode& loop, const Sequence& seq) const {
@@ -476,13 +376,78 @@ class Evaluator {
 
   // Everything one parallel loop's slots share, owned via shared_ptr:
   // queued helper tasks can run after the join returned (a stale helper
-  // claims nothing and must touch nothing but the scheduler — every other
+  // claims nothing and must touch nothing but the cursor — every other
   // field may reference the coordinator's dead stack frame by then).
   struct LoopShared {
-    LoopShared(size_t binding_count, size_t slot_count)
-        : sched(binding_count, slot_count), slot_traces(slot_count) {}
+    LoopShared(size_t n, size_t slot_count)
+        : binding_count(n),
+          chunk_size((n + slot_count * kChunksPerSlot - 1) /
+                     (slot_count * kChunksPerSlot)),
+          unfinished(n),
+          slot_traces(slot_count) {}
 
-    BindingScheduler sched;
+    // Slots claim chunks of consecutive bindings, about kChunksPerSlot per
+    // slot. One binding per claim measured 15-25% slower on cheap bodies
+    // (string-length over 1600 words at 2 and 4 threads on a 4-core
+    // x86-64 VM, bench_xquery's *Parallel lanes): neighbouring
+    // bindings landed on different cores, so their result slots shared
+    // cache lines and every binding paid a contended RMW. Eight chunks
+    // per slot still balance skewed bodies — chunked self-scheduling
+    // (Kruskal & Weiss, IEEE TSE 1985).
+    static constexpr size_t kChunksPerSlot = 8;
+
+    // One slot's current chunk of claimed binding indices, [next, end).
+    struct Chunk {
+      size_t next = 0;
+      size_t end = 0;
+    };
+
+    // Hands out the next index of `chunk`, claiming the next chunk off the
+    // shared cursor (one atomic RMW) once it is used up. Chunks go out in
+    // ascending order to whichever slot asks first, so skewed per-binding
+    // costs balance themselves. Returns false once the cursor is past the
+    // last binding; the cursor is the only field a stale helper ever
+    // touches.
+    bool Claim(Chunk* chunk, size_t* index) {
+      if (chunk->next == chunk->end) {
+        const size_t begin =
+            next.fetch_add(chunk_size, std::memory_order_relaxed);
+        if (begin >= binding_count) return false;
+        chunk->next = begin;
+        chunk->end = std::min(begin + chunk_size, binding_count);
+      }
+      *index = chunk->next++;
+      return true;
+    }
+
+    // Marks one claimed binding finished (evaluated or skipped).
+    void MarkDone() {
+      if (unfinished.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        std::lock_guard<std::mutex> lock(done_mu);
+        done_cv.notify_all();
+      }
+    }
+
+    bool AllDone() const {
+      return unfinished.load(std::memory_order_acquire) == 0;
+    }
+
+    // Blocks until every binding is done — the join waits for claimed work
+    // only, never for queued helper tasks. The acquire load in AllDone
+    // pairs with the release decrement in MarkDone, so every slot's
+    // binding results are visible to the joining thread.
+    void WaitAllDone() {
+      std::unique_lock<std::mutex> lock(done_mu);
+      done_cv.wait(lock, [this] { return AllDone(); });
+    }
+
+    const size_t binding_count;
+    const size_t chunk_size;
+    std::atomic<size_t> next{0};  // the claim cursor
+    std::atomic<size_t> unfinished;
+    std::mutex done_mu;
+    std::condition_variable done_cv;
+
     // Per-slot trace accumulators for an attached QueryTrace. Exactly one
     // thread runs each slot, so each entry has a single writer; every
     // write happens before that slot's final MarkDone (release), and the
@@ -493,7 +458,6 @@ class Evaluator {
       uint64_t begin_ns = 0;
       uint64_t end_ns = 0;
       uint64_t bindings = 0;
-      uint64_t steals = 0;
       size_t first_binding = std::numeric_limits<size_t>::max();
     };
     std::vector<SlotTrace> slot_traces;
@@ -553,12 +517,13 @@ class Evaluator {
     }
   }
 
-  // Runs one worker slot of a parallel loop to completion: claims binding
-  // indices (stealing once its own deque drains), evaluates the loop body
-  // in a worker-private forked view, and publishes results / events /
-  // created overlays into the shared state. Static on purpose: until a
-  // claim succeeds it may touch nothing but `st`'s scheduler — not even a
-  // `this` — because a stale helper can outlive the coordinator.
+  // Runs one worker slot of a parallel loop to completion: claims chunks
+  // of binding indices off the shared cursor until it runs past the end,
+  // evaluates the loop body in a worker-private forked view, and
+  // publishes results, events and created overlays into the shared state.
+  // Static on purpose: until a claim succeeds it may touch nothing but
+  // `st`'s cursor — not even a `this` — because a stale helper can
+  // outlive the coordinator.
   static void RunLoopSlot(const std::shared_ptr<LoopShared>& st,
                           size_t slot) {
     // Worker state is created lazily on the first claim; a stale helper
@@ -566,21 +531,17 @@ class Evaluator {
     std::optional<goddag::OverlayView> view;
     std::vector<std::shared_ptr<const goddag::GoddagOverlay>> own;
     std::optional<Evaluator> worker;
+    LoopShared::Chunk chunk;
     size_t index = 0;
-    bool stolen = false;
-    while (st->sched.Claim(slot, &index, &stolen)) {
+    while (st->Claim(&chunk, &index)) {
       // The claim succeeded, so the coordinator is alive and every
       // LoopShared field is safe to touch (the stale-helper hazard is
       // only before a claim).
-      if (stolen) {
-        st->engine->counters_->steals.Add();
-      }
       if (st->options->trace != nullptr) {
         LoopShared::SlotTrace& t = st->slot_traces[slot];
         if (t.bindings == 0) t.begin_ns = st->options->trace->NowNs();
         t.first_binding = std::min(t.first_binding, index);
         ++t.bindings;
-        if (stolen) ++t.steals;
       }
       const bool skip = st->torn.load(std::memory_order_relaxed) ||
                         index > st->cancel_after.load(std::memory_order_relaxed);
@@ -590,7 +551,7 @@ class Evaluator {
             // A fresh fork per binding: the contract is that a body sees
             // base + kept + pre-loop temporaries + its *own* — never
             // those of earlier bindings that happened to land on this
-            // slot, which would make output depend on steal timing. The
+            // slot, which would make output depend on claim timing. The
             // binding-stack snapshot is reused across the slot's bindings
             // (push/pop restores it); only the view and overlay list
             // reset.
@@ -651,7 +612,7 @@ class Evaluator {
       if (st->options->trace != nullptr) {
         st->slot_traces[slot].end_ns = st->options->trace->NowNs();
       }
-      st->sched.MarkDone();
+      st->MarkDone();
     }
   }
 
@@ -689,7 +650,7 @@ class Evaluator {
         ++submitted;
       } catch (...) {
         // Helpers that never materialise are only lost parallelism — the
-        // remaining slots steal the work — but the loop must still tear
+        // remaining slots claim their share — but the loop must still tear
         // down cleanly before rethrowing.
         submit_error = std::current_exception();
         st->torn.store(true, std::memory_order_relaxed);
@@ -698,12 +659,12 @@ class Evaluator {
     }
     RunLoopSlot(st, 0);
     // Help drain the backlog instead of sleeping on it: the queue may hold
-    // this loop's own helpers (whose work slot 0 just finished stealing)
+    // this loop's own helpers (which will find the cursor exhausted)
     // or a sibling loop's — running either makes global progress, and a
     // nested coordinator blocked here never starves the pool.
-    while (!st->sched.AllDone() && pool_->RunPendingTask()) {
+    while (!st->AllDone() && pool_->RunPendingTask()) {
     }
-    st->sched.WaitAllDone();
+    st->WaitAllDone();
 
     // Join. After WaitAllDone no slot touches the shared state (overlay
     // publication happens before each MarkDone), so the reads below are
@@ -711,7 +672,7 @@ class Evaluator {
     if (obs::QueryTrace* trace = options_->trace; trace != nullptr) {
       // Merge the slots' spans in binding order — the order serial
       // evaluation would have visited each slot's first binding — so a
-      // trace reads deterministically given the steal pattern.
+      // trace reads deterministically given which slot claimed what.
       std::vector<std::pair<size_t, const LoopShared::SlotTrace*>> active;
       for (size_t s = 0; s < st->slot_traces.size(); ++s) {
         if (st->slot_traces[s].bindings > 0) {
@@ -723,7 +684,6 @@ class Evaluator {
                          return a.second->first_binding <
                                 b.second->first_binding;
                        });
-      uint64_t loop_steals = 0;
       for (const auto& [slot_id, t] : active) {
         obs::QueryTrace::Span span;
         span.name = "loop@" + std::to_string(node.offset) + "/slot" +
@@ -733,12 +693,9 @@ class Evaluator {
         span.end_ns = t->end_ns;
         span.slot = slot_id;
         span.bindings = t->bindings;
-        span.steals = t->steals;
-        loop_steals += t->steals;
         trace->AddSpan(std::move(span));
       }
       trace->NoteParallelTasks(submitted);
-      trace->NoteSteals(loop_steals);
     }
     if (submit_error != nullptr) std::rethrow_exception(submit_error);
     if (st->thrown != nullptr) std::rethrow_exception(st->thrown);
@@ -1611,7 +1568,7 @@ StatusOr<const Expr*> Engine::PreparedQuery(std::string_view query) {
 base::ThreadPool* Engine::pool(unsigned threads) {
   if (threads <= 1) return nullptr;
   // A corpus-injected pool is shared by every engine in the service; it is
-  // never grown — work-stealing joins help drain, so evaluation is correct
+  // never grown — joins help drain, so evaluation is correct
   // (just less parallel) when the pool is smaller than `threads`.
   if (shared_pool_ != nullptr) return shared_pool_.get();
   std::lock_guard<std::mutex> lock(cache_mu_);

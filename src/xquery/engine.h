@@ -41,12 +41,13 @@
 //  * Within one query, QueryOptions{threads > 1} fans independent FLWOR
 //    `for` iterations and some/every quantifier bindings out across a
 //    base::ThreadPool whenever the binding body IsParallelSafe — which now
-//    includes analyze-string() bodies. Scheduling is work-stealing: each
-//    worker slot owns a deque of binding indices, idle slots steal the
-//    back half of a victim's remainder (Engine::steals() counts these),
-//    and the coordinating thread participates as slot 0 and helps drain
-//    the pool while joining, so nested fan-out of inner `for` loops is
-//    both allowed and deadlock-free.
+//    includes analyze-string() bodies. Scheduling is self-scheduling off one
+//    shared claim cursor: every slot claims the next chunk of consecutive
+//    binding indices with one atomic fetch_add, so chunks go out in
+//    ascending order and skewed iteration costs balance across slots. The
+//    coordinating thread participates as slot 0 and helps drain the pool
+//    while joining, so nested fan-out of inner `for` loops is both
+//    allowed and deadlock-free.
 //
 // Worker sub-overlay lifetime and join-order merge rules. Each worker slot
 // evaluates in a *forked* goddag::OverlayView: reads resolve through the
@@ -125,8 +126,8 @@ struct QueryOptions {
   // and counters). The engine keeps one shared pool, grown to the largest
   // `threads` any evaluation has requested; a parallel loop runs on
   // min(threads, bindings) worker slots — the coordinating thread plus
-  // pool helpers — with work-stealing balancing skewed iteration costs
-  // across them.
+  // pool helpers — each claiming the next chunk of bindings off a shared
+  // cursor, which balances skewed iteration costs across them.
   unsigned threads = 1;
   // Physical-plan selection for path steps (see PlanMode): kAuto runs the
   // cost-based planner against the pinned snapshot's statistics; the force
@@ -135,7 +136,7 @@ struct QueryOptions {
   PlanMode plan_mode = PlanMode::kAuto;
   // When set, the evaluation records stage spans (plan lookup, index
   // materialisation, evaluation, serialisation) and — for parallel loops —
-  // per-slot spans with steal attribution into this trace. The trace must
+  // per-slot spans with binding counts into this trace. The trace must
   // outlive the call. Null (the default) costs one branch per stage.
   obs::QueryTrace* trace = nullptr;
 };
@@ -151,7 +152,6 @@ struct EngineCounters {
   // Path steps evaluated once over their whole context sequence.
   obs::Counter set_steps;
   obs::Counter parallel_tasks;
-  obs::Counter steals;
   obs::Counter index_rebuilds;
   // Snapshot pins taken by evaluations (one per Evaluate /
   // EvaluateKeepingTemporaries call).
@@ -241,6 +241,9 @@ struct KeptEvaluation {
   KeptTemporaries temporaries;
 };
 
+// One document's query engine: evaluation entry points, the pinned
+// (snapshot, AxisEvaluator) entry, caches, pool and counters, under the
+// MVCC and concurrency contracts of the file comment.
 class Engine {
  public:
   // An engine with private caches, pool, and counters — the
@@ -256,9 +259,9 @@ class Engine {
   // `shared_pool` keeps the engine growing its own pool on demand. An
   // injected pool is used as-is — the engine never grows it; requesting
   // QueryOptions{threads} above its size just caps the helper count (the
-  // work-stealing scheduler already tolerates fewer workers than slots,
-  // and nested fan-out on a shared pool stays deadlock-free because
-  // joins only wait for claimed bindings and help drain the queue).
+  // claim cursor already tolerates fewer workers than slots, and nested
+  // fan-out on a shared pool stays deadlock-free because joins only wait
+  // for claimed bindings and help drain the queue).
   // `counters` joins the same seam: a corpus service injects one shared
   // EngineCounters so totals survive document eviction and the metrics
   // registry can point at stable storage; null gets a private instance
@@ -341,13 +344,6 @@ class Engine {
   // coordinator's own slot is not counted).
   size_t parallel_tasks() const {
     return static_cast<size_t>(counters_->parallel_tasks.value());
-  }
-
-  // Binding ranges stolen from a sibling slot's deque by an idle worker —
-  // the work-stealing scheduler rebalancing skewed iteration costs.
-  // Monotonic; relaxed counter, surfaced by the threads-axis benchmarks.
-  size_t steals() const {
-    return static_cast<size_t>(counters_->steals.value());
   }
 
   // Snapshot pins taken by evaluations on engines sharing this counter

@@ -56,23 +56,29 @@ class PaperAxesTest : public ::testing::Test {
 TEST_F(PaperAxesTest, WordCrossingLinesOverlapsBoth) {
   const KyGoddag& kg = snapshot_->goddag();
   AxisEvaluator axes(snapshot_.get());
+  const goddag::OverlayView base(&kg);
   NodeId word = FindElement(kg, 1, "w", "unawendendne");
-  auto lines = axes.Evaluate(word, Axis::kOverlapping, NodeTest::Name("line"));
+  auto lines = axes.EvaluatePlanned(base, word, Axis::kOverlapping,
+                                    NodeTest::Name("line"));
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(kg.NodeString(lines[0]), "thaet is unawen");
   EXPECT_EQ(kg.NodeString(lines[1]), "dendne sceaft and ea");
   // A word wholly inside one line overlaps none (the line contains it).
   NodeId wyrd = FindElement(kg, 1, "w", "wyrd");
   EXPECT_TRUE(
-      axes.Evaluate(wyrd, Axis::kOverlapping, NodeTest::Name("line")).empty());
+      axes.EvaluatePlanned(base, wyrd, Axis::kOverlapping,
+                           NodeTest::Name("line"))
+          .empty());
 }
 
 TEST_F(PaperAxesTest, XAncestorSeesAcrossHierarchies) {
   const KyGoddag& kg = snapshot_->goddag();
   AxisEvaluator axes(snapshot_.get());
+  const goddag::OverlayView base(&kg);
   // "eac" [33,36) sits inside dmg [30,38), line-crossing damage.
   NodeId eac = FindElement(kg, 1, "w", "eac");
-  auto ancestors = axes.EvaluateAxisOnly(eac, Axis::kXAncestor);
+  auto ancestors =
+      axes.EvaluatePlanned(base, eac, Axis::kXAncestor, NodeTest::Any());
   std::vector<std::string> names = Names(kg, ancestors);
   // Own chain: text, s; physical: sheet, page; condition: cond, dmg;
   // restoration: rest.
@@ -91,24 +97,29 @@ TEST_F(PaperAxesTest, XAncestorSeesAcrossHierarchies) {
 TEST_F(PaperAxesTest, XDescendantFindsDamageInsideWord) {
   const KyGoddag& kg = snapshot_->goddag();
   AxisEvaluator axes(snapshot_.get());
+  const goddag::OverlayView base(&kg);
   NodeId word = FindElement(kg, 1, "w", "unawendendne");
-  auto dmg = axes.Evaluate(word, Axis::kXDescendant, NodeTest::Name("dmg"));
+  auto dmg = axes.EvaluatePlanned(base, word, Axis::kXDescendant,
+                                  NodeTest::Name("dmg"));
   ASSERT_EQ(dmg.size(), 1u);
   EXPECT_EQ(kg.NodeString(dmg[0]), "nawe");
   // "sceaft" contains no damage.
   NodeId sceaft = FindElement(kg, 1, "w", "sceaft");
   EXPECT_TRUE(
-      axes.Evaluate(sceaft, Axis::kXDescendant, NodeTest::Name("dmg")).empty());
+      axes.EvaluatePlanned(base, sceaft, Axis::kXDescendant,
+                           NodeTest::Name("dmg"))
+          .empty());
 }
 
 TEST_F(PaperAxesTest, OrderingAxes) {
   const KyGoddag& kg = snapshot_->goddag();
   AxisEvaluator axes(snapshot_.get());
+  const goddag::OverlayView base(&kg);
   NodeId sceaft = FindElement(kg, 1, "w", "sceaft");  // [22,28)
-  auto following = axes.Evaluate(sceaft, Axis::kXFollowing,
+  auto following = axes.EvaluatePlanned(base, sceaft, Axis::kXFollowing,
                                  NodeTest::Name("w"));
   EXPECT_EQ(Names(kg, following).size(), 5u);  // and eac swa some wyrd
-  auto preceding = axes.Evaluate(sceaft, Axis::kXPreceding,
+  auto preceding = axes.EvaluatePlanned(base, sceaft, Axis::kXPreceding,
                                  NodeTest::Name("line"));
   ASSERT_EQ(preceding.size(), 1u);  // only line 1 [0,15) ends before 22
   EXPECT_EQ(kg.NodeString(preceding[0]), "thaet is unawen");
@@ -117,25 +128,31 @@ TEST_F(PaperAxesTest, OrderingAxes) {
 TEST_F(PaperAxesTest, StandardAxes) {
   const KyGoddag& kg = snapshot_->goddag();
   AxisEvaluator axes(snapshot_.get());
+  const goddag::OverlayView base(&kg);
   NodeId root = kg.root();
-  auto all = axes.EvaluateAxisOnly(root, Axis::kDescendant);
+  auto all =
+      axes.EvaluatePlanned(base, root, Axis::kDescendant, NodeTest::Any());
   EXPECT_EQ(all.size(), kg.element_count());
   NodeId eac = FindElement(kg, 1, "w", "eac");
-  auto parent = axes.EvaluateAxisOnly(eac, Axis::kParent);
+  auto parent = axes.EvaluatePlanned(base, eac, Axis::kParent, NodeTest::Any());
   ASSERT_EQ(parent.size(), 1u);
   EXPECT_EQ(kg.node(parent[0]).name, "s");
-  auto ancestors = axes.EvaluateAxisOnly(eac, Axis::kAncestor);
+  auto ancestors =
+      axes.EvaluatePlanned(base, eac, Axis::kAncestor, NodeTest::Any());
   // s, text, GODDAG root — never crosses into other hierarchies.
   EXPECT_EQ(ancestors.size(), 3u);
-  auto siblings = axes.EvaluateAxisOnly(eac, Axis::kFollowingSibling);
+  auto siblings = axes.EvaluatePlanned(base, eac, Axis::kFollowingSibling,
+                                       NodeTest::Any());
   EXPECT_EQ(Names(kg, siblings),
             (std::vector<std::string>{"w", "w", "w"}));  // swa some wyrd
-  auto preceding_siblings = axes.EvaluateAxisOnly(eac, Axis::kPrecedingSibling);
+  auto preceding_siblings = axes.EvaluatePlanned(
+      base, eac, Axis::kPrecedingSibling, NodeTest::Any());
   EXPECT_EQ(preceding_siblings.size(), 1u);  // and
-  auto self = axes.EvaluateAxisOnly(eac, Axis::kSelf);
+  auto self = axes.EvaluatePlanned(base, eac, Axis::kSelf, NodeTest::Any());
   EXPECT_EQ(self, std::vector<NodeId>{eac});
   // Standard following stays within the hierarchy.
-  auto following = axes.EvaluateAxisOnly(eac, Axis::kFollowing);
+  auto following =
+      axes.EvaluatePlanned(base, eac, Axis::kFollowing, NodeTest::Any());
   for (NodeId id : following) {
     EXPECT_EQ(kg.node(id).hierarchy, kg.node(eac).hierarchy);
   }
@@ -160,7 +177,7 @@ std::vector<NodeId> Definition1(const KyGoddag& kg, NodeId context,
 }
 
 // The core equivalence: both extended-axis strategies — the indexed
-// probe (the unplanned default) and the (vectorized) table scan — must
+// probe (the default StepExec) and the (vectorized) table scan — must
 // return exactly the Definition-1 node set for every extended axis and
 // every element context, on the paper document and on a generated edition
 // with virtual hierarchies layered on top.
@@ -173,7 +190,7 @@ void ExpectStrategiesMatchDefinition1(const DocumentSnapshot& snapshot) {
     if (kg.node(id).kind != GNodeKind::kElement) continue;
     for (Axis axis : kExtendedAxes) {
       const std::vector<NodeId> expected = Definition1(kg, id, axis);
-      EXPECT_EQ(axes.EvaluateAxisOnly(id, axis), expected)
+      EXPECT_EQ(axes.EvaluatePlanned(base, id, axis, NodeTest::Any()), expected)
           << "indexed, axis " << AxisName(axis) << " context node " << id
           << " '" << kg.node(id).name << "'";
       EXPECT_EQ(axes.EvaluatePlanned(base, id, axis, NodeTest::Any(), scan),
@@ -225,9 +242,10 @@ TEST(EditionAxesTest, EvaluatorKeepsItsSnapshotAcrossCommits) {
   ASSERT_TRUE(doc.ok());
   const auto v1 = doc->PinSnapshot();
   AxisEvaluator at_v1(v1.get());
+  const goddag::OverlayView base_v1(&v1->goddag());
   const NodeId word = FindElement(v1->goddag(), 1, "w", "unawendendne");
-  const std::vector<NodeId> before =
-      at_v1.EvaluateAxisOnly(word, Axis::kXAncestor);
+  const std::vector<NodeId> before = at_v1.EvaluatePlanned(
+      base_v1, word, Axis::kXAncestor, NodeTest::Any());
 
   auto writer = doc->NewWriter();
   writer.AddVirtualHierarchy(
@@ -236,10 +254,15 @@ TEST(EditionAxesTest, EvaluatorKeepsItsSnapshotAcrossCommits) {
   const auto v2 = doc->PinSnapshot();
   ASSERT_NE(v1, v2);
 
-  EXPECT_EQ(at_v1.EvaluateAxisOnly(word, Axis::kXAncestor), before);
+  EXPECT_EQ(at_v1.EvaluatePlanned(base_v1, word, Axis::kXAncestor,
+                                  NodeTest::Any()),
+            before);
   // The new <x> (same range as the word) plus the virtual root <v>.
   AxisEvaluator at_v2(v2.get());
-  EXPECT_EQ(at_v2.EvaluateAxisOnly(word, Axis::kXAncestor).size(),
+  const goddag::OverlayView base_v2(&v2->goddag());
+  EXPECT_EQ(at_v2.EvaluatePlanned(base_v2, word, Axis::kXAncestor,
+                                  NodeTest::Any())
+                .size(),
             before.size() + 2);
   EXPECT_EQ(at_v2.index_rebuild_count(), 0u);  // the writer prebuilt it
 }

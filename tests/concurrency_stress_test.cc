@@ -261,7 +261,7 @@ TEST(ConcurrencyStressTest, KeptTemporariesChurnUnderConcurrentReaders) {
   EXPECT_EQ(doc.engine()->temporary_hierarchy_count(), 0u);
 }
 
-// Intra-query fan-out (work-stealing slots building worker-private
+// Intra-query fan-out (slots claiming off one cursor, building worker-private
 // sub-overlays via analyze-string inside the loop body) racing engine-level
 // concurrency: plain readers, a second fanned-out analyze-string query, and
 // kept-temporaries churn, all on one engine. This is the full PR-5 surface

@@ -153,11 +153,13 @@ TEST(CorpusServiceTest, PinKeepsDocumentUsableAcrossEviction) {
 }
 
 TEST(AdmissionControllerTest, RejectsWhenSlotsAndQueueAreFull) {
-  AdmissionController admission(/*slots=*/1, /*queue_limit=*/0);
+  AdmissionController admission("test", /*slots=*/1, /*queue_limit=*/0);
   ASSERT_TRUE(admission.Acquire().ok());
   EXPECT_EQ(admission.in_flight(), 1u);
   Status second = admission.Acquire();
   EXPECT_EQ(second.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(second.message().rfind("test admission queue full", 0), 0u)
+      << second;
   EXPECT_EQ(admission.rejected(), 1u);
   admission.Release();
   EXPECT_TRUE(admission.Acquire().ok());
@@ -165,7 +167,7 @@ TEST(AdmissionControllerTest, RejectsWhenSlotsAndQueueAreFull) {
 }
 
 TEST(AdmissionControllerTest, QueuedAcquireWaitsForRelease) {
-  AdmissionController admission(/*slots=*/1, /*queue_limit=*/4);
+  AdmissionController admission("test", /*slots=*/1, /*queue_limit=*/4);
   ASSERT_TRUE(admission.Acquire().ok());
   std::atomic<bool> acquired{false};
   std::thread waiter([&] {
@@ -250,6 +252,14 @@ TEST(CorpusServiceTest, WritesAreRejectedWithBackpressureStatus) {
   auto version = corpus.CommitVirtualHierarchy(
       "a", "damage", {goddag::VirtualElement{"gap", TextRange(2, 9), {}}});
   EXPECT_EQ(version.status().code(), StatusCode::kResourceExhausted);
+  // The message names the class that refused: write admission, not the
+  // analyze-string (heavy query) queue.
+  EXPECT_NE(version.status().message().find("write admission"),
+            std::string::npos)
+      << version.status();
+  EXPECT_EQ(version.status().message().find("analyze-string"),
+            std::string::npos)
+      << version.status();
   EXPECT_EQ(corpus.stats().write_rejections, 1u);
   EXPECT_EQ(corpus.stats().writes, 0u);
   // A rejected write never built the (cold) document.

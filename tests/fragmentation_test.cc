@@ -71,17 +71,18 @@ TEST(FragmentationTest, AgreesWithAxesOnEdition) {
   FragmentationEncoding enc = FragmentationEncoding::Encode(kg);
   const auto snapshot = doc->PinSnapshot();
   xpath::AxisEvaluator axes(snapshot.get());
+  const goddag::OverlayView base(&snapshot->goddag());
 
   size_t axis_pairs = 0;
   size_t axis_containing = 0;
   for (NodeId id : kg.hierarchy(1).nodes) {
     const goddag::GNode& n = kg.node(id);
     if (n.kind != GNodeKind::kElement || n.name != "w") continue;
-    axis_pairs +=
-        axes.Evaluate(id, xpath::Axis::kOverlapping, xpath::NodeTest::Name("line"))
-            .size();
-    if (!axes.Evaluate(id, xpath::Axis::kXDescendant,
-                       xpath::NodeTest::Name("dmg"))
+    axis_pairs += axes.EvaluatePlanned(base, id, xpath::Axis::kOverlapping,
+                                       xpath::NodeTest::Name("line"))
+                      .size();
+    if (!axes.EvaluatePlanned(base, id, xpath::Axis::kXDescendant,
+                              xpath::NodeTest::Name("dmg"))
              .empty()) {
       ++axis_containing;
     }

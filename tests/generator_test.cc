@@ -84,12 +84,13 @@ TEST(GeneratorTest, ShortLinesProduceWordLineConflicts) {
   EXPECT_EQ(kg.hierarchy(3).name, "condition");
   const auto snapshot = doc->PinSnapshot();
   xpath::AxisEvaluator axes(snapshot.get());
+  const goddag::OverlayView base(&snapshot->goddag());
   size_t conflicted_words = 0;
   for (goddag::NodeId id : kg.hierarchy(1).nodes) {
     const goddag::GNode& n = kg.node(id);
     if (n.kind == goddag::GNodeKind::kElement && n.name == "w" &&
-        !axes.Evaluate(id, xpath::Axis::kOverlapping,
-                       xpath::NodeTest::Name("line"))
+        !axes.EvaluatePlanned(base, id, xpath::Axis::kOverlapping,
+                              xpath::NodeTest::Name("line"))
              .empty()) {
       ++conflicted_words;
     }

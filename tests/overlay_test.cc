@@ -272,7 +272,8 @@ TEST(OverlayViewTest, ExtendedAxesReadBaseIndexPlusOverlayScan) {
   view.AddOverlay(overlay);
 
   // xdescendant from the base word now also sees both overlay elements —
-  // in document order, with the base-only entry point unchanged.
+  // in document order, while a root view with no overlays still sees the
+  // base hits alone.
   auto hits = axes.EvaluatePlanned(view, word, xpath::Axis::kXDescendant,
                                    xpath::NodeTest::Any());
   EXPECT_EQ(hits.size(), base_hits + 2);
@@ -284,7 +285,10 @@ TEST(OverlayViewTest, ExtendedAxesReadBaseIndexPlusOverlayScan) {
                                }
                                return a < b;
                              }));
-  EXPECT_EQ(axes.EvaluateAxisOnly(word, xpath::Axis::kXDescendant).size(),
+  EXPECT_EQ(axes.EvaluatePlanned(OverlayView(&kg), word,
+                                 xpath::Axis::kXDescendant,
+                                 xpath::NodeTest::Any())
+                .size(),
             base_hits);
 
   // From the overlay side: xancestor of <a> climbs into the base document.

@@ -41,6 +41,7 @@ TEST(PaperDataTest, FigureOneOverlapsArePresent) {
   const goddag::KyGoddag& kg = doc->goddag();
   const auto snapshot = doc->PinSnapshot();
   xpath::AxisEvaluator axes(snapshot.get());
+  const goddag::OverlayView base(&snapshot->goddag());
   // The Example 1 word is broken across two lines.
   goddag::NodeId word = goddag::kInvalidNode;
   for (goddag::NodeId id : kg.hierarchy(1).nodes) {
@@ -49,22 +50,22 @@ TEST(PaperDataTest, FigureOneOverlapsArePresent) {
     }
   }
   ASSERT_NE(word, goddag::kInvalidNode);
-  EXPECT_EQ(
-      axes.Evaluate(word, xpath::Axis::kOverlapping, xpath::NodeTest::Name("line"))
-          .size(),
-      2u);
+  EXPECT_EQ(axes.EvaluatePlanned(base, word, xpath::Axis::kOverlapping,
+                                 xpath::NodeTest::Name("line"))
+                .size(),
+            2u);
   // The restoration span crosses the word boundary at 21: it overlaps the
   // word and reaches into "sceaft".
-  auto res = axes.Evaluate(word, xpath::Axis::kOverlapping,
-                           xpath::NodeTest::Name("res"));
+  auto res = axes.EvaluatePlanned(base, word, xpath::Axis::kOverlapping,
+                                  xpath::NodeTest::Name("res"));
   ASSERT_EQ(res.size(), 1u);
   EXPECT_EQ(kg.NodeString(res[0]), "dendne s");
   // The second damage span crosses the line boundary at 35.
   bool damage_crosses_line = false;
   for (goddag::NodeId id : kg.hierarchy(3).nodes) {
     if (kg.node(id).name == "dmg" &&
-        !axes.Evaluate(id, xpath::Axis::kOverlapping,
-                       xpath::NodeTest::Name("line"))
+        !axes.EvaluatePlanned(base, id, xpath::Axis::kOverlapping,
+                              xpath::NodeTest::Name("line"))
              .empty()) {
       damage_crosses_line = true;
     }

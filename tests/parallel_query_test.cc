@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "document.h"
+#include "obs/trace.h"
 #include "workload/generator.h"
 #include "workload/paper_data.h"
 #include "xml/parser.h"
@@ -92,6 +93,40 @@ TEST_F(ParallelQueryTest, EditionFlworByteIdenticalAndActuallyParallel) {
   // The body is parallel-safe and binds many words: the fan-out must have
   // actually dispatched tasks, not silently fallen back to serial.
   EXPECT_GT(edition_->engine()->parallel_tasks(), tasks_before);
+}
+
+// Exact slot accounting: every binding of a parallel loop is claimed by
+// exactly one slot, so a one-loop query's kSlot spans sum to the loop's
+// binding count, name each slot at most once, and stay within the width.
+TEST_F(ParallelQueryTest, SlotSpansAccountForEveryBindingExactly) {
+  const char* query =
+      "for $w in /descendant::w return string-length(string($w))";
+  const std::string serial = MustQuery(*edition_, query, Threads(1));
+  const uint64_t words = std::stoull(
+      MustQuery(*edition_, "count(/descendant::w)", Threads(1)));
+  ASSERT_GT(words, 0u);
+  for (unsigned threads : {2u, 4u, 8u}) {
+    obs::QueryTrace trace;
+    QueryOptions options = Threads(threads);
+    options.trace = &trace;
+    EXPECT_EQ(serial, MustQuery(*edition_, query, options))
+        << "threads=" << threads;
+    uint64_t claimed = 0;
+    std::vector<uint64_t> seen_slots;
+    for (const obs::QueryTrace::Span& span : trace.spans()) {
+      if (span.kind != obs::QueryTrace::SpanKind::kSlot) continue;
+      EXPECT_GT(span.bindings, 0u) << span.name;
+      EXPECT_LT(span.slot, threads) << span.name;
+      seen_slots.push_back(span.slot);
+      claimed += span.bindings;
+    }
+    EXPECT_FALSE(seen_slots.empty()) << "threads=" << threads;
+    std::sort(seen_slots.begin(), seen_slots.end());
+    EXPECT_EQ(std::adjacent_find(seen_slots.begin(), seen_slots.end()),
+              seen_slots.end())
+        << "threads=" << threads;
+    EXPECT_EQ(claimed, words) << "threads=" << threads;
+  }
 }
 
 // threads: 0 and 1 are the same request — serial evaluation. All three
@@ -265,7 +300,7 @@ TEST_F(ParallelQueryTest, MidSequenceErrorKeepsLowestBindingPrecedence) {
   // '.*ea.*' words, $second for other '.*o.*' words): the error the join
   // reports must be the lowest-indexed failing binding's — whichever site
   // that is in document order — not whichever slot recorded its event
-  // first under work-stealing.
+  // first.
   const char* query =
       "for $w in /descendant::w return "
       "if (matches(string($w), '.*ea.*')) then $first "
@@ -492,6 +527,7 @@ std::vector<RefItem> ReferencePath(const goddag::DocumentSnapshot& snapshot,
                                    std::string_view path) {
   const goddag::KyGoddag& kg = snapshot.goddag();
   const xpath::AxisEvaluator axes(&snapshot);
+  const goddag::OverlayView base(&kg);
   std::vector<RefItem> current = {{kg.root(), kg.node(kg.root()).range}};
   while (!path.empty()) {
     path.remove_prefix(1);  // the '/'
@@ -526,7 +562,8 @@ std::vector<RefItem> ReferencePath(const goddag::DocumentSnapshot& snapshot,
           }
         }
       } else {
-        ids = axes.EvaluateAxisOnly(item.node, *axis);
+        ids = axes.EvaluatePlanned(base, item.node, *axis,
+                                   xpath::NodeTest::Any());
       }
       for (goddag::NodeId id : ids) {
         const goddag::GNode& node = kg.node(id);
@@ -657,20 +694,22 @@ TEST_F(ParallelQueryTest, SetStepPredicatesMatchReferenceFilters) {
   const auto snapshot = edition_->PinSnapshot();
   const goddag::KyGoddag& kg = snapshot->goddag();
   const xpath::AxisEvaluator axes(snapshot.get());
+  const goddag::OverlayView base(&kg);
   const std::vector<RefItem> unfiltered =
       ReferencePath(*snapshot, "/descendant::w/xfollowing::dmg");
   std::vector<RefItem> containing_w;
   for (const RefItem& item : unfiltered) {
-    if (!axes.Evaluate(item.node, xpath::Axis::kXDescendant,
-                       xpath::NodeTest::Name("w"))
+    if (!axes.EvaluatePlanned(base, item.node, xpath::Axis::kXDescendant,
+                              xpath::NodeTest::Name("w"))
              .empty()) {
       containing_w.push_back(item);
     }
   }
   std::vector<RefItem> first_per_word;
   for (const RefItem& word : ReferencePath(*snapshot, "/descendant::w")) {
-    const std::vector<goddag::NodeId> hits = axes.Evaluate(
-        word.node, xpath::Axis::kXFollowing, xpath::NodeTest::Name("dmg"));
+    const std::vector<goddag::NodeId> hits =
+        axes.EvaluatePlanned(base, word.node, xpath::Axis::kXFollowing,
+                             xpath::NodeTest::Name("dmg"));
     if (!hits.empty()) {
       first_per_word.push_back({hits[0], kg.node(hits[0]).range});
     }

@@ -333,9 +333,9 @@ TEST(PersistTest, RejectsChecksumDamage) {
 }
 
 TEST(PersistTest, RejectsOutOfBoundsWithoutChecksums) {
-  // With the body checksum off, structural validation alone must reject
-  // out-of-bounds section claims (checksum-off is a supported load mode,
-  // so it gets its own safety net).
+  // Structural validation alone must reject out-of-bounds section claims:
+  // the corrupted image is re-sealed with valid checksums, so neither
+  // checksum can be what refuses it.
   auto image = ValidImage();
   ASSERT_TRUE(image.ok());
   std::string bad = *image;
@@ -346,12 +346,25 @@ TEST(PersistTest, RejectsOutOfBoundsWithoutChecksums) {
   for (int i = 0; i < 8; ++i) {
     bad[entry + 8 + i] = static_cast<char>((huge >> (8 * i)) & 0xff);
   }
-  goddag::LoadOptions unchecked;
-  unchecked.verify_body_checksum = false;
-  auto mapped = AdoptArenaBuffer(
-      std::make_shared<const std::string>(std::move(bad)), unchecked);
+  // Re-seal: body checksum over [body_offset, file_size), then the header
+  // checksum over the header (that field zeroed) plus the section table.
+  ArenaHeader header;
+  std::memcpy(&header, bad.data(), sizeof(header));
+  header.body_checksum = goddag::ArenaBodyChecksum(
+      bad.data() + header.body_offset, bad.size() - header.body_offset);
+  header.header_checksum = 0;
+  header.header_checksum = goddag::ArenaFnv1a64(
+      bad.data() + sizeof(ArenaHeader),
+      goddag::kArenaSectionKinds * sizeof(goddag::ArenaSectionEntry),
+      goddag::ArenaFnv1a64(&header, sizeof(header)));
+  std::memcpy(&bad[0], &header, sizeof(header));
+
+  auto mapped = Adopt(std::move(bad));
   ASSERT_FALSE(mapped.ok());
   EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(mapped.status().message().find("bad section bounds"),
+            std::string::npos)
+      << mapped.status();
 }
 
 TEST(PersistTest, CorruptionFuzzEveryFlipFailsClosed) {

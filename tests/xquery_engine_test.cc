@@ -151,6 +151,26 @@ TEST_F(XQueryEngineTest, EvaluationErrorsAreAnchored) {
             std::string::npos);
 }
 
+TEST_F(XQueryEngineTest, IntegerOverflowIsAnEvaluationError) {
+  const char* overflowing[] = {
+      "9223372036854775807 + 1",
+      "0 - 9223372036854775807 - 2",
+      "4611686018427387904 * 2",
+  };
+  for (const char* query : overflowing) {
+    auto out = doc_->Query(query);
+    ASSERT_FALSE(out.ok()) << query;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << query;
+    EXPECT_NE(out.status().message().find("integer overflow"),
+              std::string::npos)
+        << query << "\n" << out.status();
+  }
+  // The representable extremes still evaluate.
+  EXPECT_EQ(Query("0 - 9223372036854775807 - 1"), "-9223372036854775808");
+  EXPECT_EQ(Query("9223372036854775806 + 1"), "9223372036854775807");
+  EXPECT_EQ(Query("3037000499 * 3037000499"), "9223372030926249001");
+}
+
 // --- analyze-string temporaries in overlay namespaces ----------------------
 
 TEST_F(XQueryEngineTest, AnalyzeStringKeepsAndCleansTemporaries) {
