@@ -152,112 +152,102 @@ void BM_LeafPartitionRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_LeafPartitionRebuild)->Arg(400)->Arg(1600)->Arg(6400)->Complexity();
 
-// --- E10 follow-up: OverlayView boundary splice, batched vs per-boundary --
+// --- E10 follow-up: range-scoped leaf() lookups on overlay views ---------
 
-// A fixed 6400-word edition plus one overlay carrying `boundaries` fresh
-// cuts (arg 0): what an analyze-string() call with many matches queues on
-// the evaluation's view before its first leaf() step.
-struct SpliceFixture {
+// A `words`-word edition (arg 0) plus what II.1's analyze-string($w,
+// ".*ea.*") builds per matching word: one overlay with the word-spanning
+// result wrapper and an <m> per "ea" in the word.
+struct LeavesInFixture {
   std::unique_ptr<mhx::MultihierarchicalDocument> doc;
   std::shared_ptr<mhx::goddag::OverlayIdAllocator> ids;
-  std::shared_ptr<const mhx::goddag::GoddagOverlay> overlay;
+  std::vector<std::shared_ptr<const mhx::goddag::GoddagOverlay>> overlays;
+  std::vector<mhx::TextRange> words;  // the analysed word of each overlay
 };
 
-SpliceFixture* MakeSpliceFixture(size_t boundaries) {
-  static auto* cache = new std::map<size_t, SpliceFixture*>();
-  auto it = cache->find(boundaries);
+LeavesInFixture* MakeLeavesInFixture(size_t words) {
+  static auto* cache = new std::map<size_t, LeavesInFixture*>();
+  auto it = cache->find(words);
   if (it != cache->end()) return it->second;
-  auto* fx = new SpliceFixture();
+  auto* fx = new LeavesInFixture();
   mhx::workload::EditionConfig config;
   config.seed = 7;
-  config.word_count = 6400;
+  config.word_count = words;
   auto doc = mhx::workload::BuildEditionDocument(config);
   if (!doc.ok()) std::abort();
   fx->doc = std::make_unique<mhx::MultihierarchicalDocument>(
       std::move(doc).value());
-  fx->doc->goddag().leaves();  // materialise, as the engine does
+  const KyGoddag& g = fx->doc->goddag();
+  g.leaves();  // materialise, as the engine does
   fx->ids = std::make_shared<mhx::goddag::OverlayIdAllocator>();
-  // boundaries/2 disjoint elements, each contributing two interior cuts at
-  // odd offsets (word cells are multi-character, so odd positions split).
-  const size_t n = fx->doc->base_text().size();
-  std::vector<mhx::goddag::VirtualElement> elements;
-  const size_t count = boundaries / 2;
-  const size_t stride = (n - 8) / (count + 1);
-  if (stride < 4) std::abort();
-  for (size_t i = 0; i < count; ++i) {
-    const size_t begin = (1 + (i + 1) * stride) | 1;
-    elements.push_back(
-        mhx::goddag::VirtualElement{"m", mhx::TextRange(begin, begin + 2),
-                                    {}});
+  const std::string& text = g.base_text();
+  for (mhx::goddag::NodeId id = 0; id < g.node_table_size(); ++id) {
+    const mhx::goddag::GNode& node = g.node(id);
+    if (node.kind != mhx::goddag::GNodeKind::kElement || node.name != "w") {
+      continue;
+    }
+    std::vector<mhx::goddag::VirtualElement> elements{
+        {"analyze-string-result", node.range, {}}};
+    for (size_t pos = text.find("ea", node.range.begin);
+         pos != std::string::npos && pos + 2 <= node.range.end;
+         pos = text.find("ea", pos + 2)) {
+      elements.push_back({"m", mhx::TextRange(pos, pos + 2), {}});
+    }
+    if (elements.size() == 1) continue;
+    auto overlay = mhx::goddag::GoddagOverlay::Create(
+        &g, fx->ids, "analyze-string-result", std::move(elements));
+    if (!overlay.ok()) std::abort();
+    fx->overlays.push_back(*overlay);
+    fx->words.push_back(node.range);
   }
-  auto overlay = mhx::goddag::GoddagOverlay::Create(
-      &fx->doc->goddag(), fx->ids, "m", std::move(elements));
-  if (!overlay.ok()) std::abort();
-  fx->overlay = *overlay;
-  (*cache)[boundaries] = fx;
+  if (fx->overlays.empty()) std::abort();
+  (*cache)[words] = fx;
   return fx;
 }
 
-// The shipped path: OverlayView::leaves() drains all queued boundaries in
-// one batched sorted merge pass — O(partition + N).
-void BM_OverlaySplice_Batched(benchmark::State& state) {
-  SpliceFixture* fx = MakeSpliceFixture(state.range(0));
+// II.1's per-binding path, one analysed word per iteration: a fresh child
+// view forked off the evaluation's root view, the word's overlay
+// registered on it, and the word's leaves looked up. Reads only the word's
+// range, so the time per word stays flat as the edition grows.
+void BM_OverlayLeavesIn(benchmark::State& state) {
+  LeavesInFixture* fx = MakeLeavesInFixture(state.range(0));
+  const mhx::goddag::OverlayView root(&fx->doc->goddag());
+  size_t word = 0;
+  size_t leaves = 0;
+  for (auto _ : state) {
+    mhx::goddag::OverlayView view(&root);
+    view.AddOverlay(fx->overlays[word]);
+    view.AppendLeavesIn(fx->words[word],
+                        [&leaves](const mhx::TextRange&) { ++leaves; });
+    if (++word == fx->overlays.size()) word = 0;
+  }
+  benchmark::DoNotOptimize(leaves);
+  state.counters["leaves_per_word"] =
+      static_cast<double>(leaves) / static_cast<double>(state.iterations());
+  state.counters["analysed_words"] =
+      static_cast<double>(fx->overlays.size());
+}
+BENCHMARK(BM_OverlayLeavesIn)->Arg(400)->Arg(1600)->Arg(6400);
+
+// The whole-partition export, OverlayView::leaves(), with every analysed
+// word's overlay registered on one view in a single AddOverlays batch:
+// O(partition) per call, the cost each binding's first leaf() step paid
+// before lookups became range-scoped.
+void BM_OverlayLeaves_WholePartition(benchmark::State& state) {
+  LeavesInFixture* fx = MakeLeavesInFixture(state.range(0));
+  mhx::goddag::OverlayView view(&fx->doc->goddag());
+  view.AddOverlays(fx->overlays);
   size_t cells = 0;
   for (auto _ : state) {
-    mhx::goddag::OverlayView view(&fx->doc->goddag());
-    view.AddOverlay(fx->overlay);
     cells = view.leaves().size();
     benchmark::DoNotOptimize(cells);
   }
-  state.counters["merged_cells"] = static_cast<double>(cells);
+  state.counters["cells"] = static_cast<double>(cells);
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_OverlaySplice_Batched)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Complexity();
-
-// The pre-batching algorithm, reproduced here as the ablation baseline:
-// one binary search + vector insert per boundary, O(partition) each —
-// O(partition * N) per drain. The batched path must beat this from ~64
-// boundaries up.
-void BM_OverlaySplice_PerBoundaryInsert(benchmark::State& state) {
-  SpliceFixture* fx = MakeSpliceFixture(state.range(0));
-  const auto& base_leaves = fx->doc->goddag().leaves();
-  const size_t n = fx->doc->base_text().size();
-  size_t cells = 0;
-  for (auto _ : state) {
-    std::vector<mhx::goddag::Leaf> merged = base_leaves;
-    const auto& overlay = *fx->overlay;
-    for (mhx::goddag::NodeId id = overlay.root(); id < overlay.id_end();
-         ++id) {
-      const mhx::TextRange& range = overlay.node(id).range;
-      for (size_t pos : {range.begin, range.end}) {
-        if (pos == 0 || pos >= n) continue;
-        auto it = std::upper_bound(
-            merged.begin(), merged.end(), pos,
-            [](size_t p, const mhx::goddag::Leaf& leaf) {
-              return p < leaf.range.end;
-            });
-        if (it == merged.end() || it->range.begin >= pos) continue;
-        const size_t leaf_end = it->range.end;
-        it->range.end = pos;
-        merged.insert(it + 1, mhx::goddag::Leaf{mhx::TextRange(pos, leaf_end)});
-      }
-    }
-    cells = merged.size();
-    benchmark::DoNotOptimize(cells);
-  }
-  state.counters["merged_cells"] = static_cast<double>(cells);
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_OverlaySplice_PerBoundaryInsert)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(1024)
+BENCHMARK(BM_OverlayLeaves_WholePartition)
+    ->Arg(400)
+    ->Arg(1600)
+    ->Arg(6400)
     ->Complexity();
 
 }  // namespace

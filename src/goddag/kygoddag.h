@@ -88,9 +88,8 @@ struct Leaf {
 // a cut on an existing cell boundary or outside the cells is a no-op. One
 // sort plus one merge pass (runs of unsplit cells bulk-copy), so
 // O(C log C + P) for C cuts over P cells. KyGoddag::leaves() splits the
-// one-cell partition [0, n) at every live element endpoint;
-// OverlayView::leaves() splits its inherited partition at the queued
-// overlays' endpoints (goddag/overlay.h).
+// one-cell partition [0, n) at every live element endpoint; overlay views
+// split per range instead (OverlayView::AppendLeavesIn, goddag/overlay.h).
 std::vector<Leaf> SplitLeaves(const std::vector<Leaf>& cells,
                               std::vector<size_t> cuts);
 

@@ -124,40 +124,74 @@ StatusOr<std::shared_ptr<const GoddagOverlay>> GoddagOverlay::Create(
 GoddagOverlay::~GoddagOverlay() { ids_->Release(id_begin_, arena_.size()); }
 
 void OverlayView::AddOverlay(std::shared_ptr<const GoddagOverlay> overlay) {
-  auto it = std::upper_bound(
-      overlays_.begin(), overlays_.end(), overlay->id_begin(),
-      [](NodeId begin, const std::shared_ptr<const GoddagOverlay>& o) {
-        return begin < o->id_begin();
-      });
-  overlays_.insert(it, overlay);
-  unspliced_.push_back(std::move(overlay));
+  Register(&overlay, &overlay + 1);
 }
 
-const std::vector<Leaf>& OverlayView::leaves() const {
-  if (!has_overlays()) return inherited_leaves();
-  // Workers sharing the view may race the first materialisation; in the
-  // steady state this is an empty-queue check under an uncontended mutex.
-  // AddOverlay (owner only, never concurrent with readers) just queues.
-  std::lock_guard<std::mutex> lock(leaves_mu_);
-  if (unspliced_.empty()) return merged_leaves_;
-  // Boundaries only accumulate within a view, so each overlay is spliced
-  // exactly once no matter how AddOverlay calls interleave with leaf()
-  // steps, and every queued overlay folds in with one SplitLeaves pass.
-  std::vector<size_t> cuts;
-  for (const auto& overlay : unspliced_) {
-    cuts.reserve(cuts.size() + 2 * overlay->node_count());
-    for (NodeId id = overlay->root(); id < overlay->id_end(); ++id) {
-      const TextRange& range = overlay->node(id).range;
-      cuts.push_back(range.begin);
-      cuts.push_back(range.end);
+void OverlayView::AddOverlays(
+    std::vector<std::shared_ptr<const GoddagOverlay>> batch) {
+  Register(batch.data(), batch.data() + batch.size());
+}
+
+void OverlayView::Register(std::shared_ptr<const GoddagOverlay>* first,
+                           std::shared_ptr<const GoddagOverlay>* last) {
+  const size_t old_overlays = overlays_.size();
+  const size_t old_cuts = cuts_.size();
+  for (auto* it = first; it != last; ++it) {
+    // Element endpoints only: the plumbing root spans [0, n) and cuts
+    // nothing.
+    const GoddagOverlay& overlay = **it;
+    for (NodeId id = overlay.elements_begin(); id < overlay.id_end(); ++id) {
+      const TextRange& range = overlay.node(id).range;
+      cuts_.push_back(range.begin);
+      cuts_.push_back(range.end);
     }
+    overlays_.push_back(std::move(*it));
   }
-  unspliced_.clear();
-  merged_leaves_ = SplitLeaves(merged_init_ ? merged_leaves_
-                                            : inherited_leaves(),
-                               std::move(cuts));
-  merged_init_ = true;
-  return merged_leaves_;
+  const auto by_id = [](const std::shared_ptr<const GoddagOverlay>& a,
+                        const std::shared_ptr<const GoddagOverlay>& b) {
+    return a->id_begin() < b->id_begin();
+  };
+  const auto overlays_mid = overlays_.begin() + old_overlays;
+  std::sort(overlays_mid, overlays_.end(), by_id);
+  std::inplace_merge(overlays_.begin(), overlays_mid, overlays_.end(), by_id);
+  const auto cuts_mid = cuts_.begin() + old_cuts;
+  std::sort(cuts_mid, cuts_.end());
+  std::inplace_merge(cuts_.begin(), cuts_mid, cuts_.end());
+  cuts_.erase(std::unique(cuts_.begin(), cuts_.end()), cuts_.end());
+}
+
+void OverlayView::CutsIn(const TextRange& range, std::vector<size_t>* merged,
+                         const size_t** first, const size_t** last) const {
+  *first = *last = nullptr;
+  for (const OverlayView* view = this; view != nullptr;
+       view = view->parent_) {
+    const std::vector<size_t>& cuts = view->cuts_;
+    const auto begin = std::lower_bound(cuts.begin(), cuts.end(), range.begin);
+    const auto end = std::upper_bound(begin, cuts.end(), range.end);
+    if (begin == end) continue;
+    if (*first == *last) {
+      *first = cuts.data() + (begin - cuts.begin());
+      *last = cuts.data() + (end - cuts.begin());
+      continue;
+    }
+    // A second view in the chain cuts this range: gather every view's
+    // share into one sorted unique run.
+    if (merged->empty()) merged->assign(*first, *last);
+    merged->insert(merged->end(), begin, end);
+  }
+  if (merged->empty()) return;
+  std::sort(merged->begin(), merged->end());
+  merged->erase(std::unique(merged->begin(), merged->end()), merged->end());
+  *first = merged->data();
+  *last = merged->data() + merged->size();
+}
+
+std::vector<Leaf> OverlayView::leaves() const {
+  std::vector<Leaf> out;
+  out.reserve(base_->leaves().size());
+  AppendLeavesIn(TextRange(0, base_->base_text().size()),
+                 [&out](const TextRange& r) { out.push_back(Leaf{r}); });
+  return out;
 }
 
 const GoddagOverlay* OverlayView::overlay_of(NodeId id) const {

@@ -12,8 +12,8 @@
 // never collide with base ids or with each other. An OverlayView is the
 // single node-resolution seam readers go through: it resolves base ids
 // against the KyGoddag, overlay ids against the (few) overlays registered
-// with it, and maintains the merged leaf partition (base leaves re-split at
-// overlay element boundaries).
+// with it, and answers leaf() lookups per range — the base cells inside the
+// range, re-split at the overlay element endpoints that fall inside it.
 //
 // Lifetime rules: an overlay is immutable after Create and refcounted
 // (shared_ptr); it releases its id block on destruction. A view registers
@@ -30,6 +30,7 @@
 #ifndef MHX_GODDAG_OVERLAY_H_
 #define MHX_GODDAG_OVERLAY_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -144,23 +145,31 @@ class GoddagOverlay {
 // The read seam of one evaluation: an immutable base KyGoddag plus every
 // overlay visible to the evaluation (hierarchies kept by earlier
 // EvaluateKeepingTemporaries calls, then the evaluation's own). Node
-// resolution, node-to-string, and the leaf partition all go through here.
+// resolution, node-to-string, and leaf() lookups all go through here.
 //
 // Views form a fork tree: a parallel worker forks a child view off the
 // coordinator's view and registers its own overlays there, so
 // analyze-string() inside a fanned-out binding body writes worker-private
-// state only. A child resolves ids it does not own — and reads the leaf
-// partition it re-splits — through its parent, so the coordinator's
-// overlays stay visible without being copied. At join the engine re-adds
-// the workers' overlays to the coordinator's view in binding order.
+// state only. A child resolves ids it does not own — and reads the cuts
+// of the overlays it does not own — through its parent, so the
+// coordinator's overlays stay visible without being copied. At join the
+// engine re-adds the workers' overlays to the coordinator's view in
+// binding order.
 //
-// Not thread-safe for mutation: AddOverlay may only be called by the
-// evaluation (or worker) that owns the view, never concurrently with its
-// readers. A parent view must be frozen — no AddOverlay — while forked
-// children exist; the engine guarantees this because the forking evaluator
-// blocks in the join for as long as its workers run. Reads are const and
-// safe to share across threads (the lazily merged leaf partition is
-// mutex-guarded).
+// Leaf lookups are per range: each view keeps only the sorted element
+// endpoints ("cuts") of its own overlays, and a leaf lookup over a range
+// reads the base cells in that range and splits them at the cuts inside
+// it, gathered up the parent chain. A lookup therefore costs the
+// range, not the document, and a fresh per-binding fork pays nothing for
+// the partition it inherits.
+//
+// Not thread-safe for mutation: AddOverlay/AddOverlays may only be called
+// by the evaluation (or worker) that owns the view, never concurrently
+// with its readers. A parent view must be frozen — no AddOverlay — while
+// forked children exist; the engine guarantees this because the forking
+// evaluator blocks in the join for as long as its workers run. Reads are
+// const, touch no mutable state, and take no lock, so any number of
+// threads may share a frozen view.
 class OverlayView {
  public:
   // A root view over `base`, which must stay alive and structurally
@@ -168,10 +177,9 @@ class OverlayView {
   // pointing views at the goddag of a pinned DocumentSnapshot.
   explicit OverlayView(const KyGoddag* base) : base_(base) {}
 
-  // Forks a worker-private child view: ids the child does not own resolve
-  // through `parent` (recursively up the fork tree), and the child's leaf
-  // partition starts from the parent's merged partition. `parent` must
-  // outlive the child and stay frozen while the child exists.
+  // Forks a worker-private child view: ids and cuts the child does not
+  // own resolve through `parent` (recursively up the fork tree). `parent`
+  // must outlive the child and stay frozen while the child exists.
   explicit OverlayView(const OverlayView* parent)
       : base_(parent->base_), parent_(parent) {}
 
@@ -187,14 +195,14 @@ class OverlayView {
   NodeId root() const { return base_->root(); }
 
   // Registers an overlay (kept sorted by id_begin for binary-search
-  // resolution) and queues it for the merged leaf partition, which is
-  // spliced lazily by the next leaves() call: all queued overlays'
-  // boundaries are folded in one SplitLeaves pass (goddag/kygoddag.h;
-  // O(partition + N) for N boundaries, not O(partition * N) per-boundary
-  // inserts). Evaluations that never run a leaf() step pay nothing for
-  // their overlays. Requires the base leaf partition to be materialised
-  // (the engine does this before evaluation starts).
+  // resolution) and merges its element endpoints into this view's sorted
+  // cuts. Requires the base leaf partition to be materialised (the engine
+  // does this before evaluation starts).
   void AddOverlay(std::shared_ptr<const GoddagOverlay> overlay);
+  // Registers a batch of overlays at once — a loop's binding overlays at
+  // its exit or join — with one sort of the batch's endpoints and one
+  // merge into the existing cuts, instead of one merge per overlay.
+  void AddOverlays(std::vector<std::shared_ptr<const GoddagOverlay>> batch);
 
   // Overlays registered on THIS view — a forked child's parents hold
   // theirs; readers that must see every overlay visible to the view (the
@@ -218,37 +226,84 @@ class OverlayView {
   // Base-text content dominated by a node (any namespace).
   std::string NodeString(NodeId id) const;
 
-  // The leaf partition this evaluation sees: the parent partition (or, for
-  // a root view, the base partition) re-split at every own-overlay element
-  // boundary, in text order. Without own overlays this is the parent/base
-  // partition itself, no copy; with overlays the merged partition
-  // materialises on first use (mutex-guarded: parallel workers sharing the
-  // view may race the first call, and leaf() steps are parallel-safe).
-  const std::vector<Leaf>& leaves() const;
+  // Calls `emit(const TextRange&)`, in text order, for every leaf of this
+  // view's partition that lies inside `range` — the partition being the
+  // base cells re-split at the element endpoints of every overlay visible
+  // to the view (this view's and each parent's). A node's range starts and
+  // ends on leaf boundaries, so for a node range the emitted leaves tile
+  // it exactly. Never emits an empty leaf: a cut on an existing cell
+  // boundary splits nothing. Costs a binary search into the base cells
+  // and one into each chain view's cuts, plus the leaves emitted; with no
+  // cut in `range` (endpoints included) it is exactly the binary search
+  // and copy loop over the base partition. Const and lock-free.
+  template <typename Emit>
+  void AppendLeavesIn(const TextRange& range, Emit&& emit) const;
+
+  // The whole partition, [0, n) through AppendLeavesIn. Built per call —
+  // the engine itself only ever asks for ranges.
+  std::vector<Leaf> leaves() const;
 
  private:
-  // The partition this view's own splices start from: the parent's merged
-  // partition for forked views, the base partition otherwise.
-  const std::vector<Leaf>& inherited_leaves() const {
-    return parent_ != nullptr ? parent_->leaves() : base_->leaves();
-  }
+  // The shared body of AddOverlay/AddOverlays: moves the overlays out of
+  // [first, last) into overlays_ and their endpoints into cuts_.
+  void Register(std::shared_ptr<const GoddagOverlay>* first,
+                std::shared_ptr<const GoddagOverlay>* last);
+
+  // The cuts in [begin, end] of this view and every parent, as one sorted
+  // unique run [*first, *last) — the endpoints too, since an overlay
+  // element's range may start or end inside a base cell. Points into a
+  // view's own cuts_ when only one view in the chain has cuts in the range
+  // (the per-binding fork's case); otherwise merges them into `*merged`.
+  void CutsIn(const TextRange& range, std::vector<size_t>* merged,
+              const size_t** first, const size_t** last) const;
 
   const KyGoddag* base_;
   const OverlayView* parent_ = nullptr;
   // Sorted by id_begin (allocator blocks are disjoint, so this is a total
   // order).
   std::vector<std::shared_ptr<const GoddagOverlay>> overlays_;
-  // Lazily merged partition cache; guarded by leaves_mu_ (AddOverlay needs
-  // no guard — only the owning evaluation mutates the view, never while
-  // workers read it). unspliced_ holds overlays queued by AddOverlay and
-  // not yet folded into merged_leaves_; draining is batched, so a query
-  // interleaving analyze-string() with leaf() steps pays one linear merge
-  // pass per drain no matter how many boundaries queued up.
-  mutable std::mutex leaves_mu_;
-  mutable bool merged_init_ = false;
-  mutable std::vector<Leaf> merged_leaves_;
-  mutable std::vector<std::shared_ptr<const GoddagOverlay>> unspliced_;
+  // Element endpoints of overlays_, sorted and unique. Parents' cuts are
+  // not copied in; AppendLeavesIn reads them up the chain.
+  std::vector<size_t> cuts_;
 };
+
+template <typename Emit>
+void OverlayView::AppendLeavesIn(const TextRange& range, Emit&& emit) const {
+  if (range.empty()) return;
+  const std::vector<Leaf>& cells = base_->leaves();
+  std::vector<size_t> merged;
+  const size_t* cut = nullptr;
+  const size_t* cuts_end = nullptr;
+  CutsIn(range, &merged, &cut, &cuts_end);
+  if (cut == cuts_end) {
+    auto it = std::lower_bound(cells.begin(), cells.end(), range.begin,
+                               [](const Leaf& leaf, size_t pos) {
+                                 return leaf.range.begin < pos;
+                               });
+    for (; it != cells.end() && it->range.end <= range.end; ++it) {
+      emit(it->range);
+    }
+    return;
+  }
+  // The cell holding range.begin, then every cell up to range.end, each
+  // split at the cuts inside it; pieces that stick out of `range` on
+  // either side are not emitted.
+  auto it = std::upper_bound(cells.begin(), cells.end(), range.begin,
+                             [](size_t pos, const Leaf& leaf) {
+                               return pos < leaf.range.end;
+                             });
+  for (; it != cells.end() && it->range.begin < range.end; ++it) {
+    size_t begin = it->range.begin;
+    for (; cut != cuts_end && *cut < it->range.end; ++cut) {
+      if (*cut == begin) continue;  // an existing cell boundary
+      if (begin >= range.begin) emit(TextRange(begin, *cut));
+      begin = *cut;
+    }
+    if (begin >= range.begin && it->range.end <= range.end) {
+      emit(TextRange(begin, it->range.end));
+    }
+  }
+}
 
 }  // namespace mhx::goddag
 

@@ -923,10 +923,12 @@ bool Regex::Search(std::string_view text, size_t from, bool anchored,
   // threads (first_only early returns leave them behind by design).
   pool.Reset(nslots);
   // Stale marks from earlier Search calls on this scratch are harmless:
-  // the generation counter only ever increases.
+  // the generation counter only ever increases, and this skip moves it
+  // past the one-ahead marks a first_only return may have left behind.
   std::vector<uint64_t>& mark = scratch->mark;
   mark.resize(program_.size());
   uint64_t& generation = scratch->generation;
+  ++generation;
 
   bool have_best = false;
   SearchResult best;
@@ -1018,14 +1020,14 @@ bool Regex::Search(std::string_view text, size_t from, bool anchored,
   return have_best;
 }
 
-std::vector<Regex::Match> Regex::PikeFindAll(std::string_view text) const {
+std::vector<Regex::Match> Regex::PikeFindAll(std::string_view text,
+                                             ScanScratch* scratch) const {
   std::vector<Match> matches;
-  SearchScratch scratch;
   size_t pos = 0;
   while (pos <= text.size()) {
     SearchResult r;
     if (!Search(text, pos, /*anchored=*/false, /*full=*/false,
-                /*first_only=*/false, &scratch, &r)) {
+                /*first_only=*/false, scratch, &r)) {
       break;
     }
     Match m;
@@ -1069,9 +1071,15 @@ bool internal::Dfa::Matches(std::string_view text) const {
 }
 
 std::vector<Regex::Match> Regex::FindAll(std::string_view text) const {
+  ScanScratch scratch;
+  return FindAll(text, &scratch);
+}
+
+std::vector<Regex::Match> Regex::FindAll(std::string_view text,
+                                         ScanScratch* scratch) const {
   // A text with no match never starts the VM.
   if (contains_dfa_.built() && !contains_dfa_.Matches(text)) return {};
-  return PikeFindAll(text);
+  return PikeFindAll(text, scratch);
 }
 
 bool Regex::ContainsMatch(std::string_view text) const {

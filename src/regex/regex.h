@@ -190,10 +190,12 @@ struct PendingThread {
   uint32_t saves;
 };
 
-// Reusable per-scan state. FindAll shares one across its per-match Search
-// calls so the visited-marks array, the closure work stack, and the
-// save-slot blocks are allocated once per scan (the generation counter and
-// SlotPool::Reset take care of the implicit clearing).
+// Reusable scan state. FindAll shares one across its per-match Search
+// calls, and a caller may pass its own across many FindAll calls (public
+// as ScanScratch), so the visited-marks array, the closure work stack, and
+// the save-slot blocks are allocated once per scan or once per caller (the
+// generation counter and SlotPool::Reset take care of the implicit
+// clearing, whatever pattern ran last).
 struct SearchScratch {
   std::vector<uint64_t> mark;
   ThreadList clist, nlist;
@@ -203,6 +205,11 @@ struct SearchScratch {
 };
 
 }  // namespace internal
+
+// Reusable Pike-VM scan state for FindAll. Not tied to a pattern: every
+// Search resizes and resets what it reads, so one scratch may serve any
+// sequence of regexes, but only one thread at a time.
+using ScanScratch = internal::SearchScratch;
 
 // A compiled pattern. Immutable after Compile, so one Regex may be matched
 // from any number of threads (each match carries its own thread state).
@@ -225,6 +232,10 @@ class Regex {
 
   // All non-overlapping matches, leftmost-longest, in text order.
   std::vector<Match> FindAll(std::string_view text) const;
+  // The same, scanning with the caller's `scratch` instead of allocating
+  // one per call — for callers running many short scans.
+  std::vector<Match> FindAll(std::string_view text,
+                             ScanScratch* scratch) const;
 
   // True when some substring of `text` matches.
   bool ContainsMatch(std::string_view text) const;
@@ -259,7 +270,8 @@ class Regex {
               SearchResult* out) const;
 
   // The Pike-VM halves of the public calls, with no DFA involved.
-  std::vector<Match> PikeFindAll(std::string_view text) const;
+  std::vector<Match> PikeFindAll(std::string_view text,
+                                 ScanScratch* scratch) const;
   bool PikeContainsMatch(std::string_view text) const;
   bool PikeFullMatch(std::string_view text) const;
 

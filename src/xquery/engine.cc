@@ -333,10 +333,8 @@ class Evaluator {
   // order) on this evaluator's view and overlay list.
   void MergePendingOverlays(
       std::vector<std::shared_ptr<const goddag::GoddagOverlay>> pending) {
-    for (auto& overlay : pending) {
-      own_->push_back(overlay);
-      view_->AddOverlay(std::move(overlay));
-    }
+    own_->insert(own_->end(), pending.begin(), pending.end());
+    view_->AddOverlays(std::move(pending));
   }
 
   // One serial loop binding, shared by kFor and kQuantified: bind, evaluate
@@ -710,11 +708,13 @@ class Evaluator {
                      [](const auto& a, const auto& b) {
                        return a.first < b.first;
                      });
+    std::vector<std::shared_ptr<const goddag::GoddagOverlay>> merged;
     for (auto& [binding_index, overlay] : st->overlays) {
       if (binding_index > st->event_index) break;
-      own_->push_back(overlay);
-      view_->AddOverlay(std::move(overlay));
+      merged.push_back(std::move(overlay));
     }
+    own_->insert(own_->end(), merged.begin(), merged.end());
+    view_->AddOverlays(std::move(merged));
     if (st->quantified) {
       return Sequence{Item::Boolean(has_event ? !node.every : node.every)};
     }
@@ -1153,19 +1153,11 @@ class Evaluator {
   }
 
   void AppendLeavesIn(const TextRange& range, Sequence* out) const {
-    if (range.empty()) return;
-    // The evaluation's leaf partition: base cells re-split at every overlay
-    // element boundary.
-    const std::vector<goddag::Leaf>& leaves = view_->leaves();
-    auto it = std::lower_bound(
-        leaves.begin(), leaves.end(), range.begin,
-        [](const goddag::Leaf& leaf, size_t pos) {
-          return leaf.range.begin < pos;
-        });
-    // Node boundaries are leaf boundaries, so leaves tile `range` exactly.
-    for (; it != leaves.end() && it->range.end <= range.end; ++it) {
-      out->push_back(Item::Leaf(it->range));
-    }
+    // The evaluation's leaves inside `range`: base cells re-split at the
+    // overlay element boundaries inside it (goddag/overlay.h).
+    view_->AppendLeavesIn(range, [out](const TextRange& leaf) {
+      out->push_back(Item::Leaf(leaf));
+    });
   }
 
   // Document order over mixed node/leaf sequences: begin ascending, longer
@@ -1334,7 +1326,7 @@ class Evaluator {
     std::vector<goddag::VirtualElement> elements;
     elements.push_back(
         goddag::VirtualElement{kAnalyzeStringResultName, range, {}});
-    for (const regex::Regex::Match& m : re->FindAll(text)) {
+    for (const regex::Regex::Match& m : re->FindAll(text, &scan_scratch_)) {
       if (!m.range.empty()) {
         elements.push_back(goddag::VirtualElement{
             kMatchElementName,
@@ -1479,6 +1471,10 @@ class Evaluator {
   // `for` loops fan out too.
   base::ThreadPool* pool_;
   std::vector<std::pair<std::string, Sequence>> bindings_;
+  // Pike-VM scan state reused by every analyze-string() this evaluator
+  // runs, so a per-word scan allocates nothing once warm. Each parallel
+  // worker slot owns its own Evaluator, hence its own scratch.
+  regex::ScanScratch scan_scratch_;
 };
 
 // --- Engine ----------------------------------------------------------------

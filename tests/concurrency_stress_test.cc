@@ -337,6 +337,42 @@ TEST(ConcurrencyStressTest, IntraQueryFanOutRacesEngineLevelQueries) {
   EXPECT_EQ(doc.engine()->index_rebuild_count(), 1u);
 }
 
+// Parallel slots sharing the coordinator's view read-only run leaf() steps
+// over a view that already holds an overlay: the loop body materialises
+// nothing, so no slot forks, and every slot reads the same view's overlay
+// cuts at once. Those reads take no lock; TSan polices that they need none.
+TEST(ConcurrencyStressTest, SharedViewLeafStepsAcrossParallelSlots) {
+  workload::EditionConfig config;
+  config.seed = 41;
+  config.word_count = 120;
+  auto built = workload::BuildEditionDocument(config);
+  ASSERT_TRUE(built.ok()) << built.status();
+  MultihierarchicalDocument doc = std::move(built).value();
+
+  const char* kQuery =
+      "let $r := analyze-string(/descendant::line[1], '.*e.*') return "
+      "for $w in /descendant::w return count($r/descendant::leaf())";
+  auto serial = doc.Query(kQuery);
+  ASSERT_TRUE(serial.ok()) << serial.status();
+  const std::string expected = *serial;
+  QueryOptions fan_out;
+  fan_out.threads = 4;
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 3; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < StressIters(6); ++i) {
+        auto out = doc.Query(kQuery, fan_out);
+        if (!out.ok() || *out != expected) ++failures;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(doc.engine()->parallel_tasks(), 0u);
+}
+
 // The corpus-service surface in one pot: capacity-2 LRU churn across four
 // documents while clients query (cheap and analyze-string-heavy, serial
 // and fanned out through the shared pool), a pin thread queries evicted-

@@ -1,18 +1,22 @@
 // Copyright (c) mhxq authors. Licensed under the MIT license.
 //
 // The evaluation-scoped overlay layer: id-block allocation, overlay
-// construction and resolution through OverlayView, the merged leaf
-// partition, and view-aware axis evaluation (base index + overlay scan).
+// construction and resolution through OverlayView, range-scoped leaf
+// lookups over the fork chain (checked against a whole-partition split),
+// and view-aware axis evaluation (base index + overlay scan).
 
 #include "goddag/overlay.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "goddag/snapshot.h"
+#include "workload/generator.h"
 #include "workload/paper_data.h"
 #include "xml/parser.h"
 #include "xpath/axes.h"
@@ -45,6 +49,12 @@ std::shared_ptr<const GoddagOverlay> MustCreate(
       GoddagOverlay::Create(base, std::move(ids), name, std::move(elements));
   EXPECT_TRUE(overlay.ok()) << overlay.status();
   return *overlay;
+}
+
+std::vector<TextRange> Ranges(const std::vector<Leaf>& leaves) {
+  std::vector<TextRange> out;
+  for (const Leaf& leaf : leaves) out.push_back(leaf.range);
+  return out;
 }
 
 TEST(OverlayIdAllocatorTest, BlocksAreDisjointAndTagged) {
@@ -222,8 +232,8 @@ TEST(OverlayViewTest, MergedLeavesSplitAtOverlayBoundaries) {
   const size_t base_cells = kg.leaves().size();
   auto ids = std::make_shared<OverlayIdAllocator>();
   OverlayView view(&kg);
-  // Without overlays the view serves the base partition itself.
-  EXPECT_EQ(&view.leaves(), &kg.leaves());
+  // Without overlays the view's partition is the base partition.
+  EXPECT_EQ(Ranges(view.leaves()), Ranges(kg.leaves()));
 
   // "unawendendne" is [9,21); 11 and 12 are fresh boundaries, 9 is already
   // a word boundary in the base partition.
@@ -348,8 +358,8 @@ TEST(OverlayViewTest, StandardAxesNavigateWithinTheOverlay) {
 
 TEST(OverlayViewTest, BatchedSpliceHandlesManyBoundariesInOnePass) {
   // One overlay carrying many nested elements inside a single word: every
-  // boundary must land, exactly once, no matter how they batch up before
-  // the first leaves() call.
+  // boundary must land exactly once in the view's sorted cuts, and the
+  // whole partition read back through leaves() must split at each.
   KyGoddag kg = PaperGoddag();
   const size_t base_cells = kg.leaves().size();
   auto ids = std::make_shared<OverlayIdAllocator>();
@@ -371,7 +381,7 @@ TEST(OverlayViewTest, BatchedSpliceHandlesManyBoundariesInOnePass) {
     EXPECT_EQ(merged[i].range.end, merged[i + 1].range.begin);
     EXPECT_LT(merged[i].range.begin, merged[i].range.end);
   }
-  // A second batch drains incrementally on top of the merged partition.
+  // A second overlay merges its cuts into the ones already registered.
   view.AddOverlay(MustCreate(&kg, ids, "more",
                              {VirtualElement{"a", TextRange(2, 3), {}}}));
   EXPECT_EQ(view.leaves().size(), base_cells + 12);
@@ -437,6 +447,166 @@ TEST(OverlayViewTest, ForkedViewReadsThroughAndWritesPrivately) {
   coordinator.AddOverlay(private_overlay);
   EXPECT_EQ(coordinator.overlay_of(private_a), private_overlay.get());
   EXPECT_EQ(coordinator.leaves().size(), coordinator_cells + 2);
+}
+
+
+// --- range lookups against the whole-partition split ------------------------
+
+// splitmix64: seeded, platform-deterministic.
+class Rng {
+ public:
+  explicit Rng(uint64_t seed) : state_(seed) {}
+  uint64_t Next() {
+    uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+  size_t Below(size_t bound) { return static_cast<size_t>(Next() % bound); }
+
+ private:
+  uint64_t state_;
+};
+
+// A text offset in [lo, hi]: half the time snapped to the nearest base cell
+// boundary at or after a uniform draw, so overlay endpoints often land on
+// boundaries the base partition already has.
+size_t DrawOffset(Rng* rng, const std::vector<size_t>& bounds, size_t lo,
+                  size_t hi) {
+  size_t pos = lo + rng->Below(hi - lo + 1);
+  if (rng->Below(2) == 0) {
+    auto it = std::lower_bound(bounds.begin(), bounds.end(), pos);
+    if (it != bounds.end() && *it <= hi) pos = *it;
+  }
+  return pos;
+}
+
+// Elements nested inside `span` (non-empty), down to `depth` more levels:
+// sometimes an equal-extent copy of `span`, then a few disjoint children.
+void AddNested(Rng* rng, const std::vector<size_t>& bounds, TextRange span,
+               int depth, std::vector<VirtualElement>* out) {
+  out->push_back(VirtualElement{"e", span, {}});
+  if (rng->Below(4) == 0) out->push_back(VirtualElement{"same", span, {}});
+  if (depth == 0 || span.length() < 2) return;
+  size_t pos = span.begin;
+  for (size_t k = rng->Below(3); k > 0 && pos < span.end; --k) {
+    const size_t begin = DrawOffset(rng, bounds, pos, span.end - 1);
+    const size_t end = DrawOffset(rng, bounds, begin + 1, span.end);
+    AddNested(rng, bounds, TextRange(begin, end), depth - 1, out);
+    pos = end;
+  }
+}
+
+// One random overlay: a few disjoint top-level elements, each with nested
+// and equal-extent descendants; sometimes none at all (a bare root).
+std::shared_ptr<const GoddagOverlay> RandomOverlay(
+    Rng* rng, const KyGoddag& kg, const std::vector<size_t>& bounds,
+    const std::shared_ptr<OverlayIdAllocator>& ids) {
+  const size_t n = kg.base_text().size();
+  std::vector<VirtualElement> elements;
+  size_t pos = 0;
+  for (size_t k = rng->Below(5); k > 0 && pos < n; --k) {
+    const size_t begin = DrawOffset(rng, bounds, pos, n - 1);
+    const size_t end =
+        DrawOffset(rng, bounds, begin + 1, std::min(n, begin + 1 + n / 8));
+    AddNested(rng, bounds, TextRange(begin, end), 2, &elements);
+    pos = end;
+  }
+  return MustCreate(&kg, ids, "random", std::move(elements));
+}
+
+// The leaves of `cells` split at `cuts` that lie inside `range`: the
+// whole-partition design the views replaced, kept as the oracle.
+std::vector<TextRange> SplitThenRestrict(const std::vector<Leaf>& cells,
+                                         const std::vector<size_t>& cuts,
+                                         const TextRange& range) {
+  std::vector<TextRange> out;
+  for (const Leaf& leaf : SplitLeaves(cells, cuts)) {
+    if (leaf.range.begin >= range.begin && leaf.range.end <= range.end) {
+      out.push_back(leaf.range);
+    }
+  }
+  return out;
+}
+
+std::vector<TextRange> LeavesIn(const OverlayView& view,
+                                const TextRange& range) {
+  std::vector<TextRange> out;
+  view.AppendLeavesIn(range,
+                      [&out](const TextRange& leaf) { out.push_back(leaf); });
+  return out;
+}
+
+TEST(OverlayViewTest, RangeLeavesMatchWholePartitionSplit) {
+  for (const size_t words : {40, 150, 400}) {
+    SCOPED_TRACE("words=" + std::to_string(words));
+    workload::EditionConfig config;
+    config.seed = 7 + words;
+    config.word_count = words;
+    config.chars_per_line = 23;
+    auto doc = workload::BuildEditionDocument(config);
+    ASSERT_TRUE(doc.ok()) << doc.status();
+    const auto snapshot = doc->PinSnapshot();
+    const KyGoddag& kg = snapshot->goddag();
+    const std::vector<Leaf>& cells = kg.leaves();
+    const size_t n = kg.base_text().size();
+    std::vector<size_t> bounds;
+    for (const Leaf& leaf : cells) bounds.push_back(leaf.range.begin);
+    bounds.push_back(n);
+    std::vector<TextRange> base_ranges;
+    for (NodeId id = 0; id < kg.node_table_size(); ++id) {
+      if (kg.node(id).kind == GNodeKind::kElement) {
+        base_ranges.push_back(kg.node(id).range);
+      }
+    }
+
+    Rng rng(words);
+    auto ids = std::make_shared<OverlayIdAllocator>();
+    // Root, child, grandchild: each registers its overlays before the next
+    // is forked (a parent stays frozen while children exist), the root's
+    // as one AddOverlays batch and one AddOverlay, the others one by one.
+    OverlayView root(&kg);
+    std::vector<std::shared_ptr<const GoddagOverlay>> batch;
+    for (int i = 0; i < 3; ++i) {
+      batch.push_back(RandomOverlay(&rng, kg, bounds, ids));
+    }
+    root.AddOverlays(batch);
+    root.AddOverlay(RandomOverlay(&rng, kg, bounds, ids));
+    OverlayView child(&root);
+    for (int i = 0; i < 3; ++i) {
+      child.AddOverlay(RandomOverlay(&rng, kg, bounds, ids));
+    }
+    OverlayView grandchild(&child);
+    for (int i = 0; i < 2; ++i) {
+      grandchild.AddOverlay(RandomOverlay(&rng, kg, bounds, ids));
+    }
+
+    for (const OverlayView* view : {&root, &child, &grandchild}) {
+      // Every endpoint on the chain, and every range a lookup can start
+      // from: base elements, visible overlay elements, the whole text.
+      std::vector<size_t> cuts;
+      std::vector<TextRange> ranges = base_ranges;
+      ranges.push_back(TextRange(0, n));
+      for (const OverlayView* v = view; v != nullptr; v = v->parent()) {
+        for (const auto& overlay : v->overlays()) {
+          for (NodeId id = overlay->elements_begin(); id < overlay->id_end();
+               ++id) {
+            const TextRange& r = overlay->node(id).range;
+            cuts.push_back(r.begin);
+            cuts.push_back(r.end);
+            ranges.push_back(r);
+          }
+        }
+      }
+      for (const TextRange& range : ranges) {
+        ASSERT_EQ(LeavesIn(*view, range), SplitThenRestrict(cells, cuts, range))
+            << "range " << range.ToString();
+      }
+      EXPECT_EQ(Ranges(view->leaves()),
+                SplitThenRestrict(cells, cuts, TextRange(0, n)));
+      EXPECT_TRUE(LeavesIn(*view, TextRange(5, 5)).empty());
+    }
+  }
 }
 
 }  // namespace

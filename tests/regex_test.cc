@@ -22,7 +22,8 @@ struct RegexTestPeer {
   }
   static std::vector<Regex::Match> FindAll(const Regex& re,
                                            std::string_view text) {
-    return re.PikeFindAll(text);
+    ScanScratch scratch;
+    return re.PikeFindAll(text, &scratch);
   }
 };
 
@@ -369,6 +370,32 @@ TEST(RegexDfaTest, RandomPatternsAgreeWithThePikeVm) {
   }
   // The patterns are small: nearly all of them must exercise the DFA.
   EXPECT_GT(with_dfa, kPatterns * 9 / 10);
+}
+
+// One ScanScratch carried across FindAll calls on many different patterns
+// (program sizes and capture counts change call to call, and a scan may
+// stop anywhere) answers exactly as a fresh scratch per call.
+TEST(RegexMatchTest, SharedScanScratchAgreesAcrossPatterns) {
+  PatternGenerator patterns(20261020);
+  Rng texts(11);
+  ScanScratch shared;
+  for (size_t p = 0; p < 1500; ++p) {
+    const std::string pattern = patterns.Pattern();
+    auto re = Regex::Compile(pattern);
+    ASSERT_TRUE(re.ok()) << pattern << ": " << re.status();
+    for (int t = 0; t < 6; ++t) {
+      const std::string text = RandomText(&texts);
+      const auto got = re->FindAll(text, &shared);
+      const auto want = re->FindAll(text);
+      ASSERT_EQ(got.size(), want.size())
+          << "FindAll /" << pattern << "/ on '" << text << "'";
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].range, want[i].range);
+        EXPECT_EQ(got[i].groups, want[i].groups);
+      }
+    }
+    if (HasFailure()) return;
+  }
 }
 
 TEST(RegexDfaTest, AnchorsAroundTheEmptyText) {
