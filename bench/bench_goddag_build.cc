@@ -250,6 +250,37 @@ BENCHMARK(BM_OverlayLeaves_WholePartition)
     ->Arg(6400)
     ->Complexity();
 
+// Registration on one view of every analysed word's overlay: arg 1 = 0
+// adds them one AddOverlay at a time, in document order (analyze-string()
+// called per word in a predicate, where no loop batches the calls);
+// arg 1 = 1 adds them as one AddOverlays batch (an evaluation's kept set).
+// Time per overlay (items_per_second) should stay about flat as the
+// edition grows: in-order adds append, and a batch costs one sort.
+void BM_OverlayRegister(benchmark::State& state) {
+  LeavesInFixture* fx = MakeLeavesInFixture(state.range(0));
+  const bool batched = state.range(1) != 0;
+  for (auto _ : state) {
+    mhx::goddag::OverlayView view(&fx->doc->goddag());
+    if (batched) {
+      view.AddOverlays(fx->overlays);
+    } else {
+      for (const auto& overlay : fx->overlays) view.AddOverlay(overlay);
+    }
+    benchmark::DoNotOptimize(view.has_overlays());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(fx->overlays.size()));
+  state.counters["analysed_words"] =
+      static_cast<double>(fx->overlays.size());
+}
+BENCHMARK(BM_OverlayRegister)
+    ->Args({400, 0})
+    ->Args({1600, 0})
+    ->Args({6400, 0})
+    ->Args({400, 1})
+    ->Args({1600, 1})
+    ->Args({6400, 1});
+
 }  // namespace
 
 BENCHMARK_MAIN();

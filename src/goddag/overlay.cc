@@ -3,6 +3,7 @@
 #include "goddag/overlay.h"
 
 #include <algorithm>
+#include <functional>
 
 namespace mhx::goddag {
 
@@ -132,6 +133,20 @@ void OverlayView::AddOverlays(
   Register(batch.data(), batch.data() + batch.size());
 }
 
+namespace {
+// Sorts the tail [old_size, end) of `v` and merges it into the sorted head.
+// Each step is skipped when it has nothing to do, so registering overlays
+// in document (and id) order costs one pass over the tail and appends.
+template <typename T, typename Less>
+void MergeSortedTail(std::vector<T>* v, size_t old_size, Less less) {
+  const auto mid = v->begin() + old_size;
+  if (!std::is_sorted(mid, v->end(), less)) std::sort(mid, v->end(), less);
+  if (mid != v->begin() && mid != v->end() && less(*mid, *(mid - 1))) {
+    std::inplace_merge(v->begin(), mid, v->end(), less);
+  }
+}
+}  // namespace
+
 void OverlayView::Register(std::shared_ptr<const GoddagOverlay>* first,
                            std::shared_ptr<const GoddagOverlay>* last) {
   const size_t old_overlays = overlays_.size();
@@ -140,50 +155,40 @@ void OverlayView::Register(std::shared_ptr<const GoddagOverlay>* first,
     // Element endpoints only: the plumbing root spans [0, n) and cuts
     // nothing.
     const GoddagOverlay& overlay = **it;
+    const size_t overlay_cuts = cuts_.size();
     for (NodeId id = overlay.elements_begin(); id < overlay.id_end(); ++id) {
       const TextRange& range = overlay.node(id).range;
       cuts_.push_back(range.begin);
       cuts_.push_back(range.end);
     }
+    // Sorted per overlay, a batch of overlays in document order needs no
+    // sort as a whole.
+    std::sort(cuts_.begin() + overlay_cuts, cuts_.end());
     overlays_.push_back(std::move(*it));
   }
-  const auto by_id = [](const std::shared_ptr<const GoddagOverlay>& a,
-                        const std::shared_ptr<const GoddagOverlay>& b) {
-    return a->id_begin() < b->id_begin();
-  };
-  const auto overlays_mid = overlays_.begin() + old_overlays;
-  std::sort(overlays_mid, overlays_.end(), by_id);
-  std::inplace_merge(overlays_.begin(), overlays_mid, overlays_.end(), by_id);
-  const auto cuts_mid = cuts_.begin() + old_cuts;
-  std::sort(cuts_mid, cuts_.end());
-  std::inplace_merge(cuts_.begin(), cuts_mid, cuts_.end());
-  cuts_.erase(std::unique(cuts_.begin(), cuts_.end()), cuts_.end());
+  MergeSortedTail(&overlays_, old_overlays,
+                  [](const std::shared_ptr<const GoddagOverlay>& a,
+                     const std::shared_ptr<const GoddagOverlay>& b) {
+                    return a->id_begin() < b->id_begin();
+                  });
+  MergeSortedTail(&cuts_, old_cuts, std::less<size_t>());
 }
 
-void OverlayView::CutsIn(const TextRange& range, std::vector<size_t>* merged,
-                         const size_t** first, const size_t** last) const {
-  *first = *last = nullptr;
+std::vector<size_t> OverlayView::CutsIn(const TextRange& range) const {
+  std::vector<size_t> cuts;
+  size_t views = 0;
   for (const OverlayView* view = this; view != nullptr;
        view = view->parent_) {
-    const std::vector<size_t>& cuts = view->cuts_;
-    const auto begin = std::lower_bound(cuts.begin(), cuts.end(), range.begin);
-    const auto end = std::upper_bound(begin, cuts.end(), range.end);
+    const auto begin =
+        std::lower_bound(view->cuts_.begin(), view->cuts_.end(), range.begin);
+    const auto end = std::upper_bound(begin, view->cuts_.end(), range.end);
     if (begin == end) continue;
-    if (*first == *last) {
-      *first = cuts.data() + (begin - cuts.begin());
-      *last = cuts.data() + (end - cuts.begin());
-      continue;
-    }
-    // A second view in the chain cuts this range: gather every view's
-    // share into one sorted unique run.
-    if (merged->empty()) merged->assign(*first, *last);
-    merged->insert(merged->end(), begin, end);
+    cuts.insert(cuts.end(), begin, end);
+    ++views;
   }
-  if (merged->empty()) return;
-  std::sort(merged->begin(), merged->end());
-  merged->erase(std::unique(merged->begin(), merged->end()), merged->end());
-  *first = merged->data();
-  *last = merged->data() + merged->size();
+  // Each view's share is sorted; shares from several views interleave.
+  if (views > 1) std::sort(cuts.begin(), cuts.end());
+  return cuts;
 }
 
 std::vector<Leaf> OverlayView::leaves() const {

@@ -196,12 +196,16 @@ class OverlayView {
 
   // Registers an overlay (kept sorted by id_begin for binary-search
   // resolution) and merges its element endpoints into this view's sorted
-  // cuts. Requires the base leaf partition to be materialised (the engine
-  // does this before evaluation starts).
+  // cuts. An overlay whose ids and endpoints all sort after the ones
+  // already registered — analyze-string() run in document order — is
+  // appended without a merge. Requires the base leaf partition to be
+  // materialised (the engine does this before evaluation starts).
   void AddOverlay(std::shared_ptr<const GoddagOverlay> overlay);
-  // Registers a batch of overlays at once — a loop's binding overlays at
-  // its exit or join — with one sort of the batch's endpoints and one
-  // merge into the existing cuts, instead of one merge per overlay.
+  // Registers a batch of overlays at once — the kept set at evaluation
+  // start, a loop's binding overlays at its exit or join — with at most
+  // one sort of the batch's endpoints (none when its overlays come in
+  // document order) and at most one merge into the existing cuts, instead
+  // of one merge per overlay.
   void AddOverlays(std::vector<std::shared_ptr<const GoddagOverlay>> batch);
 
   // Overlays registered on THIS view — a forked child's parents hold
@@ -232,10 +236,11 @@ class OverlayView {
   // to the view (this view's and each parent's). A node's range starts and
   // ends on leaf boundaries, so for a node range the emitted leaves tile
   // it exactly. Never emits an empty leaf: a cut on an existing cell
-  // boundary splits nothing. Costs a binary search into the base cells
-  // and one into each chain view's cuts, plus the leaves emitted; with no
-  // cut in `range` (endpoints included) it is exactly the binary search
-  // and copy loop over the base partition. Const and lock-free.
+  // boundary, or a repeated cut, splits nothing. Costs a binary search
+  // into the base cells and two into each chain view's cuts, plus the
+  // leaves emitted; with no cut in `range` (endpoints included) the split
+  // loop degenerates to copying the base cells inside `range`. Const and
+  // lock-free.
   template <typename Emit>
   void AppendLeavesIn(const TextRange& range, Emit&& emit) const;
 
@@ -249,21 +254,19 @@ class OverlayView {
   void Register(std::shared_ptr<const GoddagOverlay>* first,
                 std::shared_ptr<const GoddagOverlay>* last);
 
-  // The cuts in [begin, end] of this view and every parent, as one sorted
-  // unique run [*first, *last) — the endpoints too, since an overlay
-  // element's range may start or end inside a base cell. Points into a
-  // view's own cuts_ when only one view in the chain has cuts in the range
-  // (the per-binding fork's case); otherwise merges them into `*merged`.
-  void CutsIn(const TextRange& range, std::vector<size_t>* merged,
-              const size_t** first, const size_t** last) const;
+  // The cuts in [begin, end] of this view and every parent, sorted,
+  // repeats allowed — the endpoints too, since an overlay element's range
+  // may start or end inside a base cell.
+  std::vector<size_t> CutsIn(const TextRange& range) const;
 
   const KyGoddag* base_;
   const OverlayView* parent_ = nullptr;
   // Sorted by id_begin (allocator blocks are disjoint, so this is a total
   // order).
   std::vector<std::shared_ptr<const GoddagOverlay>> overlays_;
-  // Element endpoints of overlays_, sorted and unique. Parents' cuts are
-  // not copied in; AppendLeavesIn reads them up the chain.
+  // Element endpoints of overlays_, sorted; a cut may repeat (an
+  // AppendLeavesIn split skips a cut equal to the piece's begin). Parents'
+  // cuts are not copied in; AppendLeavesIn reads them up the chain.
   std::vector<size_t> cuts_;
 };
 
@@ -271,20 +274,8 @@ template <typename Emit>
 void OverlayView::AppendLeavesIn(const TextRange& range, Emit&& emit) const {
   if (range.empty()) return;
   const std::vector<Leaf>& cells = base_->leaves();
-  std::vector<size_t> merged;
-  const size_t* cut = nullptr;
-  const size_t* cuts_end = nullptr;
-  CutsIn(range, &merged, &cut, &cuts_end);
-  if (cut == cuts_end) {
-    auto it = std::lower_bound(cells.begin(), cells.end(), range.begin,
-                               [](const Leaf& leaf, size_t pos) {
-                                 return leaf.range.begin < pos;
-                               });
-    for (; it != cells.end() && it->range.end <= range.end; ++it) {
-      emit(it->range);
-    }
-    return;
-  }
+  const std::vector<size_t> cuts = CutsIn(range);
+  auto cut = cuts.begin();
   // The cell holding range.begin, then every cell up to range.end, each
   // split at the cuts inside it; pieces that stick out of `range` on
   // either side are not emitted.
@@ -294,8 +285,8 @@ void OverlayView::AppendLeavesIn(const TextRange& range, Emit&& emit) const {
                              });
   for (; it != cells.end() && it->range.begin < range.end; ++it) {
     size_t begin = it->range.begin;
-    for (; cut != cuts_end && *cut < it->range.end; ++cut) {
-      if (*cut == begin) continue;  // an existing cell boundary
+    for (; cut != cuts.end() && *cut < it->range.end; ++cut) {
+      if (*cut == begin) continue;  // a cell boundary or a repeated cut
       if (begin >= range.begin) emit(TextRange(begin, *cut));
       begin = *cut;
     }

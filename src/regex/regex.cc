@@ -923,12 +923,10 @@ bool Regex::Search(std::string_view text, size_t from, bool anchored,
   // threads (first_only early returns leave them behind by design).
   pool.Reset(nslots);
   // Stale marks from earlier Search calls on this scratch are harmless:
-  // the generation counter only ever increases, and this skip moves it
-  // past the one-ahead marks a first_only return may have left behind.
+  // the generation counter only ever increases.
   std::vector<uint64_t>& mark = scratch->mark;
   mark.resize(program_.size());
   uint64_t& generation = scratch->generation;
-  ++generation;
 
   bool have_best = false;
   SearchResult best;

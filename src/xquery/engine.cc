@@ -1621,7 +1621,7 @@ StatusOr<Engine::EvaluationOutput> Engine::EvaluateInternal(
   // concurrent evaluations, analyze-string() included, only share
   // immutable state.
   goddag::OverlayView view(&pinned->snapshot->goddag());
-  for (auto& overlay : SnapshotKept()) view.AddOverlay(std::move(overlay));
+  view.AddOverlays(SnapshotKept());
   std::vector<std::shared_ptr<const goddag::GoddagOverlay>> own;
   Evaluator evaluator(this, &pinned->axes, &normalized, plan.get(),
                       fan_out_pool, &view, &own);

@@ -357,9 +357,9 @@ TEST(OverlayViewTest, StandardAxesNavigateWithinTheOverlay) {
 }
 
 TEST(OverlayViewTest, BatchedSpliceHandlesManyBoundariesInOnePass) {
-  // One overlay carrying many nested elements inside a single word: every
-  // boundary must land exactly once in the view's sorted cuts, and the
-  // whole partition read back through leaves() must split at each.
+  // One overlay carrying many nested elements inside a single word: the
+  // whole partition read back through leaves() must split exactly once at
+  // each of its boundaries.
   KyGoddag kg = PaperGoddag();
   const size_t base_cells = kg.leaves().size();
   auto ids = std::make_shared<OverlayIdAllocator>();
@@ -607,6 +607,62 @@ TEST(OverlayViewTest, RangeLeavesMatchWholePartitionSplit) {
       EXPECT_TRUE(LeavesIn(*view, TextRange(5, 5)).empty());
     }
   }
+}
+
+// analyze-string() called word by word, outside a loop, registers one
+// overlay at a time in document order; those adds append to the view's
+// cuts without a merge, while an overlay that lands before them merges.
+// Both must read back as the whole-partition split.
+TEST(OverlayViewTest, InOrderAddsAppendAndLaterAddsMerge) {
+  workload::EditionConfig config;
+  config.seed = 11;
+  config.word_count = 150;
+  auto doc = workload::BuildEditionDocument(config);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  const auto snapshot = doc->PinSnapshot();
+  const KyGoddag& kg = snapshot->goddag();
+  const std::vector<Leaf>& cells = kg.leaves();
+  const size_t n = kg.base_text().size();
+  std::vector<size_t> bounds;
+  for (const Leaf& leaf : cells) bounds.push_back(leaf.range.begin);
+
+  Rng rng(3);
+  auto ids = std::make_shared<OverlayIdAllocator>();
+  OverlayView view(&kg);
+  std::vector<size_t> cuts;
+  std::vector<TextRange> ranges = {TextRange(0, n)};
+  const auto add = [&](std::vector<VirtualElement> elements) {
+    for (const VirtualElement& e : elements) {
+      cuts.push_back(e.range.begin);
+      cuts.push_back(e.range.end);
+      ranges.push_back(e.range);
+    }
+    view.AddOverlay(MustCreate(&kg, ids, "word", std::move(elements)));
+  };
+  const auto check = [&] {
+    for (const TextRange& range : ranges) {
+      ASSERT_EQ(LeavesIn(view, range), SplitThenRestrict(cells, cuts, range))
+          << "range " << range.ToString();
+    }
+  };
+  // Per word: the word itself, an equal-extent copy (a repeated cut) and
+  // a piece inside it, as a match would be.
+  for (NodeId id = 0; id < kg.node_table_size(); ++id) {
+    const GNode& node = kg.node(id);
+    if (node.kind != GNodeKind::kElement || node.name != "w" ||
+        node.range.length() < 2) {
+      continue;
+    }
+    const size_t begin =
+        DrawOffset(&rng, bounds, node.range.begin, node.range.end - 1);
+    const size_t end = DrawOffset(&rng, bounds, begin + 1, node.range.end);
+    add({VirtualElement{"r", node.range, {}},
+         VirtualElement{"same", node.range, {}},
+         VirtualElement{"m", TextRange(begin, end), {}}});
+  }
+  check();
+  add({VirtualElement{"early", TextRange(1, 4), {}}});
+  check();
 }
 
 }  // namespace
