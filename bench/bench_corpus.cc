@@ -7,7 +7,7 @@
 // deterministic editions; every sampled result is verified byte-identical
 // to a serial reference computed on an independently built copy of the
 // same edition, so the timings are of *correct* executions — shared plan
-// cache, shared pool, LRU eviction and admission control included.
+// cache, LRU eviction and admission control included.
 //
 // Queries are the edition-generic forms of the paper's Section 4 queries
 // (the verbatim I.1/II.1 texts pin words of the Figure 1 text that a
@@ -130,7 +130,7 @@ Op OpFor(uint64_t index) {
 
 // The serial single-document reference: every (edition, query) result,
 // computed once per process on documents built independently of any
-// CorpusService (no shared cache, no shared pool, serial evaluation).
+// CorpusService (no shared cache).
 const std::string& Expected(size_t edition, size_t query) {
   static auto* cache = new std::map<std::pair<size_t, size_t>, std::string>();
   static std::mutex mu;
@@ -148,14 +148,14 @@ const std::string& Expected(size_t edition, size_t query) {
 }
 
 // One closed-loop lane: kClients threads drive the mixed workload through
-// a fresh CorpusService. Args: {capacity, query_threads}.
+// a fresh CorpusService. Args: {capacity, 1}; the second arg is constant
+// and only keeps the lane names (/10/1, /6/1) stable for
+// tools/bench_compare.py history.
 void BM_CorpusMixed(benchmark::State& state) {
   const size_t capacity = static_cast<size_t>(state.range(0));
-  const unsigned query_threads = static_cast<unsigned>(state.range(1));
 
   CorpusOptions options;
   options.capacity = capacity;
-  options.pool_threads = query_threads > 1 ? 4 : 0;
   // Sized so the bench itself never sees backpressure (rejections are
   // pinned behaviour in corpus_test); admission still serialises the heavy
   // class down to 2 concurrent analyze-string queries.
@@ -165,7 +165,7 @@ void BM_CorpusMixed(benchmark::State& state) {
   // The churning lane (capacity < editions) runs with spill on: rebuilds
   // after eviction come back as mapped arena loads instead of XML
   // reparses. The predicate — not a new Args row — keeps the lane names
-  // (/10/1, /6/1, /10/2) stable for tools/bench_compare.py history.
+  // stable.
   if (capacity < kEditions) {
     char dir_template[] = "/tmp/mhx_bench_corpus.XXXXXX";
     char* dir = mkdtemp(dir_template);
@@ -178,9 +178,6 @@ void BM_CorpusMixed(benchmark::State& state) {
     VerifyOrAbort(corpus.Register(EditionName(i), EditionConfigFor(i)).ok(),
                   "register edition");
   }
-
-  mhx::QueryOptions query_options;
-  query_options.threads = query_threads;
 
   // Pre-warm the serial reference for every (edition, query) pair so the
   // timed loop's verification is a map lookup, not a document build.
@@ -208,7 +205,7 @@ void BM_CorpusMixed(benchmark::State& state) {
           const Op op = OpFor(i);
           const auto start = std::chrono::steady_clock::now();
           auto out = corpus.Query(EditionName(op.edition),
-                                  kQueries[op.query], query_options);
+                                  kQueries[op.query]);
           const auto stop = std::chrono::steady_clock::now();
           client_latency[c]->Record(static_cast<uint64_t>(
               std::chrono::duration_cast<std::chrono::microseconds>(stop -
@@ -264,9 +261,8 @@ void BM_CorpusMixed(benchmark::State& state) {
   state.SetLabel(corpus.metrics().JsonExport());
 }
 BENCHMARK(BM_CorpusMixed)
-    ->Args({10, 1})  // all editions resident: plan-cache + pool sharing
+    ->Args({10, 1})  // all editions resident: plan-cache sharing
     ->Args({6, 1})   // capacity < editions: steady-state LRU churn
-    ->Args({10, 2})  // intra-query fan-out through the shared pool
     ->UseRealTime();
 
 // --- BM_MutateWhileQuerying --------------------------------------------------
@@ -315,7 +311,6 @@ const std::string& ExpectedWithChurn(size_t edition, size_t query) {
 void BM_MutateWhileQuerying(benchmark::State& state) {
   CorpusOptions options;
   options.capacity = kChurnEditions;  // resident: committed versions live
-  options.pool_threads = 0;
   options.max_heavy_in_flight = 2;
   options.heavy_queue_limit = kClients * 4;
   options.max_writers_in_flight = 1;

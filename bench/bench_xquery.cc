@@ -41,16 +41,10 @@ void BM_Parse_DeepNesting(benchmark::State& state) {
 }
 BENCHMARK(BM_Parse_DeepNesting);
 
-// Documents are cached per (size, thread count): the engine's pool grows to
-// the largest `threads` it has ever seen, so sharing one engine across
-// parallel lanes would let an earlier wide lane inflate a later narrow
-// one's real concurrency — each lane must measure exactly the pool its
-// label claims.
-MultihierarchicalDocument* EditionDoc(size_t words, unsigned threads) {
-  static auto* cache =
-      new std::map<std::pair<size_t, unsigned>, MultihierarchicalDocument*>();
-  const auto key = std::make_pair(words, threads);
-  auto it = cache->find(key);
+// Documents are cached per size.
+MultihierarchicalDocument* EditionDoc(size_t words) {
+  static auto* cache = new std::map<size_t, MultihierarchicalDocument*>();
+  auto it = cache->find(words);
   if (it != cache->end()) return it->second;
   mhx::workload::EditionConfig config;
   config.seed = 53;
@@ -58,16 +52,14 @@ MultihierarchicalDocument* EditionDoc(size_t words, unsigned threads) {
   auto d = mhx::workload::BuildEditionDocument(config);
   if (!d.ok()) std::abort();
   auto* doc = new MultihierarchicalDocument(std::move(d).value());
-  (*cache)[key] = doc;
+  (*cache)[words] = doc;
   return doc;
 }
 
-void RunQuery(benchmark::State& state, const char* query,
-              const mhx::QueryOptions& options = mhx::QueryOptions()) {
-  MultihierarchicalDocument* doc =
-      EditionDoc(state.range(0), options.threads);
+void RunQuery(benchmark::State& state, const char* query) {
+  MultihierarchicalDocument* doc = EditionDoc(state.range(0));
   for (auto _ : state) {
-    auto out = doc->Query(query, options);
+    auto out = doc->Query(query);
     if (!out.ok()) std::abort();
     benchmark::DoNotOptimize(out);
   }
@@ -76,8 +68,6 @@ void RunQuery(benchmark::State& state, const char* query,
   // they aggregate across size args — nonzero is the claim, not the value).
   state.counters["sorts_skipped"] =
       static_cast<double>(doc->engine()->sorts_skipped());
-  state.counters["parallel_tasks"] =
-      static_cast<double>(doc->engine()->parallel_tasks());
 }
 
 void BM_Eval_FlworIteration(benchmark::State& state) {
@@ -118,35 +108,6 @@ void BM_Eval_Quantified(benchmark::State& state) {
            "string-length(string($w)) > 10])");
 }
 BENCHMARK(BM_Eval_Quantified)->Arg(100)->Arg(400)->Complexity();
-
-// The parallel execution layer: the same FLWOR body fanned out across the
-// engine's thread pool (arg 1 = QueryOptions::threads; /1 is the serial
-// baseline). Results are byte-identical by contract — parallel_query_test
-// pins that — so this benchmark only measures.
-void BM_Eval_FlworIterationParallel(benchmark::State& state) {
-  mhx::QueryOptions options;
-  options.threads = static_cast<unsigned>(state.range(1));
-  RunQuery(state,
-           "for $w in /descendant::w return string-length(string($w))",
-           options);
-}
-BENCHMARK(BM_Eval_FlworIterationParallel)
-    ->Args({1600, 1})
-    ->Args({1600, 2})
-    ->Args({1600, 4});
-
-void BM_Eval_QuantifiedParallel(benchmark::State& state) {
-  mhx::QueryOptions options;
-  options.threads = static_cast<unsigned>(state.range(1));
-  RunQuery(state,
-           "every $w in /descendant::w satisfies "
-           "string-length(string($w)) > 0",
-           options);
-}
-BENCHMARK(BM_Eval_QuantifiedParallel)
-    ->Args({1600, 1})
-    ->Args({1600, 2})
-    ->Args({1600, 4});
 
 }  // namespace
 

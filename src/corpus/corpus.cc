@@ -84,9 +84,6 @@ CorpusService::CorpusService(const CorpusOptions& options)
       writer_queue_limit_(options.writer_queue_limit),
       spill_dir_(options.spill_dir),
       plans_(std::make_shared<xquery::PlanCache>()),
-      pool_(options.pool_threads > 0
-                ? std::make_shared<base::ThreadPool>(options.pool_threads)
-                : nullptr),
       engine_counters_(std::make_shared<xquery::EngineCounters>()),
       heavy_admission_("analyze-string", options.max_heavy_in_flight,
                        options.heavy_queue_limit),
@@ -126,10 +123,6 @@ void CorpusService::WireMetrics() {
       "mhx_engine_set_steps_total",
       "Path steps evaluated once over their whole context sequence",
       &engine_counters_->set_steps);
-  registry_.RegisterCounter(
-      "mhx_engine_parallel_tasks_total",
-      "Worker tasks dispatched to the pool by parallel loops",
-      &engine_counters_->parallel_tasks);
   registry_.RegisterCounter("mhx_engine_index_rebuilds_total",
                             "RangeIndex (re)constructions across engines",
                             &engine_counters_->index_rebuilds);
@@ -338,7 +331,7 @@ StatusOr<std::shared_ptr<MultihierarchicalDocument>> CorpusService::Resident(
       }
     }
   }
-  MHX_RETURN_IF_ERROR(doc->ConfigureEngine(plans_, pool_, engine_counters_));
+  MHX_RETURN_IF_ERROR(doc->ConfigureEngine(plans_, engine_counters_));
 
   {
     std::lock_guard<std::mutex> lock(lru_mu_);
@@ -360,8 +353,8 @@ void CorpusService::EvictDownTo(
   while (lru_.size() > keep) {
     Entry* victim = lru_.back();
     lru_.pop_back();
-    // Defer the drop: destroying a document (its engine joins worker
-    // pools, frees the goddag) should not run under lru_mu_.
+    // Defer the drop: destroying a document (its engine, its goddag)
+    // should not run under lru_mu_.
     evicted->push_back(std::move(victim->doc));
     victim->doc = nullptr;
     evictions_.Add();
@@ -383,8 +376,7 @@ StatusOr<std::string> CorpusService::QueryTraced(Entry* entry,
   const bool heavy = xquery::ContainsAnalyzeString(plan->root());
   std::unique_ptr<AdmissionTicket> ticket;
   if (heavy) {
-    // Admission happens on the caller's thread, never on a pool worker, so
-    // a full heavy queue can never stall the fan-out pool itself.
+    // Admission happens on the caller's thread, which also evaluates.
     obs::StageTimer stage(trace, "admission_wait");
     MHX_RETURN_IF_ERROR(heavy_admission_.Acquire());
     ticket = std::make_unique<AdmissionTicket>(&heavy_admission_);
@@ -435,7 +427,6 @@ StatusOr<std::string> CorpusService::Query(std::string_view doc_name,
     record.query = std::string(query);
     record.total_us = total_us;
     record.spans = trace->spans();
-    record.parallel_tasks = trace->parallel_tasks();
     slow_log_.Record(std::move(record));
   }
   return result;

@@ -7,7 +7,8 @@
 // `capacity` resident behind an LRU, and runs every query through shared
 // process-wide resources: one xquery::PlanCache (each distinct query text
 // parses once no matter how many editions it runs against) and one
-// base::ThreadPool for intra-query fan-out.
+// xquery::EngineCounters block. Each query evaluates on its caller's
+// thread; concurrency comes from concurrent callers.
 //
 // Locking, outermost first:
 //   shard.mu     name -> entry lookup; entries are never erased, so an
@@ -74,7 +75,6 @@
 #include <vector>
 
 #include "base/statusor.h"
-#include "base/thread_pool.h"
 #include "document.h"
 #include "obs/metrics.h"
 #include "obs/slow_query_log.h"
@@ -94,9 +94,10 @@ struct CorpusOptions {
   // Maximum resident (built) documents; clamped to at least 1. Eviction is
   // strict LRU by last query.
   size_t capacity = 8;
-  // Workers in the shared fan-out pool handed to every engine. 0 means no
-  // shared pool is injected and each engine falls back to growing its own
-  // private pool — the pre-corpus behaviour.
+  // Has no effect: queries evaluate serially on the caller's thread and
+  // nothing reads this field. It stays declared only because the
+  // repository benchmark's driver (mhxbench/mhx_bench.cc) still assigns
+  // it; drop it once that driver stops.
   size_t pool_threads = 4;
   // Concurrent analyze-string-heavy queries admitted; 0 rejects them all.
   size_t max_heavy_in_flight = 4;
@@ -207,8 +208,7 @@ class CorpusService {
   // go through admission first), pin the document — building or re-building
   // it if cold, after evicting the LRU victim if the build would overflow
   // capacity, so a cold build never holds more than `capacity` documents —
-  // and
-  // evaluate through the shared plan cache and pool. NotFound for an
+  // and evaluate through the shared plan cache. NotFound for an
   // unregistered name; parse errors surface before any document is built;
   // ResourceExhausted is admission backpressure. Thread-safety class:
   // pinned-snapshot read (CONCURRENCY.md) — never blocked by commits;
@@ -325,7 +325,6 @@ class CorpusService {
   const size_t writer_queue_limit_;
   const std::string spill_dir_;
   std::shared_ptr<xquery::PlanCache> plans_;
-  std::shared_ptr<base::ThreadPool> pool_;  // null when pool_threads == 0
   // One counter block shared by every engine the service builds, so
   // totals survive eviction (see xquery::EngineCounters).
   std::shared_ptr<xquery::EngineCounters> engine_counters_;

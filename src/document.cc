@@ -229,7 +229,6 @@ xquery::Engine* MultihierarchicalDocument::engine() const {
   std::lock_guard<std::mutex> lock(*engine_mu_);
   if (engine_ == nullptr) {
     engine_ = std::make_unique<xquery::Engine>(this, engine_plans_,
-                                               engine_pool_,
                                                engine_counters_);
   }
   return engine_.get();
@@ -237,7 +236,6 @@ xquery::Engine* MultihierarchicalDocument::engine() const {
 
 Status MultihierarchicalDocument::ConfigureEngine(
     std::shared_ptr<xquery::PlanCache> plans,
-    std::shared_ptr<base::ThreadPool> pool,
     std::shared_ptr<xquery::EngineCounters> counters) const {
   std::lock_guard<std::mutex> lock(*engine_mu_);
   if (engine_ != nullptr) {
@@ -245,7 +243,6 @@ Status MultihierarchicalDocument::ConfigureEngine(
         "ConfigureEngine must run before the engine is created");
   }
   engine_plans_ = std::move(plans);
-  engine_pool_ = std::move(pool);
   engine_counters_ = std::move(counters);
   return OkStatus();
 }

@@ -52,7 +52,7 @@
 
 namespace mhx {
 
-// Per-query knobs (thread fan-out etc.); see xquery/engine.h.
+// Per-query knobs (plan mode, trace); see xquery/engine.h.
 using QueryOptions = xquery::QueryOptions;
 
 // The facade described in the file comment above; CONCURRENCY.md states
@@ -170,7 +170,6 @@ class MultihierarchicalDocument {
       : current_(std::move(other.current_)),
         engine_(std::move(other.engine_)),
         engine_plans_(std::move(other.engine_plans_)),
-        engine_pool_(std::move(other.engine_pool_)),
         engine_counters_(std::move(other.engine_counters_)),
         engine_mu_(std::move(other.engine_mu_)),
         snapshot_mu_(std::move(other.snapshot_mu_)),
@@ -182,7 +181,6 @@ class MultihierarchicalDocument {
     current_ = std::move(other.current_);
     engine_ = std::move(other.engine_);
     engine_plans_ = std::move(other.engine_plans_);
-    engine_pool_ = std::move(other.engine_pool_);
     engine_counters_ = std::move(other.engine_counters_);
     engine_mu_ = std::move(other.engine_mu_);
     snapshot_mu_ = std::move(other.snapshot_mu_);
@@ -232,12 +230,8 @@ class MultihierarchicalDocument {
   // queries run remains undefined behaviour.
   StatusOr<std::string> Query(std::string_view query) const;
 
-  // As above, with per-query options — QueryOptions{.threads = 4} fans
-  // independent FLWOR iterations and quantifier bindings out across a
-  // thread pool, analyze-string() bodies included (workers
-  // materialise temporaries in private sub-overlays merged at join), with
-  // results byte-identical to the serial evaluation (see the engine.h
-  // contract for the two narrow caveats).
+  // As above, with per-query options (plan mode, trace); see
+  // xquery::QueryOptions.
   StatusOr<std::string> Query(std::string_view query,
                               const QueryOptions& options) const;
 
@@ -246,15 +240,14 @@ class MultihierarchicalDocument {
   xquery::Engine* engine() const;
 
   // Corpus injection seam: arranges for the lazily created engine to share
-  // a process-wide PlanCache, fan-out ThreadPool, and EngineCounters block
-  // instead of growing its own (any may be null to keep the engine-private
+  // a process-wide PlanCache and EngineCounters block instead of creating
+  // its own (either may be null to keep the engine-private
   // default; shared counters survive this document's eviction). Fails with
   // FailedPrecondition once the engine exists — the corpus service calls
   // this right after Build, before any query. Thread-safe; never blocks
   // beyond the engine-creation mutex.
   Status ConfigureEngine(
       std::shared_ptr<xquery::PlanCache> plans,
-      std::shared_ptr<base::ThreadPool> pool,
       std::shared_ptr<xquery::EngineCounters> counters = nullptr) const;
 
  private:
@@ -269,7 +262,6 @@ class MultihierarchicalDocument {
   mutable std::unique_ptr<xquery::Engine> engine_;
   // Held until the engine is created (ConfigureEngine), then passed to it.
   mutable std::shared_ptr<xquery::PlanCache> engine_plans_;
-  mutable std::shared_ptr<base::ThreadPool> engine_pool_;
   mutable std::shared_ptr<xquery::EngineCounters> engine_counters_;
   // Guards lazy engine creation under concurrent Query calls. Mutexes live
   // behind pointers because they are not movable but the document is.

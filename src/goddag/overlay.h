@@ -147,13 +147,13 @@ class GoddagOverlay {
 // EvaluateKeepingTemporaries calls, then the evaluation's own). Node
 // resolution, node-to-string, and leaf() lookups all go through here.
 //
-// Views form a fork tree: a parallel worker forks a child view off the
-// coordinator's view and registers its own overlays there, so
-// analyze-string() inside a fanned-out binding body writes worker-private
-// state only. A child resolves ids it does not own — and reads the cuts
-// of the overlays it does not own — through its parent, so the
-// coordinator's overlays stay visible without being copied. At join the
-// engine re-adds the workers' overlays to the coordinator's view in
+// Views form a fork chain: the engine forks a child view off the enclosing
+// view for each binding of a loop whose body calls analyze-string(), and
+// the binding registers its own overlays there, so sibling bindings never
+// see each other's temporaries. A child resolves ids it does not own — and
+// reads the cuts of the overlays it does not own — through its parent, so
+// the enclosing overlays stay visible without being copied. At loop exit
+// the engine re-adds the bindings' overlays to the enclosing view in
 // binding order.
 //
 // Leaf lookups are per range: each view keeps only the sorted element
@@ -164,12 +164,11 @@ class GoddagOverlay {
 // the partition it inherits.
 //
 // Not thread-safe for mutation: AddOverlay/AddOverlays may only be called
-// by the evaluation (or worker) that owns the view, never concurrently
-// with its readers. A parent view must be frozen — no AddOverlay — while
-// forked children exist; the engine guarantees this because the forking
-// evaluator blocks in the join for as long as its workers run. Reads are
-// const, touch no mutable state, and take no lock, so any number of
-// threads may share a frozen view.
+// by the evaluation that owns the view, never concurrently with its
+// readers. A parent view must be frozen — no AddOverlay — while forked
+// children exist; the engine guarantees this because a binding's fork is
+// dropped before the loop registers anything on the enclosing view. Reads
+// are const, touch no mutable state, and take no lock.
 class OverlayView {
  public:
   // A root view over `base`, which must stay alive and structurally
@@ -177,7 +176,7 @@ class OverlayView {
   // pointing views at the goddag of a pinned DocumentSnapshot.
   explicit OverlayView(const KyGoddag* base) : base_(base) {}
 
-  // Forks a worker-private child view: ids and cuts the child does not
+  // Forks a child view: ids and cuts the child does not
   // own resolve through `parent` (recursively up the fork tree). `parent`
   // must outlive the child and stay frozen while the child exists.
   explicit OverlayView(const OverlayView* parent)
@@ -202,7 +201,7 @@ class OverlayView {
   // materialised (the engine does this before evaluation starts).
   void AddOverlay(std::shared_ptr<const GoddagOverlay> overlay);
   // Registers a batch of overlays at once — the kept set at evaluation
-  // start, a loop's binding overlays at its exit or join — with at most
+  // start, a loop's binding overlays at its exit — with at most
   // one sort of the batch's endpoints (none when its overlays come in
   // document order) and at most one merge into the existing cuts, instead
   // of one merge per overlay.

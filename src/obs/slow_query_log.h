@@ -28,8 +28,8 @@
 
 namespace mhx::obs {
 
-// One completed slow query: identity, wall time, the trace's stage
-// breakdown, and the per-query counter deltas captured at completion.
+// One completed slow query: identity, wall time, and the trace's stage
+// breakdown.
 struct SlowQueryRecord {
   uint64_t sequence = 0;       // monotonically increasing capture order
   uint64_t query_hash = 0;     // std::hash of the query text
@@ -37,7 +37,6 @@ struct SlowQueryRecord {
   std::string query;           // full text; slow queries are rare
   uint64_t total_us = 0;
   std::vector<QueryTrace::Span> spans;
-  uint64_t parallel_tasks = 0;
 };
 
 // The fixed-capacity lock-light ring of SlowQueryRecords (see the file

@@ -185,9 +185,9 @@ void AxisEvaluator::AppendOverlayMatches(const goddag::OverlayView& view,
                                          const TextRange& context_range,
                                          NodeId exclude, const NodeTest& test,
                                          std::vector<NodeId>* out) const {
-  // A forked worker view holds only the overlays its own evaluation
+  // A forked binding view holds only the overlays its own binding
   // created; everything else visible to it (kept hierarchies, the
-  // coordinator's overlays) lives up the parent chain.
+  // enclosing overlays) lives up the parent chain.
   for (const goddag::OverlayView* v = &view; v != nullptr; v = v->parent()) {
     for (const auto& overlay : v->overlays()) {
       // The auto-created whole-text root is plumbing, not a result: start

@@ -24,9 +24,9 @@
 // the base document alone. Extended axes read uniformly as "base index
 // (or base scan) + overlay scan" — overlay nodes are never indexed, their
 // delta is tiny — and standard axes resolve parent/child arcs through the
-// view. Views fork (goddag/overlay.h): a parallel worker's private view
-// chains to the coordinator's, and both the overlay scan here and the
-// view's own id resolution walk that chain. Overlay churn never touches the snapshot's
+// view. Views fork (goddag/overlay.h): a loop binding's view chains to the
+// enclosing one, and both the overlay scan here and the view's own id
+// resolution walk that chain. Overlay churn never touches the snapshot's
 // index, which is what keeps analyze-string() cycles rebuild-free
 // (index_rebuild_count()).
 //
@@ -217,9 +217,9 @@ class AxisEvaluator {
                                    std::vector<goddag::NodeId>* out) const;
   // The overlay half of every extended-axis evaluation: a linear scan of
   // the view's overlay elements (plumbing roots excluded) against the
-  // Definition-1 predicate. Walks the view's fork chain, so a worker's
-  // private view scans the coordinator's overlays and the kept
-  // hierarchies as well as its own. `test` filters matches as they
+  // Definition-1 predicate. Walks the view's fork chain, so a binding's
+  // view scans the enclosing overlays and the kept hierarchies as well as
+  // its own. `test` filters matches as they
   // append.
   void AppendOverlayMatches(const goddag::OverlayView& view, Axis axis,
                             const TextRange& context_range,

@@ -156,29 +156,6 @@ std::string DebugString(const AstNode& node) {
   return out;
 }
 
-const std::vector<BuiltinFunction>& BuiltinFunctions() {
-  // Pure value functions are trivially safe. analyze-string() is safe
-  // because a parallel worker materialises its temporary hierarchies in a
-  // private sub-overlay namespace (merged at join) — it shares only the
-  // mutex-guarded compiled-pattern cache and the overlay id allocator.
-  static const std::vector<BuiltinFunction>* const kTable =
-      new std::vector<BuiltinFunction>{
-          {"string", true},  {"string-length", true},
-          {"count", true},   {"name", true},
-          {"not", true},     {"true", true},
-          {"false", true},   {"matches", true},
-          {"analyze-string", true},
-      };
-  return *kTable;
-}
-
-const BuiltinFunction* FindBuiltin(std::string_view name) {
-  for (const BuiltinFunction& fn : BuiltinFunctions()) {
-    if (fn.name == name) return &fn;
-  }
-  return nullptr;
-}
-
 void VisitSubExprs(const AstNode& node,
                    const std::function<void(const AstNode&)>& fn) {
   for (const auto& child : node.children) fn(*child);
@@ -203,8 +180,8 @@ void VisitSubExprs(AstNode& node, const std::function<void(AstNode&)>& fn) {
                 });
 }
 
-// Both classifications run once per query at parse time (ParseQuery stamps
-// loop nodes), so neither bothers to short-circuit the traversal.
+// Runs once per query at parse time (ParseQuery stamps loop nodes), so it
+// does not bother to short-circuit the traversal.
 
 bool ContainsAnalyzeString(const AstNode& node) {
   if (node.kind == ExprKind::kFunctionCall && node.name == "analyze-string") {
@@ -215,19 +192,6 @@ bool ContainsAnalyzeString(const AstNode& node) {
     found = found || ContainsAnalyzeString(child);
   });
   return found;
-}
-
-bool IsParallelSafe(const AstNode& node) {
-  if (node.kind == ExprKind::kFunctionCall) {
-    // Unknown names are conservatively unsafe.
-    const BuiltinFunction* builtin = FindBuiltin(node.name);
-    if (builtin == nullptr || !builtin->parallel_safe) return false;
-  }
-  bool safe = true;
-  VisitSubExprs(node, [&safe](const AstNode& child) {
-    safe = safe && IsParallelSafe(child);
-  });
-  return safe;
 }
 
 std::string_view CompareOpName(CompareOp op) {

@@ -92,8 +92,7 @@ struct AstNode {
   // kFor / kQuantified only, stamped once by ParseQuery (the AST is
   // immutable afterwards, and loops re-read these on every execution —
   // including nested loops entered once per outer binding): the cached
-  // results of IsParallelSafe / ContainsAnalyzeString on children[1].
-  bool body_parallel_safe = false;
+  // result of ContainsAnalyzeString on children[1].
   bool body_contains_analyze_string = false;
 
   CompareOp compare_op = CompareOp::kEq;  // kCompare
@@ -115,54 +114,20 @@ std::string DebugString(const AstNode& node);
 
 // Invokes `fn` on every direct sub-expression of `node`: children, path
 // step primaries and predicates, constructor attribute and content parts.
-// The one enumeration every whole-tree walk builds on (IsParallelSafe,
-// ContainsAnalyzeString, the parser's classification stamping) — a new AST
+// The one enumeration every whole-tree walk builds on (ContainsAnalyzeString,
+// the parser's classification stamping) — a new AST
 // slot holding expressions only needs wiring here.
 void VisitSubExprs(const AstNode& node,
                    const std::function<void(const AstNode&)>& fn);
 void VisitSubExprs(AstNode& node, const std::function<void(AstNode&)>& fn);
 
-// One row of the engine's built-in function surface: the classification
-// IsParallelSafe keys off. A built-in is parallel-safe when evaluating it
-// on a worker thread cannot touch state shared mutably across the
-// evaluation's workers. That now includes analyze-string(): its temporary
-// virtual hierarchies go into the worker's private sub-overlay namespace
-// (goddag/overlay.h fork views) and merge into the coordinator's view at
-// join, so nothing it writes is shared while workers run.
-struct BuiltinFunction {
-  std::string_view name;
-  bool parallel_safe;
-};
-
-// The full table of built-in functions the engine evaluates, in the order
-// EvalFunction dispatches them. Table-driven on purpose: adding a built-in
-// means adding a row and deciding its classification explicitly (a unit
-// test pins every row), and IsParallelSafe conservatively rejects any
-// function name that has no row — a future side-effecting built-in cannot
-// silently become "safe".
-const std::vector<BuiltinFunction>& BuiltinFunctions();
-
-// The table row for `name`, or nullptr for unknown functions.
-const BuiltinFunction* FindBuiltin(std::string_view name);
-
 // True when the subtree contains an analyze-string() call, i.e. evaluating
 // it can materialise temporary hierarchies. The engine evaluates each
-// binding of a loop whose body can — serial or parallel alike — in an
-// isolated child overlay view, all bindings' overlays merged into the
-// enclosing view at loop exit, so a body sees the enclosing scope's
-// temporaries plus its own and never a sibling binding's: loop output is
-// identical at every thread count by construction (xquery/engine.h).
+// binding of a loop whose body can in an isolated child overlay view, all
+// bindings' overlays merged into the enclosing view at loop exit, so a body
+// sees the enclosing scope's temporaries plus its own and never a sibling
+// binding's (xquery/engine.h).
 bool ContainsAnalyzeString(const AstNode& node);
-
-// True when evaluating the subtree cannot touch state shared across the
-// evaluation's worker threads, so independent FLWOR iterations / quantifier
-// bindings over it may fan out concurrently. Classification is table-driven
-// (BuiltinFunctions above): every known built-in — analyze-string()
-// included, since temporaries live in worker-private sub-overlays — is
-// parallel-safe today, and unknown function names are rejected. Direct
-// constructors are pure here — they build detached fragment strings that
-// never re-enter the document — and so stay parallel-safe.
-bool IsParallelSafe(const AstNode& node);
 
 std::string_view CompareOpName(CompareOp op);
 std::string_view ArithOpName(ArithOp op);

@@ -3,11 +3,7 @@
 #include "xquery/engine.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <exception>
-#include <future>
 #include <limits>
-#include <optional>
 #include <tuple>
 #include <utility>
 
@@ -96,29 +92,20 @@ class Evaluator {
   };
   using Sequence = std::vector<Item>;
 
-  // An evaluator over one overlay view. The coordinating evaluator of an
-  // evaluation gets the evaluation's root view; a parallel worker slot
-  // gets a snapshot of the coordinator's binding stack and a fresh view
-  // forked off the coordinator's per binding (RunLoopSlot re-points
-  // view_). Either way `own` collects the overlays this evaluator
-  // materialises (analyze-string()); they are registered in `view` as
-  // created, so later steps of the same binding see them — worker-created
-  // overlays additionally merge into the coordinator's view at the loop
-  // join, in binding order.
+  // An evaluator over one overlay view: the evaluation's root view. `own`
+  // collects the overlays this evaluator materialises (analyze-string());
+  // they are registered in `view` as created, so later steps of the same
+  // binding see them.
   Evaluator(Engine* engine, const xpath::AxisEvaluator* axes,
             const QueryOptions* options, const QueryPlan* plan,
-            base::ThreadPool* pool, goddag::OverlayView* view,
-            std::vector<std::shared_ptr<const goddag::GoddagOverlay>>* own,
-            std::vector<std::pair<std::string, Sequence>> bindings = {})
+            goddag::OverlayView* view,
+            std::vector<std::shared_ptr<const goddag::GoddagOverlay>>* own)
       : engine_(engine),
         view_(view),
         own_(own),
         axes_(*axes),
         options_(options),
-        plan_(plan),
-        pool_(pool) {
-    bindings_ = std::move(bindings);
-  }
+        plan_(plan) {}
 
   StatusOr<Sequence> Evaluate(const AstNode& root) {
     return Eval(root, nullptr);
@@ -198,15 +185,12 @@ class Evaluator {
       }
       case ExprKind::kFor: {
         MHX_ASSIGN_OR_RETURN(Sequence seq, Eval(*node.children[0], context));
-        if (ShouldParallelize(node, seq)) {
-          return EvalLoopParallel(node, context, std::move(seq));
-        }
         std::vector<std::shared_ptr<const goddag::GoddagOverlay>> pending;
         Sequence out;
         for (Item& item : seq) {
           MHX_ASSIGN_OR_RETURN(
               Sequence body,
-              EvalSerialBinding(node, context, std::move(item), &pending));
+              EvalLoopBinding(node, context, std::move(item), &pending));
           std::move(body.begin(), body.end(), std::back_inserter(out));
         }
         MergePendingOverlays(std::move(pending));
@@ -221,19 +205,16 @@ class Evaluator {
       }
       case ExprKind::kQuantified: {
         MHX_ASSIGN_OR_RETURN(Sequence seq, Eval(*node.children[0], context));
-        if (ShouldParallelize(node, seq)) {
-          return EvalLoopParallel(node, context, std::move(seq));
-        }
         std::vector<std::shared_ptr<const goddag::GoddagOverlay>> pending;
         for (Item& item : seq) {
           MHX_ASSIGN_OR_RETURN(
               Sequence body,
-              EvalSerialBinding(node, context, std::move(item), &pending));
+              EvalLoopBinding(node, context, std::move(item), &pending));
           MHX_ASSIGN_OR_RETURN(bool value,
                                BooleanValue(body, node.children[1]->offset));
           if (value != node.every) {
-            // The decider's own overlays are committed (serial evaluated
-            // it fully); bindings past it were never evaluated.
+            // The decider's own overlays are committed (it was evaluated
+            // fully); bindings past it are never evaluated.
             MergePendingOverlays(std::move(pending));
             return Sequence{Item::Boolean(!node.every)};
           }
@@ -290,16 +271,16 @@ class Evaluator {
     return EvalErrorAt(node.offset, "unhandled expression kind");
   }
 
-  // Evaluates one serial loop binding in an isolated child view: while the
-  // scope lives, this evaluator's view_/own_ point at a fresh fork, so
+  // Evaluates one loop binding in an isolated child view: while the scope
+  // lives, this evaluator's view_/own_ point at a fresh fork, so
   // temporaries the binding materialises stay invisible to sibling
-  // bindings — exactly the scoping a parallel worker slot gets. After a
-  // successful evaluation, CommitTo() hands the binding's overlays to the
-  // loop's pending list; the loop merges the whole list into the
-  // enclosing view only at loop exit (MergePendingOverlays), matching the
-  // parallel join — merging per binding would re-expose earlier bindings'
-  // temporaries to later ones through the fork chain. Destruction
-  // restores the pointers either way, dropping uncommitted overlays.
+  // bindings (a binding sees base + kept + pre-loop temporaries + its
+  // own). After a successful evaluation, CommitTo() hands the binding's
+  // overlays to the loop's pending list; the loop merges the whole list
+  // into the enclosing view only at loop exit (MergePendingOverlays) —
+  // merging per binding would re-expose earlier bindings' temporaries to
+  // later ones through the fork chain. Destruction restores the pointers
+  // either way, dropping uncommitted overlays.
   class BindingScope {
    public:
     explicit BindingScope(Evaluator* evaluator)
@@ -337,11 +318,11 @@ class Evaluator {
     view_->AddOverlays(std::move(pending));
   }
 
-  // One serial loop binding, shared by kFor and kQuantified: bind, evaluate
+  // One loop binding, shared by kFor and kQuantified: bind, evaluate
   // the body — in an isolated child view when it can materialise
   // temporaries (overlays land in `pending` for the loop-exit merge; see
   // BindingScope) — and unbind.
-  StatusOr<Sequence> EvalSerialBinding(
+  StatusOr<Sequence> EvalLoopBinding(
       const AstNode& node, const Item* context, Item item,
       std::vector<std::shared_ptr<const goddag::GoddagOverlay>>* pending) {
     bindings_.emplace_back(node.name, Sequence{std::move(item)});
@@ -355,377 +336,6 @@ class Evaluator {
     }
     bindings_.pop_back();
     return body;
-  }
-
-  // --- parallel FLWOR / quantifier fan-out ---------------------------------
-
-  // Fan out whenever a pool exists, there are enough bindings to amortise
-  // the loop's fixed cost (shared state, helper submission, per-slot view
-  // fork and binding-stack snapshot — tiny inner loops of two or three
-  // bindings are cheaper run inline), and the body provably cannot touch
-  // state shared mutably across workers. Workers fan nested `for` loops
-  // out again through the same machinery — the join below waits only for
-  // claimed bindings, so nesting cannot deadlock the fixed-size pool.
-  static constexpr size_t kMinParallelBindings = 4;
-  bool ShouldParallelize(const AstNode& loop, const Sequence& seq) const {
-    return pool_ != nullptr && options_->threads > 1 &&
-           seq.size() >= kMinParallelBindings && loop.body_parallel_safe;
-  }
-
-  // Everything one parallel loop's slots share, owned via shared_ptr:
-  // queued helper tasks can run after the join returned (a stale helper
-  // claims nothing and must touch nothing but the cursor — every other
-  // field may reference the coordinator's dead stack frame by then).
-  struct LoopShared {
-    LoopShared(size_t n, size_t slot_count)
-        : binding_count(n),
-          chunk_size((n + slot_count * kChunksPerSlot - 1) /
-                     (slot_count * kChunksPerSlot)),
-          unfinished(n),
-          slot_traces(slot_count) {}
-
-    // Slots claim chunks of consecutive bindings, about kChunksPerSlot per
-    // slot. One binding per claim measured 15-25% slower on cheap bodies
-    // (string-length over 1600 words at 2 and 4 threads on a 4-core
-    // x86-64 VM, bench_xquery's *Parallel lanes): neighbouring
-    // bindings landed on different cores, so their result slots shared
-    // cache lines and every binding paid a contended RMW. Eight chunks
-    // per slot still balance skewed bodies — chunked self-scheduling
-    // (Kruskal & Weiss, IEEE TSE 1985).
-    static constexpr size_t kChunksPerSlot = 8;
-
-    // One slot's current chunk of claimed binding indices, [next, end).
-    struct Chunk {
-      size_t next = 0;
-      size_t end = 0;
-    };
-
-    // Hands out the next index of `chunk`, claiming the next chunk off the
-    // shared cursor (one atomic RMW) once it is used up. Chunks go out in
-    // ascending order to whichever slot asks first, so skewed per-binding
-    // costs balance themselves. Returns false once the cursor is past the
-    // last binding; the cursor is the only field a stale helper ever
-    // touches.
-    bool Claim(Chunk* chunk, size_t* index) {
-      if (chunk->next == chunk->end) {
-        const size_t begin =
-            next.fetch_add(chunk_size, std::memory_order_relaxed);
-        if (begin >= binding_count) return false;
-        chunk->next = begin;
-        chunk->end = std::min(begin + chunk_size, binding_count);
-      }
-      *index = chunk->next++;
-      return true;
-    }
-
-    // Marks one claimed binding finished (evaluated or skipped).
-    void MarkDone() {
-      if (unfinished.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(done_mu);
-        done_cv.notify_all();
-      }
-    }
-
-    bool AllDone() const {
-      return unfinished.load(std::memory_order_acquire) == 0;
-    }
-
-    // Blocks until every binding is done — the join waits for claimed work
-    // only, never for queued helper tasks. The acquire load in AllDone
-    // pairs with the release decrement in MarkDone, so every slot's
-    // binding results are visible to the joining thread.
-    void WaitAllDone() {
-      std::unique_lock<std::mutex> lock(done_mu);
-      done_cv.wait(lock, [this] { return AllDone(); });
-    }
-
-    const size_t binding_count;
-    const size_t chunk_size;
-    std::atomic<size_t> next{0};  // the claim cursor
-    std::atomic<size_t> unfinished;
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-
-    // Per-slot trace accumulators for an attached QueryTrace. Exactly one
-    // thread runs each slot, so each entry has a single writer; every
-    // write happens before that slot's final MarkDone (release), and the
-    // coordinator reads only after WaitAllDone (acquire) — race-free with
-    // no extra synchronisation. A stale helper never touches these: it
-    // reads `trace` only after a successful claim, which it cannot get.
-    struct SlotTrace {
-      uint64_t begin_ns = 0;
-      uint64_t end_ns = 0;
-      uint64_t bindings = 0;
-      size_t first_binding = std::numeric_limits<size_t>::max();
-    };
-    std::vector<SlotTrace> slot_traces;
-    // Bindings with index > cancel_after may be skipped: the loop's result
-    // is already determined by the event recorded at cancel_after (an
-    // error, or a quantifier decider). Monotonically non-increasing, so a
-    // binding below the final event index is never skipped — which is what
-    // makes the join's winner exactly serial evaluation's.
-    std::atomic<size_t> cancel_after{std::numeric_limits<size_t>::max()};
-    // Hard abort (a slot threw): skip all remaining work, results void.
-    std::atomic<bool> torn{false};
-
-    std::mutex mu;  // guards the event fields and `overlays`
-    size_t event_index = std::numeric_limits<size_t>::max();
-    bool event_is_error = false;
-    Status error = OkStatus();
-    std::exception_ptr thrown;
-    // Worker-created overlays tagged with their binding index (creation
-    // order within a binding preserved — one slot evaluates a whole
-    // binding); the join merges them into the coordinator's view stably
-    // sorted by index, reproducing serial registration order.
-    std::vector<
-        std::pair<size_t, std::shared_ptr<const goddag::GoddagOverlay>>>
-        overlays;
-
-    // Immutable after construction; valid while any binding is unclaimed
-    // (the coordinator outlives its join, and claims cannot happen after).
-    Engine* engine = nullptr;
-    const xpath::AxisEvaluator* axes = nullptr;
-    const QueryOptions* options = nullptr;
-    const QueryPlan* plan = nullptr;
-    base::ThreadPool* pool = nullptr;
-    goddag::OverlayView* parent_view = nullptr;
-    const std::vector<std::pair<std::string, Sequence>>* parent_bindings =
-        nullptr;
-    const AstNode* loop = nullptr;  // the kFor / kQuantified node
-    const Item* context = nullptr;
-    bool quantified = false;
-    Sequence bindings;
-    std::vector<Sequence> results;  // kFor: one slot per binding
-  };
-
-  // Records that binding `index` ended the loop — with an error, or (for
-  // quantifiers) by deciding. The lowest index wins, exactly as the serial
-  // loop would have stopped there first.
-  static void RecordEvent(LoopShared* st, size_t index, bool is_error,
-                          Status status) {
-    size_t cur = st->cancel_after.load(std::memory_order_relaxed);
-    while (index < cur && !st->cancel_after.compare_exchange_weak(
-                              cur, index, std::memory_order_relaxed)) {
-    }
-    std::lock_guard<std::mutex> lock(st->mu);
-    if (index < st->event_index) {
-      st->event_index = index;
-      st->event_is_error = is_error;
-      st->error = std::move(status);
-    }
-  }
-
-  // Runs one worker slot of a parallel loop to completion: claims chunks
-  // of binding indices off the shared cursor until it runs past the end,
-  // evaluates the loop body in a worker-private forked view, and
-  // publishes results, events and created overlays into the shared state.
-  // Static on purpose: until a claim succeeds it may touch nothing but
-  // `st`'s cursor — not even a `this` — because a stale helper can
-  // outlive the coordinator.
-  static void RunLoopSlot(const std::shared_ptr<LoopShared>& st,
-                          size_t slot) {
-    // Worker state is created lazily on the first claim; a stale helper
-    // never reaches it.
-    std::optional<goddag::OverlayView> view;
-    std::vector<std::shared_ptr<const goddag::GoddagOverlay>> own;
-    std::optional<Evaluator> worker;
-    LoopShared::Chunk chunk;
-    size_t index = 0;
-    while (st->Claim(&chunk, &index)) {
-      // The claim succeeded, so the coordinator is alive and every
-      // LoopShared field is safe to touch (the stale-helper hazard is
-      // only before a claim).
-      if (st->options->trace != nullptr) {
-        LoopShared::SlotTrace& t = st->slot_traces[slot];
-        if (t.bindings == 0) t.begin_ns = st->options->trace->NowNs();
-        t.first_binding = std::min(t.first_binding, index);
-        ++t.bindings;
-      }
-      const bool skip = st->torn.load(std::memory_order_relaxed) ||
-                        index > st->cancel_after.load(std::memory_order_relaxed);
-      if (!skip) {
-        try {
-          if (st->loop->body_contains_analyze_string) {
-            // A fresh fork per binding: the contract is that a body sees
-            // base + kept + pre-loop temporaries + its *own* — never
-            // those of earlier bindings that happened to land on this
-            // slot, which would make output depend on claim timing. The
-            // binding-stack snapshot is reused across the slot's bindings
-            // (push/pop restores it); only the view and overlay list
-            // reset.
-            view.emplace(st->parent_view);
-            own.clear();
-            if (!worker.has_value()) {
-              worker.emplace(st->engine, st->axes, st->options, st->plan,
-                             st->pool, &*view, &own, *st->parent_bindings);
-            } else {
-              worker->view_ = &*view;
-            }
-          } else if (!worker.has_value()) {
-            // The body provably creates no overlays (containment is
-            // transitive, so neither can anything nested in it): share
-            // the coordinator's view read-only instead of forking per
-            // binding.
-            worker.emplace(st->engine, st->axes, st->options, st->plan,
-                           st->pool, st->parent_view, &own,
-                           *st->parent_bindings);
-          }
-          worker->bindings_.emplace_back(
-              st->loop->name, Sequence{std::move(st->bindings[index])});
-          auto body = worker->Eval(*st->loop->children[1], st->context);
-          worker->bindings_.pop_back();
-          if (!body.ok()) {
-            RecordEvent(st.get(), index, /*is_error=*/true, body.status());
-          } else if (st->quantified) {
-            auto value = worker->BooleanValue(
-                *body, st->loop->children[1]->offset);
-            if (!value.ok()) {
-              RecordEvent(st.get(), index, /*is_error=*/true,
-                          value.status());
-            } else if (*value != st->loop->every) {
-              RecordEvent(st.get(), index, /*is_error=*/false, OkStatus());
-            }
-          } else {
-            st->results[index] = *std::move(body);
-          }
-          if (!own.empty()) {
-            // Publish before MarkDone: the join may return the instant the
-            // last binding is marked done. The shared list keeps the
-            // overlays alive past this binding's view reset (own was
-            // cleared at the top of the claim, so everything here is this
-            // binding's).
-            std::lock_guard<std::mutex> lock(st->mu);
-            for (const auto& overlay : own) {
-              st->overlays.emplace_back(index, overlay);
-            }
-          }
-        } catch (...) {
-          st->torn.store(true, std::memory_order_relaxed);
-          std::lock_guard<std::mutex> lock(st->mu);
-          if (st->thrown == nullptr) st->thrown = std::current_exception();
-        }
-      }
-      // Stamp before MarkDone: the join may read the instant the last
-      // binding is marked done.
-      if (st->options->trace != nullptr) {
-        st->slot_traces[slot].end_ns = st->options->trace->NowNs();
-      }
-      st->MarkDone();
-    }
-  }
-
-  // The parallel loop driver, shared by kFor and kQuantified. The
-  // coordinator runs slot 0 itself, submits slots-1 helper tasks, helps
-  // drain the pool's backlog while stragglers finish, then joins: binding
-  // results concatenate in index order, worker sub-overlays merge into
-  // this evaluator's view in binding order, and the lowest-indexed
-  // error/decider event wins — byte-identical to the serial loop (see the
-  // engine.h contract for the two narrow caveats).
-  StatusOr<Sequence> EvalLoopParallel(const AstNode& node,
-                                      const Item* context, Sequence seq) {
-    const size_t n = seq.size();
-    const size_t slots = std::min<size_t>(options_->threads, n);
-    auto st = std::make_shared<LoopShared>(n, slots);
-    st->engine = engine_;
-    st->axes = &axes_;
-    st->options = options_;
-    st->plan = plan_;
-    st->pool = pool_;
-    st->parent_view = view_;
-    st->parent_bindings = &bindings_;
-    st->loop = &node;
-    st->context = context;
-    st->quantified = node.kind == ExprKind::kQuantified;
-    st->bindings = std::move(seq);
-    if (!st->quantified) st->results.resize(n);
-
-    size_t submitted = 0;
-    std::exception_ptr submit_error;
-    for (size_t s = 1; s < slots; ++s) {
-      try {
-        pool_->Submit([st, s] { RunLoopSlot(st, s); });
-        engine_->counters_->parallel_tasks.Add();
-        ++submitted;
-      } catch (...) {
-        // Helpers that never materialise are only lost parallelism — the
-        // remaining slots claim their share — but the loop must still tear
-        // down cleanly before rethrowing.
-        submit_error = std::current_exception();
-        st->torn.store(true, std::memory_order_relaxed);
-        break;
-      }
-    }
-    RunLoopSlot(st, 0);
-    // Help drain the backlog instead of sleeping on it: the queue may hold
-    // this loop's own helpers (which will find the cursor exhausted)
-    // or a sibling loop's — running either makes global progress, and a
-    // nested coordinator blocked here never starves the pool.
-    while (!st->AllDone() && pool_->RunPendingTask()) {
-    }
-    st->WaitAllDone();
-
-    // Join. After WaitAllDone no slot touches the shared state (overlay
-    // publication happens before each MarkDone), so the reads below are
-    // race-free without st->mu.
-    if (obs::QueryTrace* trace = options_->trace; trace != nullptr) {
-      // Merge the slots' spans in binding order — the order serial
-      // evaluation would have visited each slot's first binding — so a
-      // trace reads deterministically given which slot claimed what.
-      std::vector<std::pair<size_t, const LoopShared::SlotTrace*>> active;
-      for (size_t s = 0; s < st->slot_traces.size(); ++s) {
-        if (st->slot_traces[s].bindings > 0) {
-          active.emplace_back(s, &st->slot_traces[s]);
-        }
-      }
-      std::stable_sort(active.begin(), active.end(),
-                       [](const auto& a, const auto& b) {
-                         return a.second->first_binding <
-                                b.second->first_binding;
-                       });
-      for (const auto& [slot_id, t] : active) {
-        obs::QueryTrace::Span span;
-        span.name = "loop@" + std::to_string(node.offset) + "/slot" +
-                    std::to_string(slot_id);
-        span.kind = obs::QueryTrace::SpanKind::kSlot;
-        span.begin_ns = t->begin_ns;
-        span.end_ns = t->end_ns;
-        span.slot = slot_id;
-        span.bindings = t->bindings;
-        trace->AddSpan(std::move(span));
-      }
-      trace->NoteParallelTasks(submitted);
-    }
-    if (submit_error != nullptr) std::rethrow_exception(submit_error);
-    if (st->thrown != nullptr) std::rethrow_exception(st->thrown);
-    const bool has_event =
-        st->event_index != std::numeric_limits<size_t>::max();
-    if (has_event && st->event_is_error) return st->error;
-    // Merge worker sub-overlays up to and including the event binding (a
-    // quantifier's serial loop evaluates its decider fully, then stops;
-    // overlays speculatively created past it are discarded here and die
-    // with their shared_ptrs).
-    std::stable_sort(st->overlays.begin(), st->overlays.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
-    std::vector<std::shared_ptr<const goddag::GoddagOverlay>> merged;
-    for (auto& [binding_index, overlay] : st->overlays) {
-      if (binding_index > st->event_index) break;
-      merged.push_back(std::move(overlay));
-    }
-    own_->insert(own_->end(), merged.begin(), merged.end());
-    view_->AddOverlays(std::move(merged));
-    if (st->quantified) {
-      return Sequence{Item::Boolean(has_event ? !node.every : node.every)};
-    }
-    Sequence out;
-    size_t total = 0;
-    for (const Sequence& result : st->results) total += result.size();
-    out.reserve(total);
-    for (Sequence& result : st->results) {
-      std::move(result.begin(), result.end(), std::back_inserter(out));
-    }
-    return out;
   }
 
   // --- booleans, comparisons, arithmetic -----------------------------------
@@ -1276,8 +886,7 @@ class Evaluator {
 
   StatusOr<const regex::Regex*> CompiledRegex(const std::string& pattern,
                                               size_t offset) {
-    // Parallel workers hit the shared PlanCache concurrently (matches()
-    // and analyze-string() are parallel-safe); cached programs are
+    // Concurrent evaluations hit the shared PlanCache; cached programs are
     // address-stable for the cache's lifetime, which the engine pins via
     // shared_ptr. Compile errors are anchored to this call site's source
     // offset.
@@ -1292,10 +901,9 @@ class Evaluator {
   // string of a node and materialise every match — and every named fragment
   // group — as a temporary virtual hierarchy over the node's base-text
   // range. The hierarchy is a GoddagOverlay private to this evaluator's
-  // view — the evaluation's for the coordinator, a worker's forked view
-  // inside a parallel loop — so the base document is untouched, concurrent
-  // evaluations and sibling workers need no exclusion, and teardown is
-  // dropping the overlay. Returns the result wrapper element, whose leaf()
+  // current view — the evaluation's, or a loop binding's fork — so the
+  // base document is untouched, concurrent evaluations need no exclusion,
+  // and teardown is dropping the overlay. Returns the result wrapper element, whose leaf()
   // descendants are the analysed range re-partitioned by the match
   // boundaries.
   StatusOr<Sequence> EvalAnalyzeString(const AstNode& node,
@@ -1452,28 +1060,20 @@ class Evaluator {
   }
 
   Engine* engine_;
-  // This evaluator's read/write seam: for the coordinator, the
-  // evaluation's root view (immutable base + kept hierarchies + own
-  // overlays); for a parallel worker slot, a private view forked off the
-  // coordinator's, which stays frozen while the worker runs. own_ collects
-  // the overlays this evaluator materialises — the engine keeps or drops
-  // the coordinator's, and a loop join migrates workers' into the
-  // coordinator's list in binding order.
+  // This evaluator's read/write seam: the evaluation's root view (immutable base + kept hierarchies + own
+  // overlays), re-pointed at a fork while a BindingScope lives. own_
+  // collects the overlays this evaluator materialises — the engine keeps
+  // or drops them.
   goddag::OverlayView* view_;
   std::vector<std::shared_ptr<const goddag::GoddagOverlay>>* own_;
   const xpath::AxisEvaluator& axes_;
   const QueryOptions* options_;
   // The kAuto step plan for this evaluation's (expr, snapshot version) —
-  // null under the forced modes (and for plan-less callers); workers
-  // inherit the coordinator's, so every slot executes the same plan.
+  // null under the forced modes (and for plan-less callers).
   const QueryPlan* plan_;
-  // Fan-out pool; null for serial evaluation. Workers keep it so nested
-  // `for` loops fan out too.
-  base::ThreadPool* pool_;
   std::vector<std::pair<std::string, Sequence>> bindings_;
   // Pike-VM scan state reused by every analyze-string() this evaluator
-  // runs, so a per-word scan allocates nothing once warm. Each parallel
-  // worker slot owns its own Evaluator, hence its own scratch.
+  // runs, so a per-word scan allocates nothing once warm.
   regex::ScanScratch scan_scratch_;
 };
 
@@ -1484,12 +1084,10 @@ Engine::Engine(const MultihierarchicalDocument* document)
 
 Engine::Engine(const MultihierarchicalDocument* document,
                std::shared_ptr<PlanCache> plans,
-               std::shared_ptr<base::ThreadPool> shared_pool,
                std::shared_ptr<EngineCounters> counters)
     : document_(document),
       plans_(plans != nullptr ? std::move(plans)
                               : std::make_shared<PlanCache>()),
-      shared_pool_(std::move(shared_pool)),
       counters_(counters != nullptr ? std::move(counters)
                                     : std::make_shared<EngineCounters>()) {}
 
@@ -1561,23 +1159,6 @@ StatusOr<const Expr*> Engine::PreparedQuery(std::string_view query) {
   return plans_->Prepare(query);
 }
 
-base::ThreadPool* Engine::pool(unsigned threads) {
-  if (threads <= 1) return nullptr;
-  // A corpus-injected pool is shared by every engine in the service; it is
-  // never grown — joins help drain, so evaluation is correct
-  // (just less parallel) when the pool is smaller than `threads`.
-  if (shared_pool_ != nullptr) return shared_pool_.get();
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  if (pool_ == nullptr || pool_->size() < threads) {
-    // Never destroy a pool another evaluation may still be running on:
-    // retire it (workers drain and idle) and keep it alive until the
-    // engine goes away.
-    if (pool_ != nullptr) retired_pools_.push_back(std::move(pool_));
-    pool_ = std::make_unique<base::ThreadPool>(threads);
-  }
-  return pool_.get();
-}
-
 StatusOr<Engine::EvaluationOutput> Engine::EvaluateInternal(
     std::string_view query, const QueryOptions& options) {
   obs::QueryTrace* trace = options.trace;
@@ -1589,12 +1170,6 @@ StatusOr<Engine::EvaluationOutput> Engine::EvaluateInternal(
     obs::StageTimer stage(trace, "plan_lookup");
     MHX_ASSIGN_OR_RETURN(expr, PreparedQuery(query));
   }
-  // threads: 0 and 1 are the same request — serial evaluation. Normalising
-  // here keeps every later decision (pool creation, ShouldParallelize,
-  // slot sizing) on one code path with identical plans and counters.
-  QueryOptions normalized = options;
-  if (normalized.threads == 0) normalized.threads = 1;
-  base::ThreadPool* fan_out_pool = pool(normalized.threads);
   std::shared_ptr<const SnapshotAxes> pinned;
   std::shared_ptr<const QueryPlan> plan;
   {
@@ -1603,7 +1178,7 @@ StatusOr<Engine::EvaluationOutput> Engine::EvaluateInternal(
     // view, axes, leaves, index — reads exactly this version, regardless
     // of writers committing successors meanwhile.
     pinned = PinAxes();
-    if (normalized.plan_mode == PlanMode::kAuto) {
+    if (options.plan_mode == PlanMode::kAuto) {
       // The step plan for this (expr, document, version); cached, so in
       // the steady state this is one map lookup and a replan only happens
       // on the first evaluation after a commit. The plan annotates the
@@ -1623,8 +1198,8 @@ StatusOr<Engine::EvaluationOutput> Engine::EvaluateInternal(
   goddag::OverlayView view(&pinned->snapshot->goddag());
   view.AddOverlays(SnapshotKept());
   std::vector<std::shared_ptr<const goddag::GoddagOverlay>> own;
-  Evaluator evaluator(this, &pinned->axes, &normalized, plan.get(),
-                      fan_out_pool, &view, &own);
+  Evaluator evaluator(this, &pinned->axes, &options, plan.get(), &view,
+                      &own);
   StatusOr<Evaluator::Sequence> result = [&] {
     obs::StageTimer stage(trace, "evaluate");
     return evaluator.Evaluate(expr->root());

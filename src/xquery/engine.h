@@ -28,60 +28,31 @@
 // index_rebuild_count() (at most 1 per engine) is the proof, surfaced as a
 // benchmark counter in bench_paper_queries.cc.
 //
-// Concurrency contract. Two independent levels:
+// Concurrency contract: one level, across calls. Any number of Evaluate /
+// EvaluateKeepingTemporaries calls may run concurrently on one engine —
+// including queries that materialise temporary hierarchies via
+// analyze-string(). There is no evaluation lock: evaluations share an
+// immutable pinned snapshot and write only their private overlays. The
+// prepared-query and compiled-pattern caches, the overlay-id allocator and
+// the kept-temporaries registry are mutex-guarded. One evaluation runs on
+// its calling thread from start to finish; nothing inside it fans out.
 //
-//  * Across threads, any number of Evaluate / EvaluateKeepingTemporaries
-//    calls may run concurrently on one engine — including queries that
-//    materialise temporary hierarchies via analyze-string(), which was the
-//    serialisation point under the old document-mutation model. There is no
-//    evaluation lock: evaluations share an immutable pinned snapshot and
-//    write only their private overlays. The prepared-query and
-//    compiled-pattern caches and the kept-temporaries registry are
-//    mutex-guarded.
-//  * Within one query, QueryOptions{threads > 1} fans independent FLWOR
-//    `for` iterations and some/every quantifier bindings out across a
-//    base::ThreadPool whenever the binding body IsParallelSafe — which now
-//    includes analyze-string() bodies. Scheduling is self-scheduling off one
-//    shared claim cursor: every slot claims the next chunk of consecutive
-//    binding indices with one atomic fetch_add, so chunks go out in
-//    ascending order and skewed iteration costs balance across slots. The
-//    coordinating thread participates as slot 0 and helps drain the pool
-//    while joining, so nested fan-out of inner `for` loops is both
-//    allowed and deadlock-free.
-//
-// Worker sub-overlay lifetime and join-order merge rules. Each worker slot
-// evaluates in a *forked* goddag::OverlayView: reads resolve through the
-// coordinator's view (base + kept + coordinator overlays), writes —
-// analyze-string() temporaries — land in the worker's private namespace,
-// with id blocks leased from the engine's shared OverlayIdAllocator so
-// worker overlays never collide with anything they can meet in a view. At
-// join the coordinator re-registers the workers' overlays in its own view
-// in binding order (creation order within one binding preserved; a
-// quantifier discards overlays from bindings after the deciding one), so
-// post-loop steps, the serialised result, and any KeptTemporaries handle
-// see exactly the overlays — in exactly the registration order — serial
-// evaluation would have produced. Worker overlays an error discards die
-// with the worker's view; nothing ever touches the base document.
-//
-// Binding scoping rule (thread-count invariant by construction): a loop
-// body that can materialise temporaries — ContainsAnalyzeString — is
-// evaluated per binding in an isolated child view whether the loop runs
-// serial or parallel, so every binding sees base + kept + the enclosing
-// scopes' temporaries + its *own*, never a sibling binding's, and the
-// loop's output is identical at every `threads` setting. (This is also
-// real XQuery's semantics: analyze-string() returns a fresh tree other
-// iterations cannot see.) Post-loop expressions see all committed
-// overlays, in binding order.
-//
-// Results are byte-identical to serial evaluation, errors included: the
-// error of the earliest failing binding wins, and a quantifier returns
-// whatever the lowest-indexed deciding-or-failing binding decided, exactly
-// as the serial loop would. Two caveats, both invisible to independent
-// binding bodies: (1) bindings past the deciding/failing one may be
-// evaluated speculatively before cancellation lands (their results and
-// overlays are discarded); (2) document-order ties between equal-range
-// nodes of *different* overlays fall back to overlay id allocation order,
-// which concurrent leasing does not pin to binding order.
+// Binding scoping rule: a loop body that can materialise temporaries —
+// ContainsAnalyzeString — is evaluated per binding in an isolated child
+// view (goddag::OverlayView's fork), so every binding sees base + kept +
+// the enclosing scopes' temporaries + its *own*, never a sibling
+// binding's. (This is real XQuery's semantics: analyze-string() returns a
+// fresh tree other iterations cannot see.) A successful binding's overlays
+// are registered on the enclosing view at loop exit, in binding order, so
+// post-loop steps, the serialised result and any KeptTemporaries handle see
+// every committed overlay; a failing binding's overlays die with its fork,
+// and a quantifier stops at its deciding binding. Because bindings run one
+// after another on one thread, overlays are created, and their id blocks
+// leased, in binding order. Document-order ties between equal-range nodes
+// of different overlays fall back to id order, so they follow binding
+// order too (unless a concurrent evaluation on the same engine frees an id
+// hole mid-loop that first-fit then reuses). Nothing ever touches the base
+// document.
 //
 // Moving the document while any query runs is undefined behaviour.
 // Mutating it through MultihierarchicalDocument::Writer is always safe:
@@ -99,7 +70,6 @@
 #include <vector>
 
 #include "base/statusor.h"
-#include "base/thread_pool.h"
 #include "goddag/kygoddag.h"
 #include "goddag/overlay.h"
 #include "goddag/snapshot.h"
@@ -121,22 +91,13 @@ class Engine;
 
 // Per-evaluation knobs, passed alongside the query text.
 struct QueryOptions {
-  // Worker threads for intra-query fan-out. 0 and 1 both mean serial
-  // evaluation (0 is normalised to 1 on entry — identical code path, plan,
-  // and counters). The engine keeps one shared pool, grown to the largest
-  // `threads` any evaluation has requested; a parallel loop runs on
-  // min(threads, bindings) worker slots — the coordinating thread plus
-  // pool helpers — each claiming the next chunk of bindings off a shared
-  // cursor, which balances skewed iteration costs across them.
-  unsigned threads = 1;
   // Physical-plan selection for path steps (see PlanMode): kAuto runs the
   // cost-based planner against the pinned snapshot's statistics; the force
   // modes pin one strategy everywhere. Every mode returns byte-identical
   // results — the batteries in parallel_query_test hold them to it.
   PlanMode plan_mode = PlanMode::kAuto;
   // When set, the evaluation records stage spans (plan lookup, index
-  // materialisation, evaluation, serialisation) and — for parallel loops —
-  // per-slot spans with binding counts into this trace. The trace must
+  // materialisation, evaluation, serialisation) into this trace. The trace must
   // outlive the call. Null (the default) costs one branch per stage.
   obs::QueryTrace* trace = nullptr;
 };
@@ -151,7 +112,6 @@ struct EngineCounters {
   obs::Counter sorts_skipped;
   // Path steps evaluated once over their whole context sequence.
   obs::Counter set_steps;
-  obs::Counter parallel_tasks;
   obs::Counter index_rebuilds;
   // Snapshot pins taken by evaluations (one per Evaluate /
   // EvaluateKeepingTemporaries call).
@@ -242,33 +202,24 @@ struct KeptEvaluation {
 };
 
 // One document's query engine: evaluation entry points, the pinned
-// (snapshot, AxisEvaluator) entry, caches, pool and counters, under the
+// (snapshot, AxisEvaluator) entry, caches and counters, under the
 // MVCC and concurrency contracts of the file comment.
 class Engine {
  public:
-  // An engine with private caches, pool, and counters — the
+  // An engine with private caches and counters — the
   // single-document default. `document` must outlive the engine (the
   // facade owns its engine, so this holds by construction).
   explicit Engine(const MultihierarchicalDocument* document);
 
-  // Cache- and pool-injection seam, used by the corpus service so every
-  // engine in a process shares one compiled-plan cache (queries compile
-  // once across all documents) and one fan-out ThreadPool (a corpus of N
-  // documents must not spawn N pools). Either may be null: a null `plans`
-  // gets a private PlanCache (the single-document default), a null
-  // `shared_pool` keeps the engine growing its own pool on demand. An
-  // injected pool is used as-is — the engine never grows it; requesting
-  // QueryOptions{threads} above its size just caps the helper count (the
-  // claim cursor already tolerates fewer workers than slots, and nested
-  // fan-out on a shared pool stays deadlock-free because joins only wait
-  // for claimed bindings and help drain the queue).
-  // `counters` joins the same seam: a corpus service injects one shared
-  // EngineCounters so totals survive document eviction and the metrics
-  // registry can point at stable storage; null gets a private instance
-  // (the accessors then report this engine alone, as before).
+  // Cache-injection seam, used by the corpus service so every engine in a
+  // process shares one compiled-plan cache (queries compile once across
+  // all documents); a null `plans` gets a private PlanCache (the
+  // single-document default). `counters` joins the same seam: a corpus
+  // service injects one shared EngineCounters so totals survive document
+  // eviction and the metrics registry can point at stable storage; null
+  // gets a private instance (the accessors then report this engine alone).
   Engine(const MultihierarchicalDocument* document,
          std::shared_ptr<PlanCache> plans,
-         std::shared_ptr<base::ThreadPool> shared_pool,
          std::shared_ptr<EngineCounters> counters = nullptr);
 
   ~Engine();
@@ -287,10 +238,8 @@ class Engine {
 
   // Evaluates a query but keeps any virtual hierarchies created by
   // analyze-string() alive — and visible to later evaluations — for as long
-  // as the returned handle is (see KeptTemporaries). The options overload
-  // accepts the same knobs as Evaluate; with threads > 1, worker
-  // sub-overlays merged at join are kept exactly as serial evaluation
-  // would have kept them, in binding order.
+  // as the returned handle is (see KeptTemporaries), in registration
+  // order. The options overload accepts the same knobs as Evaluate.
   StatusOr<KeptEvaluation> EvaluateKeepingTemporaries(std::string_view query);
   StatusOr<KeptEvaluation> EvaluateKeepingTemporaries(
       std::string_view query, const QueryOptions& options);
@@ -338,12 +287,6 @@ class Engine {
   // per context item. Monotonic.
   size_t set_steps() const {
     return static_cast<size_t>(counters_->set_steps.value());
-  }
-
-  // Worker tasks dispatched to the thread pool by parallel loops (the
-  // coordinator's own slot is not counted).
-  size_t parallel_tasks() const {
-    return static_cast<size_t>(counters_->parallel_tasks.value());
   }
 
   // Snapshot pins taken by evaluations on engines sharing this counter
@@ -433,10 +376,6 @@ class Engine {
   std::vector<std::shared_ptr<const goddag::GoddagOverlay>> SnapshotKept()
       const;
 
-  // The shared fan-out pool, created (and grown to the largest requested
-  // size) under cache_mu_. Returns nullptr for threads <= 1.
-  base::ThreadPool* pool(unsigned threads);
-
   const MultihierarchicalDocument* document_;
   // The axes entry for the most recently pinned snapshot; see PinAxes().
   // Guarded by cache_mu_; superseded entries drop here but survive in the
@@ -458,17 +397,10 @@ class Engine {
   // when one was injected, else a private one. shared_ptr because cached
   // Expr/Regex pointers must outlive any engine still evaluating them.
   std::shared_ptr<PlanCache> plans_;
-  // Corpus-shared fan-out pool; when set, pool() returns it instead of
-  // growing pool_.
-  std::shared_ptr<base::ThreadPool> shared_pool_;
 
-  // Guards pool_ creation, axes_entry_, and retired_rebuilds_. mutable so
-  // const accessors (index_rebuild_count) can take it.
+  // Guards axes_entry_ and retired_rebuilds_. mutable so const accessors
+  // (index_rebuild_count) can take it.
   mutable std::mutex cache_mu_;
-  std::unique_ptr<base::ThreadPool> pool_;
-  // Pools superseded by a larger request; kept alive (idle) because an
-  // in-flight evaluation may still hold a pointer to one.
-  std::vector<std::unique_ptr<base::ThreadPool>> retired_pools_;
   // Never null (private instance when none injected); see EngineCounters.
   std::shared_ptr<EngineCounters> counters_;
   // AxisEvaluator rebuilds already folded into counters_->index_rebuilds;

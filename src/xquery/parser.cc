@@ -772,14 +772,13 @@ class Parser {
   int depth_ = 0;
 };
 
-// Stamps the per-loop body classifications (see AstNode) on every kFor /
+// Stamps the per-loop body classification (see AstNode) on every kFor /
 // kQuantified node, so the engine never re-walks an immutable body subtree
 // at evaluation time.
 void StampLoopClassifications(AstNode* node) {
   VisitSubExprs(*node,
                 [](AstNode& child) { StampLoopClassifications(&child); });
   if (node->kind == ExprKind::kFor || node->kind == ExprKind::kQuantified) {
-    node->body_parallel_safe = IsParallelSafe(*node->children[1]);
     node->body_contains_analyze_string =
         ContainsAnalyzeString(*node->children[1]);
   }

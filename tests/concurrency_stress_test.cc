@@ -4,9 +4,9 @@
 // hammers every cross-thread path at once — concurrent readers, concurrent
 // analyze-string() queries building evaluation-scoped overlays (previously
 // single-flight behind an exclusive lock), kept-temporaries registry churn,
-// intra-query thread-pool fan-out, lazy engine/axes/cache initialisation
-// races, and the raw ThreadPool. Iteration counts are deliberately modest:
-// under TSan the point is interleaving coverage, not throughput.
+// MVCC commits, corpus eviction and the slow-query log, and lazy
+// engine/axes/cache initialisation races. Iteration counts are deliberately
+// modest: under TSan the point is interleaving coverage, not throughput.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "base/thread_pool.h"
 #include "corpus/corpus.h"
 #include "document.h"
 #include "obs/trace.h"
@@ -69,9 +68,6 @@ TEST(ConcurrencyStressTest, MixedWorkloadOnOneDocument) {
   ASSERT_TRUE(built.ok()) << built.status();
   MultihierarchicalDocument doc = std::move(built).value();
 
-  QueryOptions parallel;
-  parallel.threads = 3;
-
   const std::string flwor_expected =
       *doc.Query("for $w in /descendant::w return string-length(string($w))");
   const std::string count_expected =
@@ -79,15 +75,14 @@ TEST(ConcurrencyStressTest, MixedWorkloadOnOneDocument) {
 
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
-  // Shared-lock readers, some with intra-query fan-out.
+  // Plain readers.
   for (int t = 0; t < 3; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 8; ++i) {
         auto out = t % 2 == 0
                        ? doc.Query(
                              "for $w in /descendant::w return "
-                             "string-length(string($w))",
-                             parallel)
+                             "string-length(string($w))")
                        : doc.Query("count(/descendant::w[overlapping::line])");
         const std::string& expected =
             t % 2 == 0 ? flwor_expected : count_expected;
@@ -106,13 +101,12 @@ TEST(ConcurrencyStressTest, MixedWorkloadOnOneDocument) {
       if (!out.ok()) ++failures;
     }
   });
-  // Quantifier fan-out with short-circuit cancellation.
-  threads.emplace_back([&doc, &parallel, &failures] {
+  // A short-circuiting quantifier.
+  threads.emplace_back([&doc, &failures] {
     for (int i = 0; i < 6; ++i) {
       auto out = doc.Query(
           "some $w in /descendant::w satisfies "
-          "string-length(string($w)) > 9",
-          parallel);
+          "string-length(string($w)) > 9");
       if (!out.ok()) ++failures;
     }
   });
@@ -261,121 +255,9 @@ TEST(ConcurrencyStressTest, KeptTemporariesChurnUnderConcurrentReaders) {
   EXPECT_EQ(doc.engine()->temporary_hierarchy_count(), 0u);
 }
 
-// Intra-query fan-out (slots claiming off one cursor, building worker-private
-// sub-overlays via analyze-string inside the loop body) racing engine-level
-// concurrency: plain readers, a second fanned-out analyze-string query, and
-// kept-temporaries churn, all on one engine. This is the full PR-5 surface
-// in one pot — worker view forks, the shared OverlayIdAllocator, sub-overlay
-// merges at join, the kept registry, and the pool's help-drain path.
-TEST(ConcurrencyStressTest, IntraQueryFanOutRacesEngineLevelQueries) {
-  workload::EditionConfig config;
-  config.seed = 37;
-  config.word_count = 120;
-  config.damage_coverage = 0.12;
-  config.restoration_coverage = 0.15;
-  auto built = workload::BuildEditionDocument(config);
-  ASSERT_TRUE(built.ok()) << built.status();
-  MultihierarchicalDocument doc = std::move(built).value();
-
-  const char* kFanOutQuery =
-      "for $w in /descendant::w[matches(string(.), '.*e.*')] return ("
-      "  let $r := analyze-string($w, '.*e.*')"
-      "  return for $leaf in $r/descendant::leaf()"
-      "  return if ($leaf/xancestor::m) then <b>{$leaf}</b> else $leaf"
-      "  , <br/> )";
-  // The kept temporaries stay visible to every query on the engine while
-  // their handle lives, so they annotate only words the fan-out query never
-  // reads (no 'e'): the fan-out output stays independent of the churn.
-  const char* kKeepQuery =
-      "for $w in /descendant::w[not(matches(string(.), '.*e.*'))]"
-      "[matches(string(.), '.*a.*')] return "
-      "count(analyze-string($w, '.*a.*')/descendant::leaf())";
-
-  QueryOptions fan_out;
-  fan_out.threads = 4;
-  auto fan_out_serial = doc.Query(kFanOutQuery);
-  ASSERT_TRUE(fan_out_serial.ok()) << fan_out_serial.status();
-  const std::string fan_out_expected = *fan_out_serial;
-  auto reader_serial = doc.Query("count(/descendant::w[overlapping::line])");
-  ASSERT_TRUE(reader_serial.ok()) << reader_serial.status();
-  const std::string reader_expected = *reader_serial;
-
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  // Two threads running the fanned-out analyze-string query: intra-query
-  // worker slots of both queries interleave on the shared pool.
-  for (int t = 0; t < 2; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < StressIters(6); ++i) {
-        auto out = doc.Query(kFanOutQuery, fan_out);
-        if (!out.ok() || *out != fan_out_expected) ++failures;
-      }
-    });
-  }
-  // Plain engine-level readers.
-  for (int t = 0; t < 2; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < StressIters(8); ++i) {
-        auto out = doc.Query("count(/descendant::w[overlapping::line])");
-        if (!out.ok() || *out != reader_expected) ++failures;
-      }
-    });
-  }
-  // Kept-temporaries churn from a parallel evaluation: worker sub-overlays
-  // merge into the kept registry, readers snapshot it mid-churn, then the
-  // handle drops.
-  threads.emplace_back([&] {
-    for (int i = 0; i < StressIters(5); ++i) {
-      auto kept = doc.engine()->EvaluateKeepingTemporaries(kKeepQuery,
-                                                           fan_out);
-      if (!kept.ok() || kept->temporaries.hierarchy_count() == 0) ++failures;
-    }
-  });
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(doc.engine()->temporary_hierarchy_count(), 0u);
-  EXPECT_EQ(doc.engine()->index_rebuild_count(), 1u);
-}
-
-// Parallel slots sharing the coordinator's view read-only run leaf() steps
-// over a view that already holds an overlay: the loop body materialises
-// nothing, so no slot forks, and every slot reads the same view's overlay
-// cuts at once. Those reads take no lock; TSan polices that they need none.
-TEST(ConcurrencyStressTest, SharedViewLeafStepsAcrossParallelSlots) {
-  workload::EditionConfig config;
-  config.seed = 41;
-  config.word_count = 120;
-  auto built = workload::BuildEditionDocument(config);
-  ASSERT_TRUE(built.ok()) << built.status();
-  MultihierarchicalDocument doc = std::move(built).value();
-
-  const char* kQuery =
-      "let $r := analyze-string(/descendant::line[1], '.*e.*') return "
-      "for $w in /descendant::w return count($r/descendant::leaf())";
-  auto serial = doc.Query(kQuery);
-  ASSERT_TRUE(serial.ok()) << serial.status();
-  const std::string expected = *serial;
-  QueryOptions fan_out;
-  fan_out.threads = 4;
-
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 3; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < StressIters(6); ++i) {
-        auto out = doc.Query(kQuery, fan_out);
-        if (!out.ok() || *out != expected) ++failures;
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_GT(doc.engine()->parallel_tasks(), 0u);
-}
-
 // The corpus-service surface in one pot: capacity-2 LRU churn across four
-// documents while clients query (cheap and analyze-string-heavy, serial
-// and fanned out through the shared pool), a pin thread queries evicted-
+// documents while clients query (cheap and analyze-string-heavy), a pin
+// thread queries evicted-
 // but-pinned documents directly, and a kept thread holds KeptTemporaries
 // handles past its pin — so eviction destroys engines under live handles.
 // Every result is verified against a per-document serial reference; the
@@ -383,7 +265,6 @@ TEST(ConcurrencyStressTest, SharedViewLeafStepsAcrossParallelSlots) {
 TEST(ConcurrencyStressTest, CorpusOpenEvictQueryKeptRace) {
   corpus::CorpusOptions options;
   options.capacity = 2;
-  options.pool_threads = 2;
   options.max_heavy_in_flight = 2;
   options.heavy_queue_limit = 64;  // roomy: rejection is corpus_test's job
   corpus::CorpusService service(options);
@@ -416,18 +297,15 @@ TEST(ConcurrencyStressTest, CorpusOpenEvictQueryKeptRace) {
 
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
-  // Query clients: mixed cheap/heavy traffic, serial and parallel, across
-  // all documents — each access may build, hit, or evict.
+  // Query clients: mixed cheap/heavy traffic across all documents — each
+  // access may build, hit, or evict.
   for (int t = 0; t < 3; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < StressIters(8); ++i) {
         const int d = (i + t) % kDocs;
         const bool heavy = (i + t) % 3 == 0;
-        QueryOptions query_options;
-        query_options.threads = i % 2 == 0 ? 2 : 1;
         auto out = service.Query("doc" + std::to_string(d),
-                                 heavy ? kHeavyQuery : kCheapQuery,
-                                 query_options);
+                                 heavy ? kHeavyQuery : kCheapQuery);
         if (!out.ok() ||
             *out != (heavy ? expected_heavy[d] : expected_cheap[d])) {
           ++failures;
@@ -494,7 +372,6 @@ TEST(ConcurrencyStressTest, EvictionVsPinnedMappedSnapshotRace) {
   ASSERT_NE(dir, nullptr);
   corpus::CorpusOptions options;
   options.capacity = 1;  // every alternation evicts
-  options.pool_threads = 2;
   options.spill_dir = dir;
   corpus::CorpusService service(options);
 
@@ -560,16 +437,15 @@ TEST(ConcurrencyStressTest, EvictionVsPinnedMappedSnapshotRace) {
 #endif  // defined(__unix__) || defined(__APPLE__)
 
 // Observability under churn: a threshold-0 corpus (every query lands in
-// the slow-query ring) serves traced fan-out queries and untraced queries
-// while one thread dumps the slow log and exports metrics in a loop and
-// LRU churn across three documents builds and evicts engines underneath.
-// Exercises the caller-trace path, the internal slow-log trace path, the
-// per-slot scheduler tracing, and the ring's record/dump race at once;
+// the slow-query ring) serves traced and untraced queries while one thread
+// dumps the slow log and exports metrics in a loop and LRU churn across
+// three documents builds and evicts engines underneath. Exercises the
+// caller-trace path, the internal slow-log trace path, and the ring's
+// record/dump race at once;
 // the TSan CI lane re-runs this standalone.
 TEST(ConcurrencyStressTest, TracedQueriesSlowLogDumpRaceCorpusChurn) {
   corpus::CorpusOptions options;
   options.capacity = 2;
-  options.pool_threads = 2;
   options.max_heavy_in_flight = 2;
   options.heavy_queue_limit = 64;
   options.slow_query_threshold_us = 0;  // capture every query
@@ -602,8 +478,8 @@ TEST(ConcurrencyStressTest, TracedQueriesSlowLogDumpRaceCorpusChurn) {
   std::atomic<int> failures{0};
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
-  // Traced clients: each query carries its own caller trace through the
-  // fan-out scheduler; spans must come back well-formed every time.
+  // Traced clients: each query carries its own caller trace; spans must
+  // come back well-formed every time.
   for (int t = 0; t < 2; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < StressIters(8); ++i) {
@@ -611,7 +487,6 @@ TEST(ConcurrencyStressTest, TracedQueriesSlowLogDumpRaceCorpusChurn) {
         const bool heavy = (i + t) % 2 == 0;
         obs::QueryTrace trace;
         QueryOptions query_options;
-        query_options.threads = 2;
         query_options.trace = &trace;
         auto out = service.Query("doc" + std::to_string(d),
                                  heavy ? kHeavyQuery : kCheapQuery,
@@ -656,23 +531,6 @@ TEST(ConcurrencyStressTest, TracedQueriesSlowLogDumpRaceCorpusChurn) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(service.stats().slow_queries, 0u);
   EXPECT_FALSE(service.DumpSlowQueries().empty());
-}
-
-TEST(ConcurrencyStressTest, ThreadPoolSubmitRace) {
-  base::ThreadPool pool(4);
-  std::atomic<long> sum{0};
-  std::vector<std::thread> submitters;
-  for (int t = 0; t < 4; ++t) {
-    submitters.emplace_back([&pool, &sum] {
-      std::vector<std::future<int>> futures;
-      for (int i = 0; i < 50; ++i) {
-        futures.push_back(pool.Submit([i] { return i; }));
-      }
-      for (auto& future : futures) sum += future.get();
-    });
-  }
-  for (std::thread& thread : submitters) thread.join();
-  EXPECT_EQ(sum.load(), 4L * (49 * 50 / 2));
 }
 
 }  // namespace

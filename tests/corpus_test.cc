@@ -27,7 +27,6 @@ workload::EditionConfig SmallEdition(uint64_t seed) {
 CorpusOptions SerialOptions(size_t capacity) {
   CorpusOptions options;
   options.capacity = capacity;
-  options.pool_threads = 0;
   return options;
 }
 
@@ -324,20 +323,17 @@ TEST(CorpusServiceTest, RegexDfaFallbacksCountCachedPatterns) {
 TEST(CorpusServiceTest, SharedPoolServesParallelQueriesAcrossDocuments) {
   CorpusOptions options;
   options.capacity = 4;
-  options.pool_threads = 2;
   CorpusService corpus(options);
   ASSERT_TRUE(corpus.Register("a", SmallEdition(1)).ok());
   ASSERT_TRUE(corpus.Register("b", SmallEdition(2)).ok());
 
-  QueryOptions parallel;
-  parallel.threads = 4;
   for (const char* name : {"a", "b"}) {
     auto config = SmallEdition(name[0] == 'a' ? 1 : 2);
     auto direct = workload::BuildEditionDocument(config);
     ASSERT_TRUE(direct.ok());
     auto expected = direct->Query(kHeavyQuery);
     ASSERT_TRUE(expected.ok());
-    auto out = corpus.Query(name, kHeavyQuery, parallel);
+    auto out = corpus.Query(name, kHeavyQuery);
     ASSERT_TRUE(out.ok()) << out.status().message();
     EXPECT_EQ(*out, *expected) << name;
   }

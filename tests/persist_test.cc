@@ -119,21 +119,16 @@ TEST(PersistTest, PaperQueriesByteIdenticalAcrossPlanModesAndThreads) {
                              PlanMode::kForceIndexed};
   for (const Pinned& p : kPinned) {
     for (PlanMode mode : kModes) {
-      for (unsigned threads : {1u, 4u, 8u}) {
-        QueryOptions options;
-        options.threads = threads;
-        options.plan_mode = mode;
-        auto from_parse = parsed->Query(p.query, options);
-        auto from_arena = loaded.Query(p.query, options);
-        ASSERT_TRUE(from_parse.ok()) << from_parse.status().message();
-        ASSERT_TRUE(from_arena.ok()) << from_arena.status().message();
-        EXPECT_EQ(p.coalesce ? xquery::CoalesceRuns(*from_parse)
-                             : *from_parse,
-                  p.expected)
-            << "mode=" << static_cast<int>(mode) << " threads=" << threads;
-        EXPECT_EQ(*from_arena, *from_parse)
-            << "mode=" << static_cast<int>(mode) << " threads=" << threads;
-      }
+      QueryOptions options;
+      options.plan_mode = mode;
+      auto from_parse = parsed->Query(p.query, options);
+      auto from_arena = loaded.Query(p.query, options);
+      ASSERT_TRUE(from_parse.ok()) << from_parse.status().message();
+      ASSERT_TRUE(from_arena.ok()) << from_arena.status().message();
+      EXPECT_EQ(p.coalesce ? xquery::CoalesceRuns(*from_parse) : *from_parse,
+                p.expected)
+          << "mode=" << static_cast<int>(mode);
+      EXPECT_EQ(*from_arena, *from_parse) << "mode=" << static_cast<int>(mode);
     }
   }
 }
@@ -517,7 +512,6 @@ TEST(PersistTest, CorpusSpillServesEvictionsFromArenas) {
   const std::string dir = ScratchDir();
   corpus::CorpusOptions options;
   options.capacity = 1;  // every alternation evicts
-  options.pool_threads = 0;
   options.spill_dir = dir;
   corpus::CorpusService service(options);
   ASSERT_TRUE(service.Register("a", TestEdition(21, 140)).ok());
@@ -546,7 +540,6 @@ TEST(PersistTest, CorpusSpillFallsBackOnCorruptArena) {
   const std::string dir = ScratchDir();
   corpus::CorpusOptions options;
   options.capacity = 1;
-  options.pool_threads = 0;
   options.spill_dir = dir;
   corpus::CorpusService service(options);
   ASSERT_TRUE(service.Register("a", TestEdition(31, 140)).ok());
