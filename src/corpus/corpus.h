@@ -96,8 +96,8 @@ struct CorpusOptions {
   size_t capacity = 8;
   // Has no effect: queries evaluate serially on the caller's thread and
   // nothing reads this field. It stays declared only because the
-  // repository benchmark's driver (mhxbench/mhx_bench.cc) still assigns
-  // it; drop it once that driver stops.
+  // repository benchmark (mhxbench/mhx_bench.cc) still assigns it; drop
+  // it once the benchmark stops.
   size_t pool_threads = 4;
   // Concurrent analyze-string-heavy queries admitted; 0 rejects them all.
   size_t max_heavy_in_flight = 4;
