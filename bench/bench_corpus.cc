@@ -28,9 +28,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -42,6 +44,15 @@ namespace {
 
 using mhx::corpus::CorpusOptions;
 using mhx::corpus::CorpusService;
+
+// Removes a mkdtemp directory and every arena in it on scope exit.
+struct RemoveDirOnExit {
+  std::string path;
+  ~RemoveDirOnExit() {
+    std::error_code ignored;
+    if (!path.empty()) std::filesystem::remove_all(path, ignored);
+  }
+};
 
 constexpr size_t kEditions = 10;
 constexpr size_t kClients = 4;
@@ -161,6 +172,7 @@ void BM_CorpusMixed(benchmark::State& state) {
   // class down to 2 concurrent analyze-string queries.
   options.max_heavy_in_flight = 2;
   options.heavy_queue_limit = kClients * 4;
+  RemoveDirOnExit spill_cleanup;  // outlives the corpus below
 #if defined(__unix__) || defined(__APPLE__)
   // The churning lane (capacity < editions) runs with spill on: rebuilds
   // after eviction come back as mapped arena loads instead of XML
@@ -171,6 +183,7 @@ void BM_CorpusMixed(benchmark::State& state) {
     char* dir = mkdtemp(dir_template);
     VerifyOrAbort(dir != nullptr, "mkdtemp for the spill lane");
     options.spill_dir = dir;
+    spill_cleanup.path = dir;
   }
 #endif
   CorpusService corpus(options);

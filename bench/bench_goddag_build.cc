@@ -4,7 +4,9 @@
 // size and number of hierarchies, plus the cost of virtual-hierarchy
 // add/remove cycles (what every analyze-string() call pays). The E10 lanes
 // mutate a bench-owned Clone() of the edition's goddag and time the
-// library's own leaves() derivation after each change.
+// library's own leaves() derivation after each change. Build publishes
+// version 1 complete, so the BM_Build* lanes include the RangeIndex and
+// SnapshotStats builds.
 
 #include <benchmark/benchmark.h>
 

@@ -50,10 +50,9 @@ StatusOr<MultihierarchicalDocument> MultihierarchicalDocument::Builder::
     auto hid = goddag->AddHierarchy(name, *parsed);
     if (!hid.ok()) return hid.status();
   }
-  // Version 1; the index stays lazy so Build() cost is unchanged — the
-  // engine's first evaluation builds it once.
-  return MultihierarchicalDocument(goddag::DocumentSnapshot::Create(
-      std::move(goddag), /*version=*/1, /*prebuild_index=*/false));
+  // Version 1, published complete like every later version.
+  return MultihierarchicalDocument(
+      goddag::DocumentSnapshot::Create(std::move(goddag), /*version=*/1));
 }
 
 MultihierarchicalDocument::MultihierarchicalDocument(
@@ -194,11 +193,11 @@ StatusOr<uint64_t> MultihierarchicalDocument::Writer::Commit() {
       }
     }
   }
-  // The writer pays for the new version's leaf partition and RangeIndex
-  // here, before publication, so readers repinning after the swap never
-  // rebuild anything (`index_rebuilds` stays flat across commits).
-  auto snapshot = goddag::DocumentSnapshot::Create(
-      next, base->version() + 1, /*prebuild_index=*/true);
+  // The writer pays for the new version's leaf partition, RangeIndex and
+  // stats here, before publication, so readers repinning after the swap
+  // never build anything.
+  auto snapshot =
+      goddag::DocumentSnapshot::Create(next, base->version() + 1);
   // Persist before the epoch swap: a failed write aborts the commit with
   // nothing published, keeping document and spill file in agreement.
   if (!persist_path_.empty()) {

@@ -69,7 +69,7 @@ class MultihierarchicalDocument {
     // 0, 1, ... in AddHierarchy call order.
     Builder& AddHierarchy(std::string name, std::string xml);
     // Parses and merges all hierarchies, then publishes the document's
-    // initial snapshot (version 1, index built lazily on first query).
+    // initial snapshot (version 1, with its index and stats built).
     // Fails if the base text was never set or is longer than
     // goddag::kMaxTextSize (2^32 - 1) characters, any XML is malformed,
     // any hierarchy's character content differs from the base text, or

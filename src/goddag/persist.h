@@ -51,8 +51,8 @@ struct MappedSnapshot {
 };
 
 // Serializes a published snapshot into an in-memory arena image (the exact
-// bytes WriteSnapshotFile would write). Forces the snapshot's index and
-// stats builds first, so the arena always carries them prebuilt.
+// bytes WriteSnapshotFile would write). A published snapshot is complete,
+// so the arena always carries its index and stats prebuilt.
 StatusOr<std::string> SerializeSnapshot(const DocumentSnapshot& snapshot);
 
 // Serializes `snapshot` and writes it to `path` atomically (temp file +

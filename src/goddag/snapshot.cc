@@ -12,8 +12,15 @@ std::atomic<size_t> g_live_snapshots{0};
 }  // namespace
 
 DocumentSnapshot::DocumentSnapshot(std::shared_ptr<const KyGoddag> goddag,
-                                   uint64_t version)
-    : goddag_(std::move(goddag)), version_(version) {
+                                   uint64_t version,
+                                   std::unique_ptr<const RangeIndex> index,
+                                   std::unique_ptr<const SnapshotStats> stats,
+                                   std::shared_ptr<const void> keepalive)
+    : goddag_(std::move(goddag)),
+      version_(version),
+      index_(std::move(index)),
+      stats_(std::move(stats)),
+      keepalive_(std::move(keepalive)) {
   g_live_snapshots.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -22,21 +29,15 @@ DocumentSnapshot::~DocumentSnapshot() {
 }
 
 std::shared_ptr<const DocumentSnapshot> DocumentSnapshot::Create(
-    std::shared_ptr<const KyGoddag> goddag, uint64_t version,
-    bool prebuild_index) {
+    std::shared_ptr<const KyGoddag> goddag, uint64_t version) {
   // Force the lazy leaf partition while the goddag is still quiesced:
   // readers of a published snapshot must only ever hit plain reads.
   goddag->leaves();
-  auto snapshot = std::shared_ptr<const DocumentSnapshot>(
-      new DocumentSnapshot(std::move(goddag), version));
-  if (prebuild_index) {
-    snapshot->EnsureIndex();
-    // The planner's statistics ride the same writer-pays discipline as the
-    // index: prebuilt before publication, so readers replanning on the new
-    // version never block on a stats build.
-    snapshot->EnsureStats();
-  }
-  return snapshot;
+  auto index = std::make_unique<const RangeIndex>(goddag.get());
+  auto stats = std::make_unique<const SnapshotStats>(goddag.get());
+  return std::shared_ptr<const DocumentSnapshot>(
+      new DocumentSnapshot(std::move(goddag), version, std::move(index),
+                           std::move(stats), nullptr));
 }
 
 std::shared_ptr<const DocumentSnapshot> DocumentSnapshot::Adopt(
@@ -45,41 +46,9 @@ std::shared_ptr<const DocumentSnapshot> DocumentSnapshot::Adopt(
     std::unique_ptr<const SnapshotStats> stats,
     std::shared_ptr<const void> keepalive) {
   goddag->leaves();
-  auto snapshot =
-      std::shared_ptr<DocumentSnapshot>(new DocumentSnapshot(std::move(goddag), version));
-  snapshot->index_ = std::move(index);
-  snapshot->stats_ = std::move(stats);
-  snapshot->keepalive_ = std::move(keepalive);
-  // Burn both once-flags so EnsureIndex()/EnsureStats() are cheap no-ops
-  // that report "not built here" — adopted snapshots never rebuild.
-  std::call_once(snapshot->index_once_, [] {});
-  std::call_once(snapshot->stats_once_, [] {});
-  return snapshot;
-}
-
-bool DocumentSnapshot::EnsureIndex() const {
-  bool built = false;
-  std::call_once(index_once_, [&] {
-    index_ = std::make_unique<const RangeIndex>(goddag_.get());
-    built = true;
-  });
-  return built;
-}
-
-const RangeIndex& DocumentSnapshot::index() const {
-  EnsureIndex();
-  return *index_;
-}
-
-void DocumentSnapshot::EnsureStats() const {
-  std::call_once(stats_once_, [&] {
-    stats_ = std::make_unique<const SnapshotStats>(goddag_.get());
-  });
-}
-
-const SnapshotStats& DocumentSnapshot::stats() const {
-  EnsureStats();
-  return *stats_;
+  return std::shared_ptr<const DocumentSnapshot>(
+      new DocumentSnapshot(std::move(goddag), version, std::move(index),
+                           std::move(stats), std::move(keepalive)));
 }
 
 size_t DocumentSnapshot::live_count() {

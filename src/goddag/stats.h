@@ -1,9 +1,9 @@
 // Copyright (c) mhxq authors. Licensed under the MIT license.
 //
 // SnapshotStats: per-snapshot summary statistics plus a structure-of-arrays
-// range table, built once per published DocumentSnapshot alongside the
-// RangeIndex and immutable thereafter (CONCURRENCY.md: build-once snapshot
-// state under the pin/publish contract). Two consumers:
+// range table, built (or adopted from an arena) with the RangeIndex before
+// a DocumentSnapshot is published and immutable thereafter (CONCURRENCY.md:
+// the pin/publish contract). Two consumers:
 //
 //   * The XQuery step planner (xquery/planner.h) reads the counts —
 //     elements per hierarchy, elements per name, a log2 range-length

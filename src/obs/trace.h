@@ -2,8 +2,9 @@
 //
 // Per-query stage tracing: a QueryTrace rides through QueryOptions and
 // collects monotonic-clock spans for each stage of a query's life —
-// parse, plan-cache lookup, admission wait, document build, index
-// materialisation, evaluation, serialisation.
+// parse, plan-cache lookup, admission wait, document build, snapshot pin
+// and step plan (the `index_materialize` stage), evaluation,
+// serialisation.
 //
 // Contract:
 //   * Zero cost when absent. QueryOptions::trace defaults to nullptr and

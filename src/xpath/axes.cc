@@ -127,14 +127,6 @@ bool NodeTest::Matches(const GNode& node) const {
 AxisEvaluator::AxisEvaluator(const goddag::DocumentSnapshot* snapshot)
     : snapshot_(snapshot), goddag_(&snapshot->goddag()) {}
 
-const goddag::RangeIndex& AxisEvaluator::index() const {
-  // A writer-prebuilt index costs this evaluator nothing; a lazily indexed
-  // snapshot is built exactly once, and the builder counts it (EnsureIndex
-  // reports whether this call built).
-  if (snapshot_->EnsureIndex()) ++index_rebuild_count_;
-  return snapshot_->index();
-}
-
 void AxisEvaluator::NormalizeDocumentOrder(const goddag::OverlayView& view,
                                            std::vector<NodeId>* ids) const {
   if (ids->size() < 2) return;
@@ -153,7 +145,7 @@ void AxisEvaluator::EvaluateExtendedIndexed(const TextRange& c,
                                             NodeId exclude, Axis axis,
                                             const goddag::ProbeFilter& filter,
                                             std::vector<NodeId>* out) const {
-  const goddag::RangeIndex& idx = index();
+  const goddag::RangeIndex& idx = snapshot_->index();
   std::vector<NodeId> hits;
   switch (axis) {
     case Axis::kXAncestor:

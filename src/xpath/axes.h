@@ -27,13 +27,13 @@
 // view. Views fork (goddag/overlay.h): a loop binding's view chains to the
 // enclosing one, and both the overlay scan here and the view's own id
 // resolution walk that chain. Overlay churn never touches the snapshot's
-// index, which is what keeps analyze-string() cycles rebuild-free
-// (index_rebuild_count()).
+// index, so analyze-string() cycles never rebuild it.
 //
 // MVCC binding: an evaluator is bound to one goddag::DocumentSnapshot and
-// reads that snapshot's build-once RangeIndex and statistics — prebuilt by
-// the writer that published the snapshot, so readers repinning after a
-// commit pay zero rebuilds (CONCURRENCY.md).
+// reads that snapshot's RangeIndex and statistics, both built before the
+// snapshot was published, so an evaluator never builds either
+// (CONCURRENCY.md). It is two pointers: the XQuery engine builds one on
+// the stack per evaluation.
 
 #ifndef MHX_XPATH_AXES_H_
 #define MHX_XPATH_AXES_H_
@@ -94,6 +94,8 @@ class NodeTest {
   // Matches elements with the given name.
   static NodeTest Name(std::string name);
 
+  // Whether `node` passes the test: Any() takes every element and the
+  // GODDAG root (never a recycled slot), Name() elements of that name only.
   bool Matches(const goddag::GNode& node) const;
 
   // True for name tests — what the planner's pushdown keys off.
@@ -126,9 +128,9 @@ struct StepExec {
 class AxisEvaluator {
  public:
   // Binds the evaluator to a pinned MVCC snapshot: navigation reads the
-  // snapshot's goddag, and index() and the scan kernels read the
-  // snapshot's build-once index and statistics. `snapshot` must outlive
-  // the evaluator — the XQuery engine pairs the two in one pinned entry.
+  // snapshot's goddag, and index probes and the scan kernels read the
+  // snapshot's index and statistics. `snapshot` must outlive the
+  // evaluator.
   explicit AxisEvaluator(const goddag::DocumentSnapshot* snapshot);
 
   // Nodes reachable from `context` along `axis` that pass `test`, in
@@ -171,17 +173,6 @@ class AxisEvaluator {
       const goddag::OverlayView& view,
       const std::vector<goddag::NodeId>& contexts, Axis axis,
       const NodeTest& test, const StepExec& exec) const;
-
-  // The snapshot's build-once index backing indexed mode (overlay churn
-  // never invalidates it). Writer-prebuilt snapshots cost this evaluator
-  // zero rebuilds; a lazily indexed snapshot (the Build()-time initial
-  // version) is built exactly once, by whichever evaluator asks first.
-  const goddag::RangeIndex& index() const;
-
-  // Number of RangeIndex constructions this evaluator has paid for (0 or
-  // 1) — the observable that proves analyze-string() overlay cycles and
-  // MVCC commits never rebuild the base index.
-  size_t index_rebuild_count() const { return index_rebuild_count_; }
 
  private:
   // Whether `context` names a node this evaluator can step from; every
@@ -240,7 +231,6 @@ class AxisEvaluator {
   const goddag::DocumentSnapshot* snapshot_;
   // snapshot_->goddag(), cached for the navigation hot paths.
   const goddag::KyGoddag* goddag_;
-  mutable size_t index_rebuild_count_ = 0;
 };
 
 }  // namespace mhx::xpath

@@ -1093,57 +1093,6 @@ Engine::Engine(const MultihierarchicalDocument* document,
 
 Engine::~Engine() = default;
 
-std::shared_ptr<const Engine::SnapshotAxes> Engine::PinAxes() {
-  // Guarded: concurrent evaluations reach this; entry turnover on a new
-  // published version must not race. In the steady state (no commit since
-  // the last pin) the critical section is one shared_ptr copy, a version
-  // compare, and a couple of loads — writers never hold cache_mu_, so
-  // readers never wait on a commit here.
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  std::shared_ptr<const goddag::DocumentSnapshot> snap =
-      document_->PinSnapshot();
-  counters_->snapshot_pins.Add();
-  if (axes_entry_ == nullptr || axes_entry_->snapshot != snap) {
-    // The published version moved (or this is the first evaluation): bind
-    // a fresh evaluator to the new snapshot. The superseded entry stays
-    // alive in whatever evaluations still hold it; its rebuild tally is
-    // carried over so index_rebuild_count() stays monotonic per engine.
-    if (axes_entry_ != nullptr) {
-      retired_rebuilds_ += axes_entry_->axes.index_rebuild_count();
-    }
-    axes_entry_ = std::make_shared<SnapshotAxes>(std::move(snap));
-  }
-  // Materialise the leaf partition and RangeIndex before any evaluation
-  // can reach them: evaluation never mutates the snapshot (temporaries
-  // live in overlays), so after this both are plain reads for any number
-  // of concurrent evaluations. Writer-prebuilt snapshots make both no-ops;
-  // the lazily indexed initial version builds here once.
-  axes_entry_->snapshot->goddag().leaves();
-  axes_entry_->axes.index();
-  // Statistics follow the same build-once discipline as the index:
-  // writer-prebuilt snapshots arrive with them, the initial version builds
-  // them here exactly once, and afterwards the planner and the scan
-  // kernels read them lock-free.
-  axes_entry_->snapshot->EnsureStats();
-  // Fold new AxisEvaluator rebuilds into the shared counter as a delta, so
-  // the registry total is monotonic across engines sharing one
-  // EngineCounters (index_rebuild_count() stays per-engine).
-  const size_t rebuilds =
-      retired_rebuilds_ + axes_entry_->axes.index_rebuild_count();
-  if (rebuilds > reported_rebuilds_) {
-    counters_->index_rebuilds.Add(rebuilds - reported_rebuilds_);
-    reported_rebuilds_ = rebuilds;
-  }
-  return axes_entry_;
-}
-
-size_t Engine::index_rebuild_count() const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  return retired_rebuilds_ + (axes_entry_ == nullptr
-                                  ? 0
-                                  : axes_entry_->axes.index_rebuild_count());
-}
-
 size_t Engine::temporary_hierarchy_count() const {
   std::lock_guard<std::mutex> lock(kept_->mu);
   return kept_->overlays.size();
@@ -1170,23 +1119,27 @@ StatusOr<Engine::EvaluationOutput> Engine::EvaluateInternal(
     obs::StageTimer stage(trace, "plan_lookup");
     MHX_ASSIGN_OR_RETURN(expr, PreparedQuery(query));
   }
-  std::shared_ptr<const SnapshotAxes> pinned;
+  std::shared_ptr<const goddag::DocumentSnapshot> snapshot;
   std::shared_ptr<const QueryPlan> plan;
   {
+    // Covers the snapshot pin and the plan lookup (a published snapshot is
+    // already indexed); the name stays because mhxbench reports
+    // span.index_materialize.*.
     obs::StageTimer stage(trace, "index_materialize");
     // Pin the MVCC snapshot for the whole evaluation: everything below —
     // view, axes, leaves, index — reads exactly this version, regardless
     // of writers committing successors meanwhile.
-    pinned = PinAxes();
+    snapshot = document_->PinSnapshot();
+    counters_->snapshot_pins.Add();
     if (options.plan_mode == PlanMode::kAuto) {
       // The step plan for this (expr, document, version); cached, so in
       // the steady state this is one map lookup and a replan only happens
       // on the first evaluation after a commit. The plan annotates the
       // pinned snapshot's statistics — stats follow the snapshot, never
       // the head, so a stale plan is impossible by construction.
-      const uint64_t version = pinned->snapshot->version();
+      const uint64_t version = snapshot->version();
       plan = plans_->PlanFor(expr, document_, version, [&] {
-        return PlanQuery(expr->root(), pinned->snapshot->stats(), version);
+        return PlanQuery(expr->root(), snapshot->stats(), version);
       });
     }
   }
@@ -1195,11 +1148,11 @@ StatusOr<Engine::EvaluationOutput> Engine::EvaluateInternal(
   // evaluation's own overlays. No lock is held while evaluating —
   // concurrent evaluations, analyze-string() included, only share
   // immutable state.
-  goddag::OverlayView view(&pinned->snapshot->goddag());
+  const xpath::AxisEvaluator axes(snapshot.get());
+  goddag::OverlayView view(&snapshot->goddag());
   view.AddOverlays(SnapshotKept());
   std::vector<std::shared_ptr<const goddag::GoddagOverlay>> own;
-  Evaluator evaluator(this, &pinned->axes, &options, plan.get(), &view,
-                      &own);
+  Evaluator evaluator(this, &axes, &options, plan.get(), &view, &own);
   StatusOr<Evaluator::Sequence> result = [&] {
     obs::StageTimer stage(trace, "evaluate");
     return evaluator.Evaluate(expr->root());
@@ -1216,7 +1169,7 @@ StatusOr<Engine::EvaluationOutput> Engine::EvaluateInternal(
     out.items.push_back(evaluator.SerializeItem(item));
   }
   out.temporaries = std::move(own);
-  out.snapshot = pinned->snapshot;
+  out.snapshot = std::move(snapshot);
   return out;
 }
 
@@ -1226,13 +1179,15 @@ StatusOr<std::string> Engine::Evaluate(std::string_view query) {
 
 StatusOr<std::string> Engine::ExplainPlan(std::string_view query) {
   MHX_ASSIGN_OR_RETURN(const Expr* expr, PreparedQuery(query));
-  std::shared_ptr<const SnapshotAxes> pinned = PinAxes();
-  const uint64_t version = pinned->snapshot->version();
+  std::shared_ptr<const goddag::DocumentSnapshot> snapshot =
+      document_->PinSnapshot();
+  counters_->snapshot_pins.Add();
+  const uint64_t version = snapshot->version();
   std::shared_ptr<const QueryPlan> plan =
       plans_->PlanFor(expr, document_, version, [&] {
-        return PlanQuery(expr->root(), pinned->snapshot->stats(), version);
+        return PlanQuery(expr->root(), snapshot->stats(), version);
       });
-  return ExplainQueryPlan(expr->root(), *plan, pinned->snapshot->stats());
+  return ExplainQueryPlan(expr->root(), *plan, snapshot->stats());
 }
 
 StatusOr<std::string> Engine::Evaluate(std::string_view query,

@@ -13,20 +13,16 @@
 // pins the document's current goddag::DocumentSnapshot at its start and
 // reads exactly that version — goddag, leaf partition, RangeIndex —
 // end-to-end, so queries run concurrently with Writer::Commit and never
-// block on (or observe half of) a commit. The engine keeps one
-// (snapshot, AxisEvaluator) entry for the pinned version and retires it
-// when a newer version is pinned; in-flight evaluations and kept-
-// temporaries handles hold the old snapshot alive until they drop.
+// block on (or observe half of) a commit. Each evaluation binds an
+// AxisEvaluator on its own stack to the snapshot it pinned; in-flight
+// evaluations and kept-temporaries handles hold an old snapshot alive
+// until they drop.
 //
-// Index discipline: each snapshot carries one build-once RangeIndex.
-// Writer-published snapshots arrive with it prebuilt (the writer paid);
-// the initial Build()-time snapshot is indexed lazily by this engine's
-// first evaluation. Overlay nodes never enter any index — extended-axis
-// steps read "base index + overlay scan" uniformly — so the
-// add/query/drop cycle of every analyze-string() call and every MVCC
-// commit costs this engine zero O(N log N) index rebuilds;
-// index_rebuild_count() (at most 1 per engine) is the proof, surfaced as a
-// benchmark counter in bench_paper_queries.cc.
+// Index discipline: every snapshot is published with its RangeIndex and
+// statistics built (goddag/snapshot.h), so an evaluation only reads them.
+// Overlay nodes never enter any index — extended-axis steps read "base
+// index + overlay scan" uniformly — so no analyze-string() call and no
+// MVCC commit makes a reader build an index.
 //
 // Concurrency contract: one level, across calls. Any number of Evaluate /
 // EvaluateKeepingTemporaries calls may run concurrently on one engine —
@@ -96,9 +92,10 @@ struct QueryOptions {
   // modes pin one strategy everywhere. Every mode returns byte-identical
   // results — the batteries in parallel_query_test hold them to it.
   PlanMode plan_mode = PlanMode::kAuto;
-  // When set, the evaluation records stage spans (plan lookup, index
-  // materialisation, evaluation, serialisation) into this trace. The trace must
-  // outlive the call. Null (the default) costs one branch per stage.
+  // When set, the evaluation records stage spans (plan lookup, snapshot
+  // pin and step plan, evaluation, serialisation) into this trace. The
+  // trace must outlive the call. Null (the default) costs one branch per
+  // stage.
   obs::QueryTrace* trace = nullptr;
 };
 
@@ -112,7 +109,6 @@ struct EngineCounters {
   obs::Counter sorts_skipped;
   // Path steps evaluated once over their whole context sequence.
   obs::Counter set_steps;
-  obs::Counter index_rebuilds;
   // Snapshot pins taken by evaluations (one per Evaluate /
   // EvaluateKeepingTemporaries call).
   obs::Counter snapshot_pins;
@@ -201,9 +197,8 @@ struct KeptEvaluation {
   KeptTemporaries temporaries;
 };
 
-// One document's query engine: evaluation entry points, the pinned
-// (snapshot, AxisEvaluator) entry, caches and counters, under the
-// MVCC and concurrency contracts of the file comment.
+// One document's query engine: evaluation entry points, caches and
+// counters, under the MVCC and concurrency contracts of the file comment.
 class Engine {
  public:
   // An engine with private caches and counters — the
@@ -258,13 +253,6 @@ class Engine {
   // The document this engine is bound to (kept valid across document moves
   // via Rebind). Thread-safe.
   const MultihierarchicalDocument* document() const { return document_; }
-
-  // RangeIndex constructions this engine has paid for, summed across every
-  // snapshot version it has pinned — stays at one no matter how many
-  // analyze-string() overlay cycles have run and no matter how many MVCC
-  // commits it repins across (writer-prebuilt indexes cost readers
-  // nothing). Thread-safe.
-  size_t index_rebuild_count() const;
 
   // Temporary virtual hierarchies currently kept alive by
   // EvaluateKeepingTemporaries handles (in-flight evaluations' private
@@ -336,18 +324,6 @@ class Engine {
     std::shared_ptr<const goddag::DocumentSnapshot> snapshot;
   };
 
-  // One pinned snapshot paired with the AxisEvaluator bound to it — the
-  // unit the axes cache hands to evaluations. Immutable after construction
-  // (the evaluator's interior is concurrency-safe once its index is
-  // forced), so any number of evaluations share one entry while a writer
-  // publishes new versions alongside.
-  struct SnapshotAxes {
-    std::shared_ptr<const goddag::DocumentSnapshot> snapshot;
-    xpath::AxisEvaluator axes;
-    explicit SnapshotAxes(std::shared_ptr<const goddag::DocumentSnapshot> s)
-        : snapshot(std::move(s)), axes(snapshot.get()) {}
-  };
-
   // Called by the document's move operations to keep the back-reference
   // valid.
   void Rebind(const MultihierarchicalDocument* document) {
@@ -360,30 +336,15 @@ class Engine {
   StatusOr<EvaluationOutput> EvaluateInternal(std::string_view query,
                                               const QueryOptions& options);
 
-  // Parses and caches `query` under cache_mu_; the returned Expr stays valid
-  // for the engine's lifetime (map nodes are stable).
+  // Parses `query` or retrieves it from the plan cache; the returned Expr
+  // stays valid for the engine's lifetime (map nodes are stable).
   StatusOr<const Expr*> PreparedQuery(std::string_view query);
-
-  // Pins the document's current snapshot and returns the SnapshotAxes
-  // entry bound to it, creating a fresh entry under cache_mu_ when the
-  // published version moved since the last evaluation (the old entry stays
-  // alive for evaluations still holding it — that is the reader side of
-  // the epoch swap). Materialises the leaf partition and RangeIndex before
-  // returning, so nothing evaluation reads concurrently builds lazily.
-  std::shared_ptr<const SnapshotAxes> PinAxes();
 
   // A snapshot of the kept-hierarchy registry, for one evaluation's view.
   std::vector<std::shared_ptr<const goddag::GoddagOverlay>> SnapshotKept()
       const;
 
   const MultihierarchicalDocument* document_;
-  // The axes entry for the most recently pinned snapshot; see PinAxes().
-  // Guarded by cache_mu_; superseded entries drop here but survive in the
-  // shared_ptrs evaluations hold.
-  std::shared_ptr<const SnapshotAxes> axes_entry_;
-  // index_rebuild_count() contributions of entries axes_entry_ has already
-  // dropped. Guarded by cache_mu_.
-  size_t retired_rebuilds_ = 0;
   // Id blocks for every overlay any evaluation of this engine creates —
   // one namespace, so kept hierarchies and evaluation-private ones never
   // collide inside a view. Shared with the overlays themselves so a
@@ -397,15 +358,8 @@ class Engine {
   // when one was injected, else a private one. shared_ptr because cached
   // Expr/Regex pointers must outlive any engine still evaluating them.
   std::shared_ptr<PlanCache> plans_;
-
-  // Guards axes_entry_ and retired_rebuilds_. mutable so const accessors
-  // (index_rebuild_count) can take it.
-  mutable std::mutex cache_mu_;
   // Never null (private instance when none injected); see EngineCounters.
   std::shared_ptr<EngineCounters> counters_;
-  // AxisEvaluator rebuilds already folded into counters_->index_rebuilds;
-  // PinAxes() adds the delta under cache_mu_.
-  size_t reported_rebuilds_ = 0;
 };
 
 }  // namespace mhx::xquery

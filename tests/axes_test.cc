@@ -264,7 +264,6 @@ TEST(EditionAxesTest, EvaluatorKeepsItsSnapshotAcrossCommits) {
                                   NodeTest::Any())
                 .size(),
             before.size() + 2);
-  EXPECT_EQ(at_v2.index_rebuild_count(), 0u);  // the writer prebuilt it
 }
 
 // --- set-at-a-time steps -----------------------------------------------------

@@ -12,8 +12,10 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -141,9 +143,7 @@ TEST(ConcurrencyStressTest, ConcurrentAnalyzeStringIsByteIdentical) {
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(doc.engine()->temporary_hierarchy_count(), 0u);
-  // Overlay churn never rebuilds the base index.
-  EXPECT_EQ(doc.engine()->index_rebuild_count(), 1u);
-  // And never runs the overlay-id space dry.
+  // Overlay churn never runs the overlay-id space dry.
   EXPECT_EQ(doc.engine()->overlay_id_exhausted(), 0u);
 }
 
@@ -216,9 +216,6 @@ TEST(ConcurrencyStressTest, MutateWhileQueryingRace) {
   stop.store(true, std::memory_order_relaxed);
   writer_thread.join();
   EXPECT_EQ(failures.load(), 0);
-  // Readers paid exactly one index build (version 1's lazy one); every
-  // committed version's index came prebuilt from the writer thread.
-  EXPECT_EQ(doc.engine()->index_rebuild_count(), 1u);
   EXPECT_EQ(doc.engine()->overlay_id_exhausted(), 0u);
 }
 
@@ -359,6 +356,16 @@ TEST(ConcurrencyStressTest, CorpusOpenEvictQueryKeptRace) {
 }
 
 #if defined(__unix__) || defined(__APPLE__)
+// Removes a mkdtemp directory and every arena in it on scope exit, also
+// when an ASSERT ends the test early.
+struct RemoveDirOnExit {
+  std::string path;
+  ~RemoveDirOnExit() {
+    std::error_code ignored;
+    if (!path.empty()) std::filesystem::remove_all(path, ignored);
+  }
+};
+
 // Mapped-snapshot lifetime under MVCC churn: a capacity-1 corpus with an
 // arena spill directory, so every LRU miss adopts an mmap-backed snapshot
 // and every alternation evicts one. A pin thread holds pinned (typically
@@ -370,6 +377,7 @@ TEST(ConcurrencyStressTest, EvictionVsPinnedMappedSnapshotRace) {
   char dir_template[] = "/tmp/mhx_stress_spill.XXXXXX";
   char* dir = mkdtemp(dir_template);
   ASSERT_NE(dir, nullptr);
+  const RemoveDirOnExit cleanup{dir};  // outlives the service below
   corpus::CorpusOptions options;
   options.capacity = 1;  // every alternation evicts
   options.spill_dir = dir;

@@ -38,8 +38,7 @@ KyGoddag PaperGoddag() {
 // Publishes `kg` as version 1 so an AxisEvaluator can bind to it.
 std::shared_ptr<const DocumentSnapshot> Publish(KyGoddag kg) {
   return DocumentSnapshot::Create(
-      std::make_shared<const KyGoddag>(std::move(kg)), /*version=*/1,
-      /*prebuild_index=*/false);
+      std::make_shared<const KyGoddag>(std::move(kg)), /*version=*/1);
 }
 
 std::shared_ptr<const GoddagOverlay> MustCreate(

@@ -137,7 +137,6 @@ TEST(SnapshotStatsTest, MatchesBruteForceOnRandomizedEditions) {
 TEST(SnapshotStatsTest, StatsFollowThePinnedSnapshotAcrossCommit) {
   auto doc = BuildEdition(80, 5);
   auto before = doc.PinSnapshot();
-  before->EnsureStats();
   const SnapshotStats* old_stats = &before->stats();
   const size_t old_elements = old_stats->element_count();
   const uint64_t old_version = before->version();
@@ -152,11 +151,10 @@ TEST(SnapshotStatsTest, StatsFollowThePinnedSnapshotAcrossCommit) {
   ASSERT_TRUE(version.ok()) << version.status();
 
   auto after = doc.PinSnapshot();
-  after->EnsureStats();
   EXPECT_GT(after->version(), old_version);
 
-  // Build-once: repeated access returns the same immutable block, and the
-  // old snapshot still describes the old version — never the new head.
+  // Repeated access returns the same immutable block, and the old
+  // snapshot still describes the old version — never the new head.
   EXPECT_EQ(&before->stats(), old_stats);
   EXPECT_EQ(before->stats().element_count(), old_elements);
   EXPECT_EQ(before->stats().name_count("plannertestextra"), 0u);

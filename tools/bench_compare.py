@@ -19,7 +19,7 @@ User counters attached to a benchmark (the closed-loop bench_corpus
 latency/throughput lane) are compared too, with explicit direction:
 p95_us regresses when it *rises* past the threshold, qps when it *falls*
 past it — both gate exactly like wall time. Every other counter
-(p50_us/p99_us, plan_hit_rate, builds, evictions, index_rebuilds, ...)
+(p50_us/p99_us, plan_hit_rate, builds, evictions, sorts_skipped, ...)
 is informational: reported when it moves, never a failure, because cache
 hit-rates and eviction counts describe the workload, not a verdict.
 

@@ -37,6 +37,8 @@ CONTRACT_HEADERS = {
     "src/xquery/engine.h",
     "src/corpus/corpus.h",
     "src/goddag/persist.h",
+    "src/goddag/snapshot.h",
+    "src/xpath/axes.h",
 }
 
 TYPE_DEF_RE = re.compile(
