@@ -179,7 +179,6 @@ LeavesInFixture* MakeLeavesInFixture(size_t words) {
   fx->doc = std::make_unique<mhx::MultihierarchicalDocument>(
       std::move(doc).value());
   const KyGoddag& g = fx->doc->goddag();
-  g.leaves();  // materialise, as the engine does
   fx->ids = std::make_shared<mhx::goddag::OverlayIdAllocator>();
   const std::string& text = g.base_text();
   for (mhx::goddag::NodeId id = 0; id < g.node_table_size(); ++id) {

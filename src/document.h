@@ -124,9 +124,9 @@ class MultihierarchicalDocument {
     // number. All-or-nothing: the first failing mutation aborts the whole
     // commit and the document is unchanged. Blocking behavior: waits only
     // for concurrently committing writers (never for readers); readers
-    // never wait for this. The RangeIndex of the new version is built
-    // here, on the writer's thread, before publication — readers repin
-    // free of rebuilds. FailedPrecondition on a second Commit call.
+    // never wait for this. The RangeIndex and stats of the new version
+    // are built here, on the writer's thread, before publication — readers
+    // repin free of rebuilds. FailedPrecondition on a second Commit call.
     StatusOr<uint64_t> Commit();
 
    private:

@@ -212,8 +212,8 @@ int RunPersist() {
   for (int i = 0; i < kRounds; ++i) {
     {
       const long long begin = now_us();
-      auto doc = mhx::workload::BuildEditionDocument(config);
       // Query-ready: Build publishes its snapshot with index and stats.
+      auto doc = mhx::workload::BuildEditionDocument(config);
       Check(doc.ok(), "timed reparse builds");
       parse_us.push_back(now_us() - begin);
     }
