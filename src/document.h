@@ -52,7 +52,7 @@
 
 namespace mhx {
 
-// Per-query knobs (plan mode, trace); see xquery/engine.h.
+// Per-query knobs (a trace); see xquery/engine.h.
 using QueryOptions = xquery::QueryOptions;
 
 // The facade described in the file comment above; CONCURRENCY.md states
@@ -230,8 +230,7 @@ class MultihierarchicalDocument {
   // queries run remains undefined behaviour.
   StatusOr<std::string> Query(std::string_view query) const;
 
-  // As above, with per-query options (plan mode, trace); see
-  // xquery::QueryOptions.
+  // As above, with per-query options (a trace); see xquery::QueryOptions.
   StatusOr<std::string> Query(std::string_view query,
                               const QueryOptions& options) const;
 

@@ -3,6 +3,7 @@
 #include "workload/generator.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "xml/parser.h"
 
@@ -214,11 +215,13 @@ StatusOr<MultihierarchicalDocument> BuildEditionDocument(
     const EditionConfig& config) {
   Edition edition = GenerateEdition(config);
   MultihierarchicalDocument::Builder builder;
-  builder.SetBaseText(edition.base_text);
-  builder.AddHierarchy("physical", edition.physical_xml);
-  builder.AddHierarchy("structural", edition.structural_xml);
-  builder.AddHierarchy("restoration", edition.restoration_xml);
-  builder.AddHierarchy("condition", edition.condition_xml);
+  // Moved, not copied: the Builder owns the only copies while Build parses
+  // them and builds the index and stats.
+  builder.SetBaseText(std::move(edition.base_text));
+  builder.AddHierarchy("physical", std::move(edition.physical_xml));
+  builder.AddHierarchy("structural", std::move(edition.structural_xml));
+  builder.AddHierarchy("restoration", std::move(edition.restoration_xml));
+  builder.AddHierarchy("condition", std::move(edition.condition_xml));
   return builder.Build();
 }
 

@@ -108,6 +108,26 @@ StatusOr<Axis> AxisFromName(std::string_view name) {
   return it->second;
 }
 
+std::optional<Axis> LeafContextAxis(Axis axis) {
+  switch (axis) {
+    case Axis::kAncestor:
+    case Axis::kAncestorOrSelf:
+    case Axis::kXAncestor:
+      return Axis::kXAncestor;
+    case Axis::kFollowing:
+    case Axis::kXFollowing:
+      return Axis::kXFollowing;
+    case Axis::kPreceding:
+    case Axis::kXPreceding:
+      return Axis::kXPreceding;
+    case Axis::kXDescendant:
+    case Axis::kOverlapping:
+      return axis;
+    default:
+      return std::nullopt;
+  }
+}
+
 NodeTest NodeTest::Any() { return NodeTest(Kind::kAny, {}); }
 
 NodeTest NodeTest::Name(std::string name) {

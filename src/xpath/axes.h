@@ -39,6 +39,7 @@
 #define MHX_XPATH_AXES_H_
 
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -79,6 +80,14 @@ bool IsExtendedAxis(Axis axis);
 std::string_view AxisName(Axis axis);
 StatusOr<Axis> AxisFromName(std::string_view name);
 
+// The extended axis a step on `axis` evaluates as from a leaf context,
+// which is also the axis whose strategy the planner chooses for the step.
+// A leaf lies in every hierarchy, so ancestor(-or-self) coincides with
+// xancestor, following with xfollowing and preceding with xpreceding; an
+// extended axis maps to itself. nullopt for the axes that cannot step
+// from a leaf (pure tree walks).
+std::optional<Axis> LeafContextAxis(Axis axis);
+
 // The Definition-1 range predicate of one extended axis: does `candidate`
 // stand in `axis` relation to a context with range `context`? The overlay
 // scan half of every extended-axis evaluation runs it, and tests hold the
@@ -114,12 +123,11 @@ class NodeTest {
 };
 
 // One path step's physical execution choice, produced per step by the
-// XQuery planner (xquery/planner.h) or pinned by a forced plan mode:
-// indexed probe vs. (vectorized) full scan for the extended axes, and
-// whether a name test is pushed down into the probe/kernel so base
-// candidates are filtered before they materialise. Every combination
-// returns byte-identical node sets — the planner only moves cost. The
-// default is an un-pushed indexed probe.
+// XQuery planner (xquery/planner.h): indexed probe vs. (vectorized) full
+// scan for the extended axes, and whether a name test is pushed down into
+// the probe/kernel so base candidates are filtered before they
+// materialise. Every combination returns byte-identical node sets — the
+// planner only moves cost. The default is an un-pushed indexed probe.
 struct StepExec {
   bool use_index = true;
   bool pushdown = false;

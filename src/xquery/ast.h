@@ -59,6 +59,10 @@ struct PathStep {
   Test test = Test::kName;
   std::string name;  // Test::kName only
   std::vector<std::unique_ptr<AstNode>> predicates;
+  // This step's index among all path steps of its query, stamped once by
+  // ParseQuery (0, 1, ... with no gaps): the slot of its StepPlan in the
+  // query's xquery::QueryPlan.
+  uint32_t ordinal = 0;
 };
 
 // A piece of a direct constructor's attribute value or content: literal text

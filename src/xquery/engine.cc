@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <tuple>
 #include <utility>
 
@@ -97,15 +98,9 @@ class Evaluator {
   // they are registered in `view` as created, so later steps of the same
   // binding see them.
   Evaluator(Engine* engine, const xpath::AxisEvaluator* axes,
-            const QueryOptions* options, const QueryPlan* plan,
-            goddag::OverlayView* view,
+            const QueryPlan* plan, goddag::OverlayView* view,
             std::vector<std::shared_ptr<const goddag::GoddagOverlay>>* own)
-      : engine_(engine),
-        view_(view),
-        own_(own),
-        axes_(*axes),
-        options_(options),
-        plan_(plan) {}
+      : engine_(engine), view_(view), own_(own), axes_(*axes), plan_(*plan) {}
 
   StatusOr<Sequence> Evaluate(const AstNode& root) {
     return Eval(root, nullptr);
@@ -544,7 +539,7 @@ class Evaluator {
       std::vector<goddag::NodeId> ids;
       ids.reserve(contexts.size());
       for (const Item& item : contexts) ids.push_back(item.node);
-      const xpath::StepExec exec = StepExecFor(step);
+      const xpath::StepExec& exec = PlanOf(step).exec;
       ids = axes_.EvaluateSet(*view_, ids, step.axis, test, exec);
       if (xpath::IsExtendedAxis(step.axis)) NotePlannedStep(exec, test);
       AppendNodeItems(step, ids, &out);
@@ -564,19 +559,12 @@ class Evaluator {
   }
 
   Status ApplyPredicates(const PathStep& step, Sequence* items) {
-    // Under kAuto, run the planner's cheapest-first order when it recorded
-    // one (only for all-statically-boolean predicate lists, so the
-    // positional branch below is unreachable for a reordered step).
-    const std::vector<uint16_t>* plan_order = nullptr;
-    if (options_->plan_mode == PlanMode::kAuto && plan_ != nullptr) {
-      auto it = plan_->steps.find(&step);
-      if (it != plan_->steps.end() && !it->second.predicate_order.empty()) {
-        plan_order = &it->second.predicate_order;
-      }
-    }
+    // The planner's cheapest-first order when it recorded one (only for
+    // all-statically-boolean predicate lists, so the positional branch
+    // below is unreachable for a reordered step).
+    const std::vector<uint16_t>& order = PlanOf(step).predicate_order;
     for (size_t p = 0; p < step.predicates.size(); ++p) {
-      const auto& pred =
-          step.predicates[plan_order != nullptr ? (*plan_order)[p] : p];
+      const auto& pred = step.predicates[order.empty() ? p : order[p]];
       Sequence kept;
       for (size_t i = 0; i < items->size(); ++i) {
         Item& item = (*items)[i];
@@ -607,7 +595,7 @@ class Evaluator {
     const xpath::NodeTest test = NodeTestOf(step);
     std::vector<goddag::NodeId> ids;
     if (item.kind == Item::Kind::kNode) {
-      const xpath::StepExec exec = StepExecFor(step);
+      const xpath::StepExec& exec = PlanOf(step).exec;
       ids = axes_.EvaluatePlanned(*view_, item.node, step.axis, test, exec);
       if (xpath::IsExtendedAxis(step.axis)) NotePlannedStep(exec, test);
     } else if (item.kind == Item::Kind::kLeaf) {
@@ -638,25 +626,10 @@ class Evaluator {
     }
   }
 
-  // Resolves the physical execution of one extended-axis step: the forced
-  // modes pin a strategy (and never push a name test down — their point is
-  // exercising one pure strategy), kAuto reads the planner's per-step
-  // annotation, defaulting to an un-pushed indexed probe for steps the
-  // plan does not cover (e.g. evaluation without a plan).
-  xpath::StepExec StepExecFor(const PathStep& step) const {
-    switch (options_->plan_mode) {
-      case PlanMode::kForceNaive:
-        return {/*use_index=*/false, /*pushdown=*/false};
-      case PlanMode::kForceIndexed:
-        return {/*use_index=*/true, /*pushdown=*/false};
-      case PlanMode::kAuto:
-        break;
-    }
-    if (plan_ != nullptr) {
-      auto it = plan_->steps.find(&step);
-      if (it != plan_->steps.end()) return it->second.exec;
-    }
-    return {/*use_index=*/true, /*pushdown=*/false};
+  // The planner's annotation of `step`: its physical execution and
+  // predicate order.
+  const StepPlan& PlanOf(const PathStep& step) const {
+    return plan_.steps[step.ordinal];
   }
 
   // Counts one planned extended-axis execution by chosen strategy, plus
@@ -671,45 +644,24 @@ class Evaluator {
     }
   }
 
-  // Axis evaluation from a leaf context. A leaf belongs to every hierarchy,
-  // so `ancestor` coincides with `xancestor` (nodes whose range contains the
-  // leaf); the ordering and overlap axes reduce to range queries. A node
-  // properly overlapping a leaf cannot exist (its boundary would have split
-  // the leaf), so `overlapping` is always empty — computed anyway for
+  // Axis evaluation from a leaf context, on the extended axis the step's
+  // axis reduces to there (xpath::LeafContextAxis). A node properly
+  // overlapping a leaf cannot exist (its boundary would have split the
+  // leaf), so `overlapping` is always empty — computed anyway for
   // uniformity. Output comes back filtered by `test` (inside the
   // probe/kernel when pushed down), so callers never re-test.
   Status LeafContextStep(const TextRange& range, const PathStep& step,
                          const xpath::NodeTest& test, size_t offset,
                          std::vector<goddag::NodeId>* ids) {
-    const xpath::Axis axis = step.axis;
-    xpath::Axis extended;
-    switch (axis) {
-      case xpath::Axis::kAncestor:
-      case xpath::Axis::kAncestorOrSelf:
-      case xpath::Axis::kXAncestor:
-        extended = xpath::Axis::kXAncestor;
-        break;
-      case xpath::Axis::kXDescendant:
-        extended = xpath::Axis::kXDescendant;
-        break;
-      case xpath::Axis::kOverlapping:
-        extended = xpath::Axis::kOverlapping;
-        break;
-      case xpath::Axis::kFollowing:
-      case xpath::Axis::kXFollowing:
-        extended = xpath::Axis::kXFollowing;
-        break;
-      case xpath::Axis::kPreceding:
-      case xpath::Axis::kXPreceding:
-        extended = xpath::Axis::kXPreceding;
-        break;
-      default:
-        return EvalErrorAt(offset, "axis " +
-                                       std::string(xpath::AxisName(axis)) +
-                                       " cannot start from a leaf");
+    const std::optional<xpath::Axis> extended =
+        xpath::LeafContextAxis(step.axis);
+    if (!extended) {
+      return EvalErrorAt(offset, "axis " +
+                                     std::string(xpath::AxisName(step.axis)) +
+                                     " cannot start from a leaf");
     }
-    const xpath::StepExec exec = StepExecFor(step);
-    *ids = axes_.EvaluateRangePlanned(*view_, range, extended, test, exec);
+    const xpath::StepExec& exec = PlanOf(step).exec;
+    *ids = axes_.EvaluateRangePlanned(*view_, range, *extended, test, exec);
     NotePlannedStep(exec, test);
     return OkStatus();
   }
@@ -1067,10 +1019,8 @@ class Evaluator {
   goddag::OverlayView* view_;
   std::vector<std::shared_ptr<const goddag::GoddagOverlay>>* own_;
   const xpath::AxisEvaluator& axes_;
-  const QueryOptions* options_;
-  // The kAuto step plan for this evaluation's (expr, snapshot version) —
-  // null under the forced modes (and for plan-less callers).
-  const QueryPlan* plan_;
+  // The step plan for this evaluation's (expr, pinned snapshot version).
+  const QueryPlan& plan_;
   std::vector<std::pair<std::string, Sequence>> bindings_;
   // Pike-VM scan state reused by every analyze-string() this evaluator
   // runs, so a per-word scan allocates nothing once warm.
@@ -1119,40 +1069,24 @@ StatusOr<Engine::EvaluationOutput> Engine::EvaluateInternal(
     obs::StageTimer stage(trace, "plan_lookup");
     MHX_ASSIGN_OR_RETURN(expr, PreparedQuery(query));
   }
-  std::shared_ptr<const goddag::DocumentSnapshot> snapshot;
-  std::shared_ptr<const QueryPlan> plan;
+  PinnedPlan pinned;
   {
     // Covers the snapshot pin and the plan lookup (a published snapshot is
     // already indexed); the name stays because mhxbench reports
     // span.index_materialize.*.
     obs::StageTimer stage(trace, "index_materialize");
-    // Pin the MVCC snapshot for the whole evaluation: everything below —
-    // view, axes, leaves, index — reads exactly this version, regardless
-    // of writers committing successors meanwhile.
-    snapshot = document_->PinSnapshot();
-    counters_->snapshot_pins.Add();
-    if (options.plan_mode == PlanMode::kAuto) {
-      // The step plan for this (expr, document, version); cached, so in
-      // the steady state this is one map lookup and a replan only happens
-      // on the first evaluation after a commit. The plan annotates the
-      // pinned snapshot's statistics — stats follow the snapshot, never
-      // the head, so a stale plan is impossible by construction.
-      const uint64_t version = snapshot->version();
-      plan = plans_->PlanFor(expr, document_, version, [&] {
-        return PlanQuery(expr->root(), snapshot->stats(), version);
-      });
-    }
+    pinned = PinAndPlan(expr);
   }
   // The evaluation's private read seam: the immutable pinned snapshot,
   // every kept temporary hierarchy, and (as they are created) the
   // evaluation's own overlays. No lock is held while evaluating —
   // concurrent evaluations, analyze-string() included, only share
   // immutable state.
-  const xpath::AxisEvaluator axes(snapshot.get());
-  goddag::OverlayView view(&snapshot->goddag());
+  const xpath::AxisEvaluator axes(pinned.snapshot.get());
+  goddag::OverlayView view(&pinned.snapshot->goddag());
   view.AddOverlays(SnapshotKept());
   std::vector<std::shared_ptr<const goddag::GoddagOverlay>> own;
-  Evaluator evaluator(this, &axes, &options, plan.get(), &view, &own);
+  Evaluator evaluator(this, &axes, pinned.plan.get(), &view, &own);
   StatusOr<Evaluator::Sequence> result = [&] {
     obs::StageTimer stage(trace, "evaluate");
     return evaluator.Evaluate(expr->root());
@@ -1169,7 +1103,7 @@ StatusOr<Engine::EvaluationOutput> Engine::EvaluateInternal(
     out.items.push_back(evaluator.SerializeItem(item));
   }
   out.temporaries = std::move(own);
-  out.snapshot = std::move(snapshot);
+  out.snapshot = std::move(pinned.snapshot);
   return out;
 }
 
@@ -1177,17 +1111,31 @@ StatusOr<std::string> Engine::Evaluate(std::string_view query) {
   return Evaluate(query, QueryOptions());
 }
 
+Engine::PinnedPlan Engine::PinAndPlan(const Expr* expr) {
+  PinnedPlan pinned;
+  // Pin the MVCC snapshot for the whole evaluation: everything it reads —
+  // view, axes, leaves, index — is exactly this version, regardless of
+  // writers committing successors meanwhile.
+  pinned.snapshot = document_->PinSnapshot();
+  counters_->snapshot_pins.Add();
+  // The step plan for this (expr, document, version); cached, so in the
+  // steady state this is one map lookup and a replan only happens on the
+  // first evaluation after a commit. The plan annotates the pinned
+  // snapshot's statistics — stats follow the snapshot, never the head, so
+  // a stale plan is impossible by construction.
+  const goddag::DocumentSnapshot& snapshot = *pinned.snapshot;
+  const uint64_t version = snapshot.version();
+  pinned.plan = plans_->PlanFor(expr, document_, version, [&] {
+    return PlanQuery(expr->root(), snapshot.stats(), version);
+  });
+  return pinned;
+}
+
 StatusOr<std::string> Engine::ExplainPlan(std::string_view query) {
   MHX_ASSIGN_OR_RETURN(const Expr* expr, PreparedQuery(query));
-  std::shared_ptr<const goddag::DocumentSnapshot> snapshot =
-      document_->PinSnapshot();
-  counters_->snapshot_pins.Add();
-  const uint64_t version = snapshot->version();
-  std::shared_ptr<const QueryPlan> plan =
-      plans_->PlanFor(expr, document_, version, [&] {
-        return PlanQuery(expr->root(), snapshot->stats(), version);
-      });
-  return ExplainQueryPlan(expr->root(), *plan, snapshot->stats());
+  const PinnedPlan pinned = PinAndPlan(expr);
+  return ExplainQueryPlan(expr->root(), *pinned.plan,
+                          pinned.snapshot->stats());
 }
 
 StatusOr<std::string> Engine::Evaluate(std::string_view query,

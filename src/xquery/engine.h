@@ -62,7 +62,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "base/statusor.h"
@@ -85,13 +84,10 @@ class Expr;
 class Evaluator;
 class Engine;
 
-// Per-evaluation knobs, passed alongside the query text.
+// Per-evaluation knobs, passed alongside the query text. Every evaluation
+// runs the planner's step plan for the snapshot it pinned; there is no
+// per-query plan choice.
 struct QueryOptions {
-  // Physical-plan selection for path steps (see PlanMode): kAuto runs the
-  // cost-based planner against the pinned snapshot's statistics; the force
-  // modes pin one strategy everywhere. Every mode returns byte-identical
-  // results — the batteries in parallel_query_test hold them to it.
-  PlanMode plan_mode = PlanMode::kAuto;
   // When set, the evaluation records stage spans (plan lookup, snapshot
   // pin and step plan, evaluation, serialisation) into this trace. The
   // trace must outlive the call. Null (the default) costs one branch per
@@ -118,12 +114,12 @@ struct EngineCounters {
   obs::Counter overlay_id_exhausted;
   // Planned extended-axis step executions that probed the RangeIndex /
   // ran the (vectorized) table scan — how often the cost model picked
-  // each physical strategy (forced modes count here too). A set step
-  // counts once, however many contexts it covers.
+  // each physical strategy. A set step counts once, however many contexts
+  // it covers.
   obs::Counter plan_steps_indexed;
   obs::Counter plan_steps_scanned;
   // Name tests folded into the probe/kernel as interned-key compares
-  // instead of a post-hoc filter (kAuto only; forced modes never push).
+  // instead of a post-hoc filter.
   obs::Counter plan_pushdowns;
 };
 
@@ -243,9 +239,9 @@ class Engine {
   // handles (which become inert). Thread-safe.
   void CleanupTemporaries();
 
-  // Renders the physical plan kAuto would run for `query` against the
-  // currently published snapshot: per-step strategy, pushdown, and cost
-  // estimates (xquery::ExplainQueryPlan). Parses and caches the query like
+  // Renders the physical plan an evaluation of `query` against the
+  // currently published snapshot runs: per-step strategy, pushdown, and
+  // cost estimates (xquery::ExplainQueryPlan). Parses and caches the query like
   // Evaluate; returns parse errors verbatim. Thread-safety class:
   // pinned-snapshot read, like Evaluate.
   StatusOr<std::string> ExplainPlan(std::string_view query);
@@ -335,6 +331,18 @@ class Engine {
   // evaluates. No lock is held during evaluation.
   StatusOr<EvaluationOutput> EvaluateInternal(std::string_view query,
                                               const QueryOptions& options);
+
+  // A pinned MVCC snapshot and the step plan for one cached Expr against
+  // it.
+  struct PinnedPlan {
+    std::shared_ptr<const goddag::DocumentSnapshot> snapshot;
+    std::shared_ptr<const QueryPlan> plan;
+  };
+
+  // Pins the current snapshot (counted in snapshot_pins) and looks up the
+  // plan for (expr, document, pinned version), planning on a miss — the
+  // one path by which both Evaluate and ExplainPlan get their plan.
+  PinnedPlan PinAndPlan(const Expr* expr);
 
   // Parses `query` or retrieves it from the plan cache; the returned Expr
   // stays valid for the engine's lifetime (map nodes are stable).

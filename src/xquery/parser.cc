@@ -774,10 +774,13 @@ class Parser {
 
 // Stamps the per-loop body classification (see AstNode) on every kFor /
 // kQuantified node, so the engine never re-walks an immutable body subtree
-// at evaluation time.
-void StampLoopClassifications(AstNode* node) {
-  VisitSubExprs(*node,
-                [](AstNode& child) { StampLoopClassifications(&child); });
+// at evaluation time, and numbers every path step (PathStep::ordinal) from
+// `*next_ordinal` on.
+void StampAnnotations(AstNode* node, uint32_t* next_ordinal) {
+  for (PathStep& step : node->steps) step.ordinal = (*next_ordinal)++;
+  VisitSubExprs(*node, [next_ordinal](AstNode& child) {
+    StampAnnotations(&child, next_ordinal);
+  });
   if (node->kind == ExprKind::kFor || node->kind == ExprKind::kQuantified) {
     node->body_contains_analyze_string =
         ContainsAnalyzeString(*node->children[1]);
@@ -789,7 +792,8 @@ void StampLoopClassifications(AstNode* node) {
 StatusOr<std::unique_ptr<Expr>> ParseQuery(std::string_view query) {
   Parser parser(query);
   MHX_ASSIGN_OR_RETURN(NodePtr root, parser.Parse());
-  StampLoopClassifications(root.get());
+  uint32_t step_count = 0;
+  StampAnnotations(root.get(), &step_count);
   return std::make_unique<Expr>(std::string(query), std::move(root));
 }
 

@@ -16,6 +16,11 @@
 // a plan outlives any document that happens to be evicted mid-query.
 // hits()/misses() (and the regex_ pair) are relaxed monotonic counters,
 // surfaced by bench_corpus as the cross-document hit-rate.
+//
+// Thread-safety: every member is safe from any number of threads. Step
+// plans are keyed by the snapshot version an evaluation pinned, so a plan
+// always describes the statistics of the version it runs against
+// (CONCURRENCY.md, "MVCC: versions, snapshots, the epoch swap").
 
 #ifndef MHX_XQUERY_PLAN_CACHE_H_
 #define MHX_XQUERY_PLAN_CACHE_H_
@@ -121,7 +126,7 @@ class PlanCache {
   // turn, so the count is a snapshot, exact once traffic quiesces).
   size_t plan_count() const;
 
-  // The kAuto step plan annotating cached expr `expr` for the document
+  // The step plan annotating cached expr `expr` for the document
   // identified by the opaque `doc_key` (the engine passes its Document
   // pointer — snapshot versions are per-document counters, not globally
   // unique) at snapshot `version`. Returns the cached plan when the version

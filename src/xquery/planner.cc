@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <sstream>
 
 #include "xpath/kernels.h"
@@ -19,36 +20,6 @@ namespace {
 // walk; 0.05 keeps a safety margin).
 constexpr double kProbeCost = 4.0;
 constexpr double kSoaScanCost = 0.05;
-
-// The extended axis a step reduces to when evaluated from a leaf context
-// (mirrors the engine's LeafContextStep mapping), or the step's own axis
-// when already extended. Returns false for axes the planner has no
-// strategy choice for (pure tree walks).
-bool ExtendedEquivalent(xpath::Axis axis, xpath::Axis* extended) {
-  switch (axis) {
-    case xpath::Axis::kAncestor:
-    case xpath::Axis::kAncestorOrSelf:
-    case xpath::Axis::kXAncestor:
-      *extended = xpath::Axis::kXAncestor;
-      return true;
-    case xpath::Axis::kXDescendant:
-      *extended = xpath::Axis::kXDescendant;
-      return true;
-    case xpath::Axis::kOverlapping:
-      *extended = xpath::Axis::kOverlapping;
-      return true;
-    case xpath::Axis::kFollowing:
-    case xpath::Axis::kXFollowing:
-      *extended = xpath::Axis::kXFollowing;
-      return true;
-    case xpath::Axis::kPreceding:
-    case xpath::Axis::kXPreceding:
-      *extended = xpath::Axis::kXPreceding;
-      return true;
-    default:
-      return false;
-  }
-}
 
 // Expected base hits of one extended-axis evaluation from a typical
 // context, before any name-test selectivity.
@@ -82,18 +53,16 @@ size_t SubtreeSize(const AstNode& node) {
   return n;
 }
 
-void PlanStep(const PathStep& step, const goddag::SnapshotStats& stats,
-              QueryPlan* plan) {
+StepPlan PlanStep(const PathStep& step, const goddag::SnapshotStats& stats) {
   StepPlan sp;
-  bool interesting = false;
-
-  xpath::Axis extended;
-  if (step.primary == nullptr && ExtendedEquivalent(step.axis, &extended)) {
-    interesting = true;
+  const std::optional<xpath::Axis> extended =
+      step.primary == nullptr ? xpath::LeafContextAxis(step.axis)
+                              : std::nullopt;
+  if (extended) {
     const double table = static_cast<double>(stats.node_table_size());
     const double elements =
         static_cast<double>(std::max<size_t>(stats.element_count(), 1));
-    double est = EstimateHits(extended, stats);
+    double est = EstimateHits(*extended, stats);
     sp.exec.pushdown = step.test == PathStep::Test::kName;
     if (sp.exec.pushdown) {
       est *= static_cast<double>(stats.name_count(step.name)) / elements;
@@ -123,17 +92,18 @@ void PlanStep(const PathStep& step, const goddag::SnapshotStats& stats,
     // the "run as written" fast path.
     if (!std::is_sorted(order.begin(), order.end())) {
       sp.predicate_order = std::move(order);
-      interesting = true;
     }
   }
-
-  if (interesting) plan->steps.emplace(&step, std::move(sp));
+  return sp;
 }
 
 void WalkForPlans(const AstNode& node, const goddag::SnapshotStats& stats,
                   QueryPlan* plan) {
-  if (node.kind == ExprKind::kPath) {
-    for (const PathStep& step : node.steps) PlanStep(step, stats, plan);
+  for (const PathStep& step : node.steps) {
+    if (plan->steps.size() <= step.ordinal) {
+      plan->steps.resize(step.ordinal + 1);
+    }
+    plan->steps[step.ordinal] = PlanStep(step, stats);
   }
   VisitSubExprs(node, [&](const AstNode& child) {
     WalkForPlans(child, stats, plan);
@@ -143,49 +113,42 @@ void WalkForPlans(const AstNode& node, const goddag::SnapshotStats& stats,
 // Rendering helpers for ExplainQueryPlan.
 void RenderSteps(const AstNode& node, const QueryPlan& plan,
                  std::ostringstream* out) {
-  if (node.kind == ExprKind::kPath) {
-    for (const PathStep& step : node.steps) {
-      if (step.primary != nullptr) continue;
-      auto it = plan.steps.find(&step);
-      *out << "step " << xpath::AxisName(step.axis) << "::";
-      switch (step.test) {
-        case PathStep::Test::kName:
-          *out << step.name;
-          break;
-        case PathStep::Test::kAnyElement:
-          *out << "*";
-          break;
-        case PathStep::Test::kAnyNode:
-          *out << "node()";
-          break;
-        case PathStep::Test::kLeaf:
-          *out << "leaf()";
-          break;
-      }
-      xpath::Axis extended;
-      if (ExtendedEquivalent(step.axis, &extended)) {
-        const StepPlan* sp = it != plan.steps.end() ? &it->second : nullptr;
-        const bool use_index = sp == nullptr || sp->exec.use_index;
-        *out << " strategy=" << (use_index ? "indexed" : "scan");
-        if (sp != nullptr) {
-          if (sp->exec.pushdown) *out << " pushdown=" << step.name;
-          *out << " est_hits=" << static_cast<uint64_t>(sp->est_hits)
-               << " cost_indexed=" << static_cast<uint64_t>(sp->cost_indexed)
-               << " cost_scan=" << static_cast<uint64_t>(sp->cost_scan);
-        }
-      } else {
-        *out << " strategy=arcs";
-      }
-      if (it != plan.steps.end() && !it->second.predicate_order.empty()) {
-        *out << " predicate_order=[";
-        for (size_t i = 0; i < it->second.predicate_order.size(); ++i) {
-          if (i != 0) *out << ",";
-          *out << it->second.predicate_order[i];
-        }
-        *out << "]";
-      }
-      *out << "\n";
+  for (const PathStep& step : node.steps) {
+    if (step.primary != nullptr) continue;
+    const StepPlan& sp = plan.steps[step.ordinal];
+    *out << "step " << xpath::AxisName(step.axis) << "::";
+    switch (step.test) {
+      case PathStep::Test::kName:
+        *out << step.name;
+        break;
+      case PathStep::Test::kAnyElement:
+        *out << "*";
+        break;
+      case PathStep::Test::kAnyNode:
+        *out << "node()";
+        break;
+      case PathStep::Test::kLeaf:
+        *out << "leaf()";
+        break;
     }
+    if (xpath::LeafContextAxis(step.axis)) {
+      *out << " strategy=" << (sp.exec.use_index ? "indexed" : "scan");
+      if (sp.exec.pushdown) *out << " pushdown=" << step.name;
+      *out << " est_hits=" << static_cast<uint64_t>(sp.est_hits)
+           << " cost_indexed=" << static_cast<uint64_t>(sp.cost_indexed)
+           << " cost_scan=" << static_cast<uint64_t>(sp.cost_scan);
+    } else {
+      *out << " strategy=arcs";
+    }
+    if (!sp.predicate_order.empty()) {
+      *out << " predicate_order=[";
+      for (size_t i = 0; i < sp.predicate_order.size(); ++i) {
+        if (i != 0) *out << ",";
+        *out << sp.predicate_order[i];
+      }
+      *out << "]";
+    }
+    *out << "\n";
   }
   VisitSubExprs(node, [&](const AstNode& child) {
     RenderSteps(child, plan, out);
@@ -211,18 +174,6 @@ bool IsStaticallyBoolean(const AstNode& pred) {
       return false;
   }
   return !ContainsAnalyzeString(pred);
-}
-
-std::string_view PlanModeName(PlanMode mode) {
-  switch (mode) {
-    case PlanMode::kAuto:
-      return "auto";
-    case PlanMode::kForceNaive:
-      return "force-naive";
-    case PlanMode::kForceIndexed:
-      return "force-indexed";
-  }
-  return "unknown";
 }
 
 QueryPlan PlanQuery(const AstNode& root, const goddag::SnapshotStats& stats,

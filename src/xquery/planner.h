@@ -27,16 +27,19 @@
 // flip to the SIMD scan.
 //
 // Plans are performance-only: every choice returns byte-identical results
-// (the planned-vs-forced test battery pins this), so a stale plan is
-// merely slower, never wrong. PlanCache::PlanFor caches one plan per
-// (expr, document, snapshot version) — hot traffic replans only on commit.
+// (tests/oracle_test.cc holds the planned engine to a Definition-1 oracle
+// on editions where the plan scans and on editions where it probes), so a
+// stale plan is merely slower, never wrong. Every evaluation runs the plan
+// of the snapshot it pinned: PlanCache::PlanFor caches one plan per (expr,
+// document, snapshot version), so hot traffic replans only on commit; a
+// plan describes the version its evaluation pinned, never the head
+// (CONCURRENCY.md, "MVCC: versions, snapshots, the epoch swap").
 
 #ifndef MHX_XQUERY_PLANNER_H_
 #define MHX_XQUERY_PLANNER_H_
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "goddag/stats.h"
@@ -44,17 +47,6 @@
 #include "xquery/ast.h"
 
 namespace mhx::xquery {
-
-// Which physical plan an evaluation runs. kAuto is the planner; the force
-// modes pin one strategy for tests, benches, and the byte-identity
-// batteries (QueryOptions::plan_mode).
-enum class PlanMode {
-  kAuto,          // planner-chosen per step (the default)
-  kForceNaive,    // every extended-axis step scans; no pushdown
-  kForceIndexed,  // every extended-axis step probes the index; no pushdown
-};
-
-std::string_view PlanModeName(PlanMode mode);
 
 // One step's annotations: the physical execution choice plus the planned
 // predicate order and the cost-model inputs (kept for ExplainPlan).
@@ -69,12 +61,12 @@ struct StepPlan {
   double cost_scan = 0.0;
 };
 
-// A whole query's step annotations, keyed by PathStep address (stable: the
-// cached Expr owns its AST for the cache's lifetime). Built against one
-// snapshot version; steps absent from the map run the default indexed
-// probe.
+// A whole query's step annotations, one per path step, indexed by
+// PathStep::ordinal. Built against one snapshot version. A step with no
+// strategy choice (a tree walk or a primary step) and no reordered
+// predicates holds the default StepPlan.
 struct QueryPlan {
-  std::unordered_map<const PathStep*, StepPlan> steps;
+  std::vector<StepPlan> steps;
   uint64_t snapshot_version = 0;
 };
 
@@ -89,7 +81,8 @@ struct QueryPlan {
 bool IsStaticallyBoolean(const AstNode& pred);
 
 // Plans `root` against `stats` (the pinned snapshot's statistics block).
-// Pure function: no locks, no globals — safe to call from any thread.
+// `root` must come from ParseQuery, which numbers the steps. Pure
+// function: no locks, no globals — safe to call from any thread.
 QueryPlan PlanQuery(const AstNode& root, const goddag::SnapshotStats& stats,
                     uint64_t snapshot_version);
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "document.h"
+#include "oracle.h"
 #include "workload/generator.h"
 #include "workload/paper_data.h"
 #include "xpath/axes.h"
@@ -158,45 +159,43 @@ TEST_F(PaperAxesTest, StandardAxes) {
   }
 }
 
-// The literal Definition 1, restated over node ranges: every element whose
-// range stands in `axis` relation to the context's, minus the context
-// itself, in document order (range, then NodeId).
-std::vector<NodeId> Definition1(const KyGoddag& kg, NodeId context,
-                                Axis axis) {
-  std::vector<NodeId> out;
-  for (NodeId id = 0; id < kg.node_table_size(); ++id) {
-    if (id == context || kg.node(id).kind != GNodeKind::kElement) continue;
-    if (ExtendedAxisMatches(axis, kg.node(context).range, kg.node(id).range)) {
-      out.push_back(id);
-    }
-  }
-  std::stable_sort(out.begin(), out.end(), [&kg](NodeId a, NodeId b) {
-    return kg.node(a).range < kg.node(b).range;
-  });
-  return out;
-}
-
 // The core equivalence: both extended-axis strategies — the indexed
-// probe (the default StepExec) and the (vectorized) table scan — must
-// return exactly the Definition-1 node set for every extended axis and
-// every element context, on the paper document and on a generated edition
-// with virtual hierarchies layered on top.
+// probe (the default StepExec) and the (vectorized) table scan, each with
+// and without the name test pushed down — must return exactly the
+// Definition-1 oracle's node set (tests/oracle.h) for every extended axis
+// and every element context, on the paper document and on a generated
+// edition with virtual hierarchies layered on top.
 void ExpectStrategiesMatchDefinition1(const DocumentSnapshot& snapshot) {
   const KyGoddag& kg = snapshot.goddag();
+  auto oracle = oracle::Oracle::Create(kg);
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
   AxisEvaluator axes(&snapshot);
   const goddag::OverlayView base(&kg);
-  const StepExec scan{/*use_index=*/false, /*pushdown=*/false};
+  const StepExec execs[] = {{true, false}, {false, false}, {true, true},
+                            {false, true}};
   for (NodeId id = 0; id < kg.node_table_size(); ++id) {
     if (kg.node(id).kind != GNodeKind::kElement) continue;
     for (Axis axis : kExtendedAxes) {
-      const std::vector<NodeId> expected = Definition1(kg, id, axis);
-      EXPECT_EQ(axes.EvaluatePlanned(base, id, axis, NodeTest::Any()), expected)
-          << "indexed, axis " << AxisName(axis) << " context node " << id
-          << " '" << kg.node(id).name << "'";
-      EXPECT_EQ(axes.EvaluatePlanned(base, id, axis, NodeTest::Any(), scan),
-                expected)
-          << "scan, axis " << AxisName(axis) << " context node " << id
-          << " '" << kg.node(id).name << "'";
+      const std::vector<NodeId> expected = oracle->ExtendedAxis(id, axis);
+      // A name test keeps exactly the oracle's nodes of that name.
+      std::vector<NodeId> named;
+      for (NodeId hit : expected) {
+        if (kg.node(hit).name == "w") named.push_back(hit);
+      }
+      for (const StepExec& exec : execs) {
+        const std::string where =
+            "use_index " + std::to_string(exec.use_index) + " pushdown " +
+            std::to_string(exec.pushdown) + ", axis " +
+            std::string(AxisName(axis)) + " context node " +
+            std::to_string(id) + " '" + kg.node(id).name + "'";
+        EXPECT_EQ(axes.EvaluatePlanned(base, id, axis, NodeTest::Any(), exec),
+                  expected)
+            << where;
+        EXPECT_EQ(
+            axes.EvaluatePlanned(base, id, axis, NodeTest::Name("w"), exec),
+            named)
+            << where << " test 'w'";
+      }
     }
   }
 }

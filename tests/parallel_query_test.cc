@@ -8,11 +8,9 @@
 //    first failing binding's error wins, and a quantifier returns what its
 //    first deciding-or-failing binding decided;
 //  * concurrent doc->Query() calls on one document are safe;
-//  * the guarantee-driven step merge equals a test-side step interpreter
-//    that sort+dedups after every step, for every axis;
-//  * every plan mode (kAuto / kForceNaive / kForceIndexed) matches that
-//    interpreter across the axis battery, and the pinned Section 4
-//    outputs — plans move cost, never results.
+//  * the guarantee-driven step merge equals the Definition-1 oracle's
+//    path interpreter (tests/oracle.h), which sort+dedups after every
+//    step, for every axis and for predicates over multi-context steps.
 //
 // Several test names still say "threads" or "parallel": they are kept so
 // the test ids stay stable, and each now pins the serial semantics the
@@ -20,21 +18,17 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "document.h"
+#include "oracle.h"
 #include "workload/generator.h"
 #include "workload/paper_data.h"
-#include "xml/parser.h"
-#include "xpath/axes.h"
-#include "xquery/parser.h"
 #include "xquery/serialize.h"
 
 namespace mhx::xquery {
@@ -375,248 +369,63 @@ constexpr const char* kAxisBatteryQueries[] = {
     "/descendant::*/descendant::leaf()",
 };
 
-// --- the test-side step interpreter ---------------------------------------
-
-// One item of a reference evaluation: a node, or a leaf cell (node =
-// kInvalidNode) identified by its range.
-struct RefItem {
-  goddag::NodeId node;
-  TextRange range;
-};
-
-// Document order over mixed node/leaf items: begin ascending, longer range
-// first, a node before the leaf sharing its range, NodeId last.
-auto RefOrderKey(const RefItem& item) {
-  const bool leaf = item.node == goddag::kInvalidNode;
-  return std::make_tuple(item.range.begin, ~item.range.end, leaf, item.node);
-}
-
-// Evaluates an absolute path of `axis::test` steps (test: a name, `*`, or
-// `leaf()`) one step at a time, with brute-force step semantics: the
-// context items' results are concatenated, then sorted into document order
-// and deduplicated after every step — no ordering guarantee is relied on.
-// Node contexts step through the public AxisEvaluator; leaf() steps and
-// leaf contexts read the snapshot's leaf partition and node table. Covers
-// the step shapes kAxisBatteryQueries uses.
-std::vector<RefItem> ReferencePath(const goddag::DocumentSnapshot& snapshot,
-                                   std::string_view path) {
-  const goddag::KyGoddag& kg = snapshot.goddag();
-  const xpath::AxisEvaluator axes(&snapshot);
-  const goddag::OverlayView base(&kg);
-  std::vector<RefItem> current = {{kg.root(), kg.node(kg.root()).range}};
-  while (!path.empty()) {
-    path.remove_prefix(1);  // the '/'
-    const std::string_view step = path.substr(0, path.find('/'));
-    path.remove_prefix(step.size());
-    const size_t colons = step.find("::");
-    auto axis = xpath::AxisFromName(step.substr(0, colons));
-    EXPECT_TRUE(axis.ok()) << step;
-    if (!axis.ok()) return {};
-    const std::string_view test = step.substr(colons + 2);
-    std::vector<RefItem> next;
-    for (const RefItem& item : current) {
-      const bool from_leaf = item.node == goddag::kInvalidNode;
-      if (test == "leaf()") {
-        EXPECT_TRUE(!from_leaf && *axis == xpath::Axis::kDescendant) << step;
-        for (const goddag::Leaf& leaf : kg.leaves()) {
-          if (item.range.Contains(leaf.range)) {
-            next.push_back({goddag::kInvalidNode, leaf.range});
-          }
-        }
-        continue;
-      }
-      std::vector<goddag::NodeId> ids;
-      if (from_leaf) {
-        // A leaf lies in every hierarchy: its ancestors are the elements
-        // whose range contains it.
-        EXPECT_EQ(*axis, xpath::Axis::kAncestor) << step;
-        for (goddag::NodeId id = 0; id < kg.node_table_size(); ++id) {
-          if (kg.node(id).kind == goddag::GNodeKind::kElement &&
-              kg.node(id).range.Contains(item.range)) {
-            ids.push_back(id);
-          }
-        }
-      } else {
-        ids = axes.EvaluatePlanned(base, item.node, *axis,
-                                   xpath::NodeTest::Any());
-      }
-      for (goddag::NodeId id : ids) {
-        const goddag::GNode& node = kg.node(id);
-        if (node.kind != goddag::GNodeKind::kElement) continue;
-        if (test == "*" || node.name == test) next.push_back({id, node.range});
-      }
-    }
-    std::sort(next.begin(), next.end(),
-              [](const RefItem& a, const RefItem& b) {
-                return RefOrderKey(a) < RefOrderKey(b);
-              });
-    next.erase(std::unique(next.begin(), next.end(),
-                           [](const RefItem& a, const RefItem& b) {
-                             return RefOrderKey(a) == RefOrderKey(b);
-                           }),
-               next.end());
-    current = std::move(next);
-  }
-  return current;
-}
-
-// The query whose output exposes a path result's order and duplicates
-// item by item, and the reference rendering of the same.
-std::string ListingQuery(std::string_view path) {
-  return "for $n in " + std::string(path) +
-         " return (name($n), '[', string($n), ']')";
-}
-
-std::string ReferenceListing(const goddag::DocumentSnapshot& snapshot,
-                             const std::vector<RefItem>& items) {
-  const goddag::KyGoddag& kg = snapshot.goddag();
-  std::string out;
-  for (const RefItem& item : items) {
-    if (item.node != goddag::kInvalidNode) out += kg.node(item.node).name;
-    out += "[" +
-           xml::EscapeText(kg.base_text().substr(item.range.begin,
-                                                 item.range.length())) +
-           "]";
-  }
-  return out;
-}
-
-// Checks one battery path's count and item listing against the reference.
-void ExpectMatchesReference(const MultihierarchicalDocument& doc,
-                            std::string_view path,
-                            const QueryOptions& options) {
+// Checks one path's count and item listing against the oracle.
+void ExpectMatchesOracle(const MultihierarchicalDocument& doc,
+                         std::string_view path) {
   const auto snapshot = doc.PinSnapshot();
-  const std::vector<RefItem> expected = ReferencePath(*snapshot, path);
-  const std::string label = std::string(path) + "\nplan mode " +
-                            std::string(PlanModeName(options.plan_mode));
-  auto count = doc.Query("count(" + std::string(path) + ")", options);
-  ASSERT_TRUE(count.ok()) << label << "\n" << count.status();
-  EXPECT_EQ(*count, std::to_string(expected.size())) << label;
-  auto listing = doc.Query(ListingQuery(path), options);
-  ASSERT_TRUE(listing.ok()) << label << "\n" << listing.status();
-  EXPECT_EQ(*listing, ReferenceListing(*snapshot, expected)) << label;
+  auto oracle = oracle::Oracle::Create(snapshot->goddag());
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+  auto expected = oracle->Evaluate(path);
+  ASSERT_TRUE(expected.ok()) << path << "\n" << expected.status();
+  auto count = doc.Query("count(" + std::string(path) + ")");
+  ASSERT_TRUE(count.ok()) << path << "\n" << count.status();
+  EXPECT_EQ(*count, std::to_string(expected->size())) << path;
+  auto listing = doc.Query(oracle::ListingQuery(path));
+  ASSERT_TRUE(listing.ok()) << path << "\n" << listing.status();
+  EXPECT_EQ(*listing, oracle->Listing(*expected)) << path;
 }
 
 // The guarantee-driven path must match the brute-force step interpreter.
 TEST_F(ParallelQueryTest, GuaranteeDrivenMergeMatchesBruteForcePerAxis) {
   for (const char* query : kAxisBatteryQueries) {
-    ExpectMatchesReference(*edition_, query, QueryOptions());
-  }
-}
-
-// The planner's byte-identity contract: every plan mode — the cost-based
-// kAuto and both forced strategies — matches the reference for the whole
-// axis battery, and all of them serialise the bare path identically. A
-// plan is allowed to move cost, never results.
-TEST_F(ParallelQueryTest, PlanModesByteIdenticalAcrossAxesAndThreads) {
-  const PlanMode modes[] = {PlanMode::kAuto, PlanMode::kForceNaive,
-                            PlanMode::kForceIndexed};
-  for (const char* query : kAxisBatteryQueries) {
-    const std::string baseline = MustQuery(*edition_, query, QueryOptions());
-    for (PlanMode mode : modes) {
-      QueryOptions options;
-      options.plan_mode = mode;
-      ExpectMatchesReference(*edition_, query, options);
-      EXPECT_EQ(MustQuery(*edition_, query, options), baseline)
-          << query << "\nplan mode " << PlanModeName(mode);
-    }
-  }
-}
-
-// Same contract on the paper's Section 4 queries: every plan mode must
-// reproduce the published outputs exactly.
-TEST_F(ParallelQueryTest, Section4QueriesPlanModeInvariantAcrossThreads) {
-  struct Pinned {
-    const char* query;
-    const char* expected;
-    bool coalesce;
-  };
-  const Pinned kPinned[] = {
-      {workload::kQueryI1, workload::kExpectedI1, false},
-      {workload::kQueryI2, workload::kExpectedI2, false},
-      {workload::kQueryII1, workload::kExpectedII1Coalesced, true},
-      {workload::kQueryIII1Intent, workload::kExpectedIII1IntentCoalesced,
-       true},
-  };
-  for (const Pinned& p : kPinned) {
-    for (PlanMode mode :
-         {PlanMode::kAuto, PlanMode::kForceNaive, PlanMode::kForceIndexed}) {
-      QueryOptions options;
-      options.plan_mode = mode;
-      const std::string out = MustQuery(*paper_, p.query, options);
-      EXPECT_EQ(p.coalesce ? CoalesceRuns(out) : out, p.expected)
-          << p.query << "\nplan mode " << PlanModeName(mode);
-    }
+    ExpectMatchesOracle(*edition_, query);
   }
 }
 
 // Predicates over a step taken from many contexts. A predicate whose
-// verdict depends on its item alone keeps exactly the reference union's
-// items that pass it — whether it filters each context's run (a path
-// predicate) or the union once (a statically boolean one). A positional
-// predicate keeps per-context semantics: every word contributes its own
-// first xfollowing dmg.
+// verdict depends on its item alone keeps exactly the oracle union's items
+// that pass it — whether it filters each context's run (a path predicate)
+// or the union once (a statically boolean one). A positional predicate
+// keeps per-context semantics: every word contributes its own first
+// xfollowing dmg.
 TEST_F(ParallelQueryTest, SetStepPredicatesMatchReferenceFilters) {
   const auto snapshot = edition_->PinSnapshot();
-  const goddag::KyGoddag& kg = snapshot->goddag();
-  const xpath::AxisEvaluator axes(snapshot.get());
-  const goddag::OverlayView base(&kg);
-  const std::vector<RefItem> unfiltered =
-      ReferencePath(*snapshot, "/descendant::w/xfollowing::dmg");
-  std::vector<RefItem> containing_w;
-  for (const RefItem& item : unfiltered) {
-    if (!axes.EvaluatePlanned(base, item.node, xpath::Axis::kXDescendant,
-                              xpath::NodeTest::Name("w"))
-             .empty()) {
-      containing_w.push_back(item);
-    }
-  }
-  std::vector<RefItem> first_per_word;
-  for (const RefItem& word : ReferencePath(*snapshot, "/descendant::w")) {
-    const std::vector<goddag::NodeId> hits =
-        axes.EvaluatePlanned(base, word.node, xpath::Axis::kXFollowing,
-                             xpath::NodeTest::Name("dmg"));
-    if (!hits.empty()) {
-      first_per_word.push_back({hits[0], kg.node(hits[0]).range});
-    }
-  }
-  std::sort(first_per_word.begin(), first_per_word.end(),
-            [](const RefItem& a, const RefItem& b) {
-              return RefOrderKey(a) < RefOrderKey(b);
-            });
-  first_per_word.erase(
-      std::unique(first_per_word.begin(), first_per_word.end(),
-                  [](const RefItem& a, const RefItem& b) {
-                    return a.node == b.node;
-                  }),
-      first_per_word.end());
+  auto oracle = oracle::Oracle::Create(snapshot->goddag());
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+  auto size_of = [&](const char* path) {
+    auto items = oracle->Evaluate(path);
+    EXPECT_TRUE(items.ok()) << path << "\n" << items.status();
+    return items.ok() ? items->size() : 0;
+  };
   // Non-vacuous: the filter drops some items, and the positional test
   // keeps more than a union-wide [1] would.
-  ASSERT_LT(containing_w.size(), unfiltered.size());
-  ASSERT_FALSE(containing_w.empty());
-  ASSERT_GT(first_per_word.size(), 1u);
+  const size_t unfiltered = size_of("/descendant::w/xfollowing::dmg");
+  const size_t containing_w =
+      size_of("/descendant::w/xfollowing::dmg[xdescendant::w]");
+  ASSERT_LT(containing_w, unfiltered);
+  ASSERT_GT(containing_w, 0u);
+  ASSERT_GT(size_of("/descendant::w/xfollowing::dmg[1]"), 1u);
 
-  const std::pair<const char*, const std::vector<RefItem>*> kCases[] = {
-      {"/descendant::w/xfollowing::dmg[xdescendant::w]", &containing_w},
-      {"/descendant::w/xfollowing::dmg[count(xdescendant::w) > 0]",
-       &containing_w},
-      {"/descendant::w/xfollowing::dmg[1]", &first_per_word},
-  };
-  for (const auto& [path, expected] : kCases) {
-    for (PlanMode mode :
-         {PlanMode::kAuto, PlanMode::kForceNaive, PlanMode::kForceIndexed}) {
-      QueryOptions options;
-      options.plan_mode = mode;
-      const std::string label = std::string(path) + "\nplan mode " +
-                                std::string(PlanModeName(mode));
-      EXPECT_EQ(MustQuery(*edition_, "count(" + std::string(path) + ")",
-                          options),
-                std::to_string(expected->size()))
-          << label;
-      EXPECT_EQ(MustQuery(*edition_, ListingQuery(path), options),
-                ReferenceListing(*snapshot, *expected))
-          << label;
-    }
+  // count(...) > 0 is the statically boolean form of the path predicate.
+  EXPECT_EQ(
+      MustQuery(*edition_, "count(/descendant::w/xfollowing::dmg"
+                           "[count(xdescendant::w) > 0])"),
+      std::to_string(containing_w));
+  for (const char* path :
+       {"/descendant::w/xfollowing::dmg[xdescendant::w]",
+        "/descendant::w/xfollowing::dmg[not(xdescendant::w)]",
+        "/descendant::w/xfollowing::dmg[1]"}) {
+    ExpectMatchesOracle(*edition_, path);
   }
 }
 

@@ -53,7 +53,6 @@ using goddag::LoadSnapshotFile;
 using goddag::MappedSnapshot;
 using goddag::SerializeSnapshot;
 using goddag::WriteSnapshotFile;
-using xquery::PlanMode;
 
 workload::EditionConfig TestEdition(uint64_t seed = 7,
                                     size_t words = 220) {
@@ -107,7 +106,7 @@ class ScratchDir {
 
 // --- Round-trip byte-identity ------------------------------------------------
 
-TEST(PersistTest, PaperQueriesByteIdenticalAcrossPlanModesAndThreads) {
+TEST(PersistTest, PaperQueriesByteIdenticalParsedAndMapped) {
   auto parsed = workload::BuildPaperDocument();
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   auto image = ImageOf(*parsed);
@@ -130,21 +129,15 @@ TEST(PersistTest, PaperQueriesByteIdenticalAcrossPlanModesAndThreads) {
       {workload::kQueryIII1Intent, workload::kExpectedIII1IntentCoalesced,
        true},
   };
-  const PlanMode kModes[] = {PlanMode::kAuto, PlanMode::kForceNaive,
-                             PlanMode::kForceIndexed};
   for (const Pinned& p : kPinned) {
-    for (PlanMode mode : kModes) {
-      QueryOptions options;
-      options.plan_mode = mode;
-      auto from_parse = parsed->Query(p.query, options);
-      auto from_arena = loaded.Query(p.query, options);
-      ASSERT_TRUE(from_parse.ok()) << from_parse.status().message();
-      ASSERT_TRUE(from_arena.ok()) << from_arena.status().message();
-      EXPECT_EQ(p.coalesce ? xquery::CoalesceRuns(*from_parse) : *from_parse,
-                p.expected)
-          << "mode=" << static_cast<int>(mode);
-      EXPECT_EQ(*from_arena, *from_parse) << "mode=" << static_cast<int>(mode);
-    }
+    auto from_parse = parsed->Query(p.query);
+    auto from_arena = loaded.Query(p.query);
+    ASSERT_TRUE(from_parse.ok()) << from_parse.status().message();
+    ASSERT_TRUE(from_arena.ok()) << from_arena.status().message();
+    EXPECT_EQ(p.coalesce ? xquery::CoalesceRuns(*from_parse) : *from_parse,
+              p.expected)
+        << p.query;
+    EXPECT_EQ(*from_arena, *from_parse) << p.query;
   }
 }
 

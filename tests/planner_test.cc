@@ -10,14 +10,17 @@
 //     on editions and on hand-built SoAs with offsets past 2^31;
 //   * RangeIndex ProbeFilter pushdown vs. post-hoc name filtering;
 //   * planner strategy choices (containment probes vs. ordering scans on a
-//     large edition), predicate-reordering safety, PlanCache replan
-//     accounting, ExplainPlan rendering, and plan-mode byte-identity.
+//     large edition), one plan slot per step, predicate-reordering
+//     safety, PlanCache replan accounting, and ExplainPlan rendering.
+//     Planned results are checked against the Definition-1 oracle in
+//     oracle_test.
 
 #include "xquery/planner.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -30,6 +33,7 @@
 #include "workload/generator.h"
 #include "xpath/axes.h"
 #include "xpath/kernels.h"
+#include "xquery/ast.h"
 #include "xquery/engine.h"
 #include "xquery/parser.h"
 #include "xquery/plan_cache.h"
@@ -365,25 +369,62 @@ TEST(PlannerTest, ContainmentProbesOrderingScansOnALargeEdition) {
   EXPECT_EQ(plan.snapshot_version, 41u);
   const auto& steps = (*contained)->root().steps;
   ASSERT_EQ(steps.size(), 2u);
-  // The tree-walk step carries no annotation (no strategy choice to make).
-  EXPECT_EQ(plan.steps.count(&steps[0]), 0u);
-  auto it = plan.steps.find(&steps[1]);
-  ASSERT_NE(it, plan.steps.end());
-  EXPECT_TRUE(it->second.exec.use_index);
-  EXPECT_TRUE(it->second.exec.pushdown);
-  EXPECT_LT(it->second.cost_indexed, it->second.cost_scan);
+  // One plan per step, in ParseQuery's step order.
+  ASSERT_EQ(plan.steps.size(), 2u);
+  EXPECT_EQ(steps[0].ordinal, 0u);
+  EXPECT_EQ(steps[1].ordinal, 1u);
+  // The tree-walk step holds the default plan (no strategy choice to
+  // make): no pushdown, no cost estimates.
+  const xquery::StepPlan& walk = plan.steps[steps[0].ordinal];
+  EXPECT_FALSE(walk.exec.pushdown);
+  EXPECT_EQ(walk.cost_scan, 0.0);
+  const xquery::StepPlan& probe = plan.steps[steps[1].ordinal];
+  EXPECT_TRUE(probe.exec.use_index);
+  EXPECT_TRUE(probe.exec.pushdown);
+  EXPECT_LT(probe.cost_indexed, probe.cost_scan);
 
   auto ordering = xquery::ParseQuery("/descendant::w/xfollowing::line");
   ASSERT_TRUE(ordering.ok());
   auto plan2 = xquery::PlanQuery((*ordering)->root(), stats, 41);
   const auto& steps2 = (*ordering)->root().steps;
   ASSERT_EQ(steps2.size(), 2u);
-  auto it2 = plan2.steps.find(&steps2[1]);
-  ASSERT_NE(it2, plan2.steps.end());
+  const xquery::StepPlan& scan = plan2.steps[steps2[1].ordinal];
   // Ordering axes return ~half the document; the vectorized scan wins.
-  EXPECT_FALSE(it2->second.exec.use_index);
-  EXPECT_LT(it2->second.cost_scan, it2->second.cost_indexed);
-  EXPECT_GT(it2->second.est_hits, it->second.est_hits);
+  EXPECT_FALSE(scan.exec.use_index);
+  EXPECT_LT(scan.cost_scan, scan.cost_indexed);
+  EXPECT_GT(scan.est_hits, probe.est_hits);
+}
+
+// Steps are numbered across the whole query — nested paths in predicates
+// and loop bodies included — so every step owns one slot of the plan.
+TEST(PlannerTest, EveryStepOwnsOnePlanSlot) {
+  auto doc = BuildEdition(80, 3);
+  SnapshotStats stats(&doc.goddag());
+  auto expr = xquery::ParseQuery(
+      "for $w in /descendant::w[xancestor::dmg] "
+      "return count($w/xfollowing::line[overlapping::res])");
+  ASSERT_TRUE(expr.ok());
+  auto plan = xquery::PlanQuery((*expr)->root(), stats, 1);
+  std::vector<const xquery::PathStep*> steps;
+  std::function<void(const xquery::AstNode&)> collect =
+      [&](const xquery::AstNode& node) {
+        for (const xquery::PathStep& step : node.steps) steps.push_back(&step);
+        xquery::VisitSubExprs(node, collect);
+      };
+  collect((*expr)->root());
+  // descendant::w, xancestor::dmg, $w, xfollowing::line, overlapping::res.
+  ASSERT_EQ(steps.size(), 5u);
+  ASSERT_EQ(plan.steps.size(), steps.size());
+  std::vector<bool> seen(steps.size());
+  for (const xquery::PathStep* step : steps) {
+    ASSERT_LT(step->ordinal, seen.size());
+    EXPECT_FALSE(seen[step->ordinal]) << "ordinal " << step->ordinal;
+    seen[step->ordinal] = true;
+    // Every extended step is planned with its name test pushed down.
+    if (xpath::IsExtendedAxis(step->axis)) {
+      EXPECT_TRUE(plan.steps[step->ordinal].exec.pushdown);
+    }
+  }
 }
 
 TEST(PlannerTest, ReordersOnlyProvablyBooleanPredicates) {
@@ -399,9 +440,8 @@ TEST(PlannerTest, ReordersOnlyProvablyBooleanPredicates) {
   auto plan = xquery::PlanQuery((*boolean)->root(), stats, 1);
   const auto& steps = (*boolean)->root().steps;
   ASSERT_EQ(steps.size(), 1u);
-  auto it = plan.steps.find(&steps[0]);
-  ASSERT_NE(it, plan.steps.end());
-  EXPECT_EQ(it->second.predicate_order, (std::vector<uint16_t>{1, 0}));
+  EXPECT_EQ(plan.steps[steps[0].ordinal].predicate_order,
+            (std::vector<uint16_t>{1, 0}));
 
   // A positional predicate (integer-valued) pins source order.
   auto positional =
@@ -410,10 +450,7 @@ TEST(PlannerTest, ReordersOnlyProvablyBooleanPredicates) {
   auto plan2 = xquery::PlanQuery((*positional)->root(), stats, 1);
   const auto& steps2 = (*positional)->root().steps;
   ASSERT_EQ(steps2.size(), 1u);
-  auto it2 = plan2.steps.find(&steps2[0]);
-  if (it2 != plan2.steps.end()) {
-    EXPECT_TRUE(it2->second.predicate_order.empty());
-  }
+  EXPECT_TRUE(plan2.steps[steps2[0].ordinal].predicate_order.empty());
 
   // analyze-string() in a predicate body pins source order too: its
   // temporary hierarchies register in evaluation order.
@@ -424,10 +461,7 @@ TEST(PlannerTest, ReordersOnlyProvablyBooleanPredicates) {
   auto plan3 = xquery::PlanQuery((*analyze)->root(), stats, 1);
   const auto& steps3 = (*analyze)->root().steps;
   ASSERT_EQ(steps3.size(), 1u);
-  auto it3 = plan3.steps.find(&steps3[0]);
-  if (it3 != plan3.steps.end()) {
-    EXPECT_TRUE(it3->second.predicate_order.empty());
-  }
+  EXPECT_TRUE(plan3.steps[steps3[0].ordinal].predicate_order.empty());
 }
 
 TEST(PlanCacheTest, ReplansOnlyOnVersionOrKeyChange) {
@@ -481,37 +515,6 @@ TEST(PlannerTest, ExplainPlanNamesStrategiesAndKernel) {
   EXPECT_NE(scan->find("strategy=scan"), std::string::npos) << *scan;
 
   EXPECT_FALSE(doc.engine()->ExplainPlan("][").ok());
-}
-
-TEST(PlannerTest, PlanModesAreByteIdenticalAndCountersMove) {
-  auto doc = BuildEdition(200, 23);
-  const char* kQuery =
-      "for $w in /descendant::w[xancestor::dmg or xdescendant::res or "
-      "overlapping::dmg] return <m>{$w/xfollowing::line[1]}</m>";
-
-  using xquery::PlanMode;
-  // The pure table scan without pushdown is the baseline the planned and
-  // indexed strategies must reproduce.
-  QueryOptions naive;
-  naive.plan_mode = PlanMode::kForceNaive;
-  auto baseline = doc.Query(kQuery, naive);
-  ASSERT_TRUE(baseline.ok()) << baseline.status();
-
-  for (PlanMode mode : {PlanMode::kAuto, PlanMode::kForceIndexed}) {
-    QueryOptions options;
-    options.plan_mode = mode;
-    auto got = doc.Query(kQuery, options);
-    ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_EQ(*got, *baseline)
-        << "plan mode " << xquery::PlanModeName(mode);
-  }
-
-  // The kAuto run above drove planned extended-axis steps: the strategy
-  // counters moved, and the name tests rode into the probes/kernels.
-  EXPECT_GT(doc.engine()->plan_steps_indexed() +
-                doc.engine()->plan_steps_scanned(),
-            0u);
-  EXPECT_GT(doc.engine()->plan_pushdowns(), 0u);
 }
 
 }  // namespace

@@ -39,6 +39,8 @@ CONTRACT_HEADERS = {
     "src/goddag/persist.h",
     "src/goddag/snapshot.h",
     "src/xpath/axes.h",
+    "src/xquery/plan_cache.h",
+    "src/xquery/planner.h",
 }
 
 TYPE_DEF_RE = re.compile(

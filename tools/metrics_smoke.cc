@@ -17,8 +17,8 @@
 //
 // `metrics_smoke --persist` exercises the zero-copy persistence stack
 // (goddag/persist.h) end to end on a 1600-word edition: byte-identical
-// query results between the parsed document and its mmap-loaded arena
-// across every plan mode, a >= 10x cold-start speedup of the mapped load
+// query results between the parsed document and its mmap-loaded arena,
+// a >= 10x cold-start speedup of the mapped load
 // over XML reparse + index rebuild (medians of interleaved rounds), and
 // the corpus spill counters (`mhx_snapshots_persisted_total`,
 // `mhx_mmap_loads_total`, `mhx_load_fallbacks_total`) moving under LRU
@@ -170,30 +170,23 @@ int RunPersist() {
   auto loaded =
       mhx::MultihierarchicalDocument::FromSnapshot(std::move(mapped->snapshot));
 
-  // Byte-identity battery: every plan mode, the traced I.2 shape plus
-  // extended-axis queries.
+  // Byte-identity battery: the traced I.2 shape plus extended-axis
+  // queries, each under the plan of its own document's snapshot.
   const char* kQueries[] = {
       kTracedQuery,
       "/descendant::w[xancestor::dmg]",
       "for $w in /descendant::w return $w/overlapping::dmg",
       "/descendant::line/xdescendant::w",
   };
-  const mhx::xquery::PlanMode kModes[] = {
-      mhx::xquery::PlanMode::kAuto, mhx::xquery::PlanMode::kForceNaive,
-      mhx::xquery::PlanMode::kForceIndexed};
   size_t compared = 0;
   for (const char* query : kQueries) {
-    for (mhx::xquery::PlanMode mode : kModes) {
-      mhx::QueryOptions options;
-      options.plan_mode = mode;
-      auto from_parse = parsed->Query(query, options);
-      auto from_map = loaded.Query(query, options);
-      Check(from_parse.ok(), "parsed document evaluates");
-      Check(from_map.ok(), "mapped document evaluates");
-      Check(*from_parse == *from_map,
-            "parsed and mapped results are byte-identical");
-      ++compared;
-    }
+    auto from_parse = parsed->Query(query);
+    auto from_map = loaded.Query(query);
+    Check(from_parse.ok(), "parsed document evaluates");
+    Check(from_map.ok(), "mapped document evaluates");
+    Check(*from_parse == *from_map,
+          "parsed and mapped results are byte-identical");
+    ++compared;
   }
 
   // Cold start: an mmap load vs an XML reparse + index rebuild, both ending
@@ -361,7 +354,7 @@ int main(int argc, char** argv) {
 
   // The planner/kernel counters of this build must be registered, and the
   // Section-4-shape traffic above must have exercised the planner: its
-  // extended-axis steps ran under kAuto, so the strategy counters moved
+  // extended-axis steps ran their planned strategies, so the counters moved
   // and each (expr, document) pair paid exactly its first-plan build.
   // A path step taken from many contexts (every word) runs once as a set
   // step, which the export below must count.
