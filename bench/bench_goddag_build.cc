@@ -254,7 +254,8 @@ BENCHMARK(BM_OverlayLeaves_WholePartition)
 // Registration on one view of every analysed word's overlay: arg 1 = 0
 // adds them one AddOverlay at a time, in document order (analyze-string()
 // called per word in a predicate, where no loop batches the calls);
-// arg 1 = 1 adds them as one AddOverlays batch (an evaluation's kept set).
+// arg 1 = 1 adds them as one AddOverlays batch (a loop's binding overlays
+// at its exit).
 // Time per overlay (items_per_second) should stay about flat as the
 // edition grows: in-order adds append, and a batch costs one sort.
 void BM_OverlayRegister(benchmark::State& state) {

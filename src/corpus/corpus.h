@@ -22,9 +22,9 @@
 // Eviction vs. in-flight queries: a query pins its document with a
 // shared_ptr before evaluating, so evicting the entry (dropping the
 // service's reference) never frees a document mid-query — the pin does,
-// when the last query returns. KeptTemporaries handles outlive eviction
-// the same way they outlive engine death: they hold a weak registry and
-// simply become inert (see xquery/engine.h).
+// when the last query returns. Nothing an evaluation creates outlives it
+// (analyze-string()'s temporaries die with their query; see
+// xquery/engine.h), so eviction has no other lifetime to wait for.
 //
 // Admission control: queries whose plan ContainsAnalyzeString are "heavy"
 // (they materialise temporary hierarchies and dominate evaluation cost).

@@ -14,66 +14,16 @@ constexpr uint32_t kMaxOverlayOffset = 0x7FFFFFFFu;
 }  // namespace
 
 NodeId OverlayIdAllocator::Allocate(size_t count) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // First fit: the lowest released hole that holds `count`. freed_ is
-  // offset-ordered and holes are coalesced on release, so holes sandwiched
-  // under live blocks — many long-lived engines churning in one process —
-  // are recycled instead of waiting for a tail rewind that may never come.
-  for (auto it = freed_.begin(); it != freed_.end(); ++it) {
-    if (static_cast<uint64_t>(it->second) < count) continue;
-    const uint32_t offset = it->first;
-    const uint32_t remainder = it->second - static_cast<uint32_t>(count);
-    freed_.erase(it);
-    if (remainder > 0) {
-      freed_.emplace(offset + static_cast<uint32_t>(count), remainder);
-    }
-    outstanding_ += count;
-    return kOverlayIdBit | offset;
-  }
   if (count > kMaxOverlayOffset - next_) return kInvalidNode;
-  NodeId begin = kOverlayIdBit | next_;
+  const NodeId begin = kOverlayIdBit | next_;
   next_ += static_cast<uint32_t>(count);
   outstanding_ += count;
   return begin;
 }
 
-void OverlayIdAllocator::Release(NodeId begin, size_t count) {
-  std::lock_guard<std::mutex> lock(mu_);
+void OverlayIdAllocator::Release(NodeId /*begin*/, size_t count) {
   outstanding_ -= count;
-  if (outstanding_ == 0) {
-    // Fully drained — the steady state between queries when nothing is
-    // kept: reset wholesale.
-    next_ = 0;
-    freed_.clear();
-    return;
-  }
-  // Insert the hole, coalescing with adjacent holes so first-fit sees one
-  // big hole rather than fragments no single block fits into.
-  uint32_t offset = begin & ~kOverlayIdBit;
-  uint32_t length = static_cast<uint32_t>(count);
-  auto after = freed_.upper_bound(offset);
-  if (after != freed_.begin()) {
-    auto before = std::prev(after);
-    if (before->first + before->second == offset) {
-      offset = before->first;
-      length += before->second;
-      freed_.erase(before);
-    }
-  }
-  if (after != freed_.end() && after->first == offset + length) {
-    length += after->second;
-    freed_.erase(after);
-  }
-  freed_[offset] = length;
-  // Rewind the cursor over the contiguous released suffix, so churn above
-  // a long-lived kept block keeps reusing the same ids instead of walking
-  // off the end of the namespace.
-  while (!freed_.empty()) {
-    auto last = std::prev(freed_.end());
-    if (last->first + last->second != next_) break;
-    next_ = last->first;
-    freed_.erase(last);
-  }
+  if (outstanding_ == 0) next_ = 0;
 }
 
 StatusOr<std::shared_ptr<const GoddagOverlay>> GoddagOverlay::Create(

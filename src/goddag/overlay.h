@@ -8,8 +8,9 @@
 //
 // Id namespace: overlay nodes live in the upper half of the NodeId space
 // (kOverlayIdBit set). Blocks of ids are leased from an OverlayIdAllocator
-// shared by every overlay that can ever meet in one view, so overlay ids
-// never collide with base ids or with each other. An OverlayView is the
+// shared by every overlay that can ever meet in one view — the XQuery
+// engine's one per evaluation — so overlay ids never collide with base ids
+// or with each other. An OverlayView is the
 // single node-resolution seam readers go through: it resolves base ids
 // against the KyGoddag, overlay ids against the (few) overlays registered
 // with it, and answers leaf() lookups per range — the base cells inside the
@@ -17,9 +18,9 @@
 //
 // Lifetime rules: an overlay is immutable after Create and refcounted
 // (shared_ptr); it releases its id block on destruction. A view registers
-// overlays but never outlives the evaluation that owns it; the XQuery
-// engine keeps an evaluation's overlays alive past the evaluation only
-// through the KeptTemporaries handle (xquery/engine.h).
+// overlays but never outlives the evaluation that owns it, and no overlay
+// outlives its evaluation: match markup that must outlive a query is
+// committed with MultihierarchicalDocument::Writer::AddVirtualHierarchy.
 //
 // Overlays sit *above* the MVCC document-version layer: an overlay
 // annotates the one immutable snapshot its evaluation pinned and is never
@@ -32,9 +33,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -55,18 +54,16 @@ inline bool IsOverlayId(NodeId id) {
 // base hierarchy table, so the field deliberately points nowhere.
 inline constexpr HierarchyId kOverlayHierarchy = static_cast<HierarchyId>(-1);
 
-// Thread-safe lessor of contiguous overlay-id blocks. All overlays that can
-// appear together in one OverlayView must draw from the same allocator (the
-// XQuery engine owns one per engine, shared with every overlay it creates
-// so an overlay kept alive past the engine still releases safely). The
-// namespace holds 2^31 - 1 ids; blocks come from a first-fit scan of the
-// free list (released holes, coalesced when adjacent) and only then from
-// the monotonic tail cursor. Reclamation is two-tier: tail rewind pulls
-// the cursor back over a released suffix, and holes sandwiched under
-// live blocks — the corpus reality of many long-lived engines sharing one
-// process — are reused directly by first fit instead of waiting for the
-// blocks above them to go. Exhaustion therefore requires ~2^31 overlay
-// nodes in *live* blocks plus unfillable fragmentation slack.
+// Lessor of contiguous overlay-id blocks. All overlays that can appear
+// together in one OverlayView must draw from the same allocator, so their
+// ids never collide with base ids or with each other; the XQuery engine
+// creates one per evaluation, on its first analyze-string(), and every
+// overlay it creates shares ownership of it. Blocks come from a bump cursor
+// over the 2^31 - 1 ids of the namespace, so one allocator's ids follow
+// creation order; the cursor rewinds to the start once every block is
+// released, and no id is reused before that. Not thread-safe: the overlays
+// of one allocator are created and destroyed by one thread at a time (an
+// evaluation runs on its calling thread from start to finish).
 class OverlayIdAllocator {
  public:
   // Leases a block of `count` ids and returns its first id (overlay bit
@@ -77,13 +74,8 @@ class OverlayIdAllocator {
   void Release(NodeId begin, size_t count);
 
  private:
-  std::mutex mu_;
   uint32_t next_ = 0;
   uint64_t outstanding_ = 0;
-  // Released blocks (offset -> count) not yet absorbed by a tail rewind:
-  // blocks freed underneath a still-live block wait here and are reclaimed
-  // the moment everything above them releases.
-  std::map<uint32_t, uint32_t> freed_;
 };
 
 // One temporary virtual hierarchy over an immutable base document: an
@@ -98,8 +90,7 @@ class GoddagOverlay {
   // Validates `elements` (same rules as KyGoddag::AddVirtualHierarchy) and
   // builds the hierarchy. Fails with the validation error, or with
   // ResourceExhausted when `ids` cannot lease a block. The overlay shares
-  // ownership of the allocator, so it may outlive the engine that created
-  // it (a KeptTemporaries handle held past engine destruction stays safe).
+  // ownership of the allocator, so the two may be dropped in any order.
   static StatusOr<std::shared_ptr<const GoddagOverlay>> Create(
       const KyGoddag* base, std::shared_ptr<OverlayIdAllocator> ids,
       const std::string& name, std::vector<VirtualElement> elements);
@@ -143,9 +134,8 @@ class GoddagOverlay {
 };
 
 // The read seam of one evaluation: an immutable base KyGoddag plus every
-// overlay visible to the evaluation (hierarchies kept by earlier
-// EvaluateKeepingTemporaries calls, then the evaluation's own). Node
-// resolution, node-to-string, and leaf() lookups all go through here.
+// overlay the evaluation has materialised so far. Node resolution,
+// node-to-string, and leaf() lookups all go through here.
 //
 // Views form a fork chain: the engine forks a child view off the enclosing
 // view for each binding of a loop whose body calls analyze-string(), and
@@ -200,11 +190,10 @@ class OverlayView {
   // appended without a merge. Requires the base leaf partition to be
   // materialised (the engine does this before evaluation starts).
   void AddOverlay(std::shared_ptr<const GoddagOverlay> overlay);
-  // Registers a batch of overlays at once — the kept set at evaluation
-  // start, a loop's binding overlays at its exit — with at most
-  // one sort of the batch's endpoints (none when its overlays come in
-  // document order) and at most one merge into the existing cuts, instead
-  // of one merge per overlay.
+  // Registers a batch of overlays at once — a loop's binding overlays at
+  // its exit — with at most one sort of the batch's endpoints (none when
+  // its overlays come in document order) and at most one merge into the
+  // existing cuts, instead of one merge per overlay.
   void AddOverlays(std::vector<std::shared_ptr<const GoddagOverlay>> batch);
 
   // Overlays registered on THIS view — a forked child's parents hold

@@ -12,10 +12,9 @@
 // after publication.
 //
 // Retirement: a snapshot dies when its last reference drops — the document
-// repointing to a successor, the last pinned evaluation returning, or the
-// last KeptTemporaries handle releasing, whichever comes last. live_count()
-// exposes the process-wide population for the `mhx_goddag_live_snapshots`
-// gauge and the retirement tests.
+// repointing to a successor or the last pinned evaluation returning,
+// whichever comes last. live_count() exposes the process-wide population
+// for the `mhx_goddag_live_snapshots` gauge and the retirement tests.
 //
 // Completeness: a snapshot is complete when published. Create builds the
 // leaf partition, the RangeIndex and the SnapshotStats before returning

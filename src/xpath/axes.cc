@@ -13,12 +13,68 @@ using goddag::GNodeKind;
 using goddag::NodeId;
 using goddag::kInvalidNode;
 
+namespace {
+
+// `id` and its ancestors, the GODDAG root first.
+std::vector<NodeId> PathFromRoot(const goddag::OverlayView& view, NodeId id) {
+  std::vector<NodeId> path;
+  for (; id != kInvalidNode; id = view.node(id).parent) path.push_back(id);
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
+// Whether `id` lies on following (`forward`) or preceding from `context`,
+// an element of the same hierarchy or overlay: after the context in
+// document order and not its descendant, or before it and not its
+// ancestor. Same-hierarchy ranges nest or are disjoint, so "begins at or
+// after the context's end" (ends at or before its start) decides every
+// node but one that touches that bound while it or the context is empty:
+// an empty element there may be a descendant, an element around an empty
+// context its ancestor, and two empty elements at one offset are ordered
+// by their tree positions alone. Those few are placed in the tree.
+bool OnFollowingOrPreceding(const goddag::OverlayView& view, NodeId context,
+                            NodeId id, bool forward) {
+  if (id == context) return false;
+  const TextRange& c = view.node(context).range;
+  const TextRange& r = view.node(id).range;
+  if (forward ? r.begin < c.end : r.end > c.begin) return false;
+  const bool touches = forward ? r.begin == c.end : r.end == c.begin;
+  if (!touches || (!r.empty() && !c.empty())) return true;
+  const std::vector<NodeId> a = PathFromRoot(view, id);
+  const std::vector<NodeId> b = PathFromRoot(view, context);
+  size_t i = 0;
+  while (i < a.size() && i < b.size() && a[i] == b[i]) ++i;
+  if (i == a.size() || i == b.size()) return false;  // nested
+  // a[i] and b[i] are children of a[i - 1]: their order is the answer.
+  const std::vector<NodeId>& siblings = view.node(a[i - 1]).children;
+  const bool after = std::find(siblings.begin(), siblings.end(), a[i]) >
+                     std::find(siblings.begin(), siblings.end(), b[i]);
+  return after == forward;
+}
+
+}  // namespace
+
 bool IsExtendedAxis(Axis axis) {
   switch (axis) {
     case Axis::kXAncestor:
     case Axis::kXDescendant:
     case Axis::kOverlapping:
     case Axis::kXFollowing:
+    case Axis::kXPreceding:
+      return true;
+    default:
+      return false;
+  }
+}
+
+bool IsReverseAxis(Axis axis) {
+  switch (axis) {
+    case Axis::kParent:
+    case Axis::kAncestor:
+    case Axis::kAncestorOrSelf:
+    case Axis::kPreceding:
+    case Axis::kPrecedingSibling:
+    case Axis::kXAncestor:
     case Axis::kXPreceding:
       return true;
     default:
@@ -198,8 +254,7 @@ void AxisEvaluator::AppendOverlayMatches(const goddag::OverlayView& view,
                                          NodeId exclude, const NodeTest& test,
                                          std::vector<NodeId>* out) const {
   // A forked binding view holds only the overlays its own binding
-  // created; everything else visible to it (kept hierarchies, the
-  // enclosing overlays) lives up the parent chain.
+  // created; the enclosing scopes' overlays live up the parent chain.
   for (const goddag::OverlayView* v = &view; v != nullptr; v = v->parent()) {
     for (const auto& overlay : v->overlays()) {
       // The auto-created whole-text root is plumbing, not a result: start
@@ -278,30 +333,24 @@ void AxisEvaluator::EvaluateStandard(const goddag::OverlayView& view,
     }
     case Axis::kFollowing:
     case Axis::kPreceding: {
-      // Within the context's own hierarchy. Because same-hierarchy ranges
-      // nest or are disjoint, document-order following reduces to "begins at
-      // or after my end" and preceding to "ends at or before my start". An
-      // overlay node's hierarchy is its overlay.
+      // Within the context's own hierarchy; an overlay node's hierarchy is
+      // its overlay.
       if (node.kind != GNodeKind::kElement) return;
+      const bool forward = axis == Axis::kFollowing;
+      auto visit = [&](NodeId id) {
+        if (OnFollowingOrPreceding(view, context, id, forward)) {
+          out->push_back(id);
+        }
+      };
       if (goddag::IsOverlayId(context)) {
         const goddag::GoddagOverlay* overlay = view.overlay_of(context);
         for (NodeId id = overlay->elements_begin(); id < overlay->id_end();
              ++id) {
-          const GNode& n = overlay->node(id);
-          bool hit = axis == Axis::kFollowing
-                         ? n.range.begin >= node.range.end
-                         : n.range.end <= node.range.begin;
-          if (hit && id != context) out->push_back(id);
+          visit(id);
         }
         return;
       }
-      const goddag::Hierarchy& h = goddag_->hierarchy(node.hierarchy);
-      for (NodeId id : h.nodes) {
-        const GNode& n = goddag_->node(id);
-        bool hit = axis == Axis::kFollowing ? n.range.begin >= node.range.end
-                                           : n.range.end <= node.range.begin;
-        if (hit && id != context) out->push_back(id);
-      }
+      for (NodeId id : goddag_->hierarchy(node.hierarchy).nodes) visit(id);
       return;
     }
     default:
@@ -373,19 +422,23 @@ std::vector<NodeId> AxisEvaluator::CoveringContexts(
     case Axis::kPreceding:
     case Axis::kXFollowing:
     case Axis::kXPreceding: {
-      // Every hit of a context lies beyond the extreme context m (smallest
-      // end going forward, largest begin going back), so m's hits hold the
-      // rest — except m itself, which another context reaches only when m
-      // is an empty range sitting at that context's bound. The runner-up
-      // reaches m exactly then and holds nothing else. following/preceding
-      // pick per hierarchy; an overlay is its own hierarchy.
+      // Every hit of a context lies beyond the extreme bound (the smallest
+      // end going forward, the largest begin going back), and a context
+      // past it reaches only nodes that each context at the bound reaches
+      // too. Among the contexts at the bound, an xfollowing/xpreceding hit
+      // depends on the bound alone, except that no context reaches itself:
+      // the first covers the others' hits, and a second covers the first,
+      // which it reaches only when the first is empty. following/preceding
+      // exclude each context's ancestors and descendants and place empty
+      // elements at the bound by tree position, so every context at the
+      // bound stays. They pick per hierarchy; an overlay is its own
+      // hierarchy.
       const bool forward =
           axis == Axis::kFollowing || axis == Axis::kXFollowing;
-      auto before = [&](NodeId a, NodeId b) {
-        return forward ? range(a).end < range(b).end
-                       : range(a).begin > range(b).begin;
+      auto bound = [&](NodeId c) {
+        return forward ? range(c).end : range(c).begin;
       };
-      std::map<uint64_t, std::pair<NodeId, NodeId>> extremes;
+      std::map<uint64_t, std::vector<NodeId>> at_bound;
       for (NodeId c : contexts) {
         uint64_t group = 0;
         if (per_hierarchy) {
@@ -393,21 +446,19 @@ std::vector<NodeId> AxisEvaluator::CoveringContexts(
                       ? uint64_t{1} << 32 | view.overlay_of(c)->id_begin()
                       : view.node(c).hierarchy;
         }
-        auto [it, fresh] = extremes.try_emplace(group, c, kInvalidNode);
-        auto& [m, runner_up] = it->second;
-        if (fresh) continue;
-        if (before(c, m)) {
-          runner_up = m;
-          m = c;
-        } else if (runner_up == kInvalidNode || before(c, runner_up)) {
-          runner_up = c;
+        std::vector<NodeId>& picks = at_bound[group];
+        if (!picks.empty() && bound(c) != bound(picks[0])) {
+          if (forward == (bound(c) > bound(picks[0]))) continue;
+          picks.clear();
         }
+        picks.push_back(c);
       }
-      for (const auto& [group, pick] : extremes) {
-        covering.push_back(pick.first);
-        if (range(pick.first).empty() && pick.second != kInvalidNode) {
-          covering.push_back(pick.second);
+      for (const auto& [group, picks] : at_bound) {
+        size_t keep = picks.size();
+        if (!per_hierarchy) {
+          keep = range(picks[0]).empty() ? std::min<size_t>(keep, 2) : 1;
         }
+        covering.insert(covering.end(), picks.begin(), picks.begin() + keep);
       }
       return covering;
     }

@@ -77,6 +77,11 @@ enum class Axis {
 };
 
 bool IsExtendedAxis(Axis axis);
+// The axes whose positional predicates count from the context outwards, in
+// reverse document order: parent, ancestor(-or-self), preceding(-sibling),
+// and xancestor and xpreceding, which ancestor and preceding are from a
+// leaf (LeafContextAxis).
+bool IsReverseAxis(Axis axis);
 std::string_view AxisName(Axis axis);
 StatusOr<Axis> AxisFromName(std::string_view name);
 
@@ -171,11 +176,11 @@ class AxisEvaluator {
   // EvaluatePlanned(view, context, axis, test, exec), in document order
   // with no duplicates. Contexts may come in any order and may repeat.
   // The union is evaluated from the few contexts that cover it (DESIGN.md,
-  // "Ordering guarantees"): xfollowing/xpreceding from the context with
-  // the smallest end / largest begin, following/preceding from that
-  // context of each hierarchy (an overlay is its own hierarchy), and
-  // descendant(-or-self)/xdescendant from the contexts no other context
-  // contains. Every other axis evaluates each context, then sorts and
+  // "Ordering guarantees"): xfollowing/xpreceding from a context with the
+  // smallest end / largest begin (two when the first is empty),
+  // following/preceding from every such context of each hierarchy (an
+  // overlay is its own hierarchy), and descendant(-or-self)/xdescendant
+  // from the contexts no other context contains. Every other axis evaluates each context, then sorts and
   // dedups once on ids.
   std::vector<goddag::NodeId> EvaluateSet(
       const goddag::OverlayView& view,
@@ -217,9 +222,8 @@ class AxisEvaluator {
   // The overlay half of every extended-axis evaluation: a linear scan of
   // the view's overlay elements (plumbing roots excluded) against the
   // Definition-1 predicate. Walks the view's fork chain, so a binding's
-  // view scans the enclosing overlays and the kept hierarchies as well as
-  // its own. `test` filters matches as they
-  // append.
+  // view scans the enclosing overlays as well as its own. `test` filters
+  // matches as they append.
   void AppendOverlayMatches(const goddag::OverlayView& view, Axis axis,
                             const TextRange& context_range,
                             goddag::NodeId exclude, const NodeTest& test,

@@ -7,9 +7,11 @@
 #include <optional>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "base/status_macros.h"
 #include "document.h"
+#include "goddag/overlay.h"
 #include "regex/fragment_pattern.h"
 #include "xml/parser.h"
 #include "xquery/ast.h"
@@ -34,9 +36,9 @@ Status EvalErrorAt(size_t offset, const std::string& what) {
 
 // The per-query tree-walking interpreter. One Evaluator runs one query
 // against one goddag::OverlayView — the immutable base document plus the
-// kept temporary hierarchies plus the evaluation's own. Cross-query state
-// (the base axis index, the kept-hierarchy registry, prepared-query and
-// compiled-regex caches) lives on the Engine.
+// evaluation's own temporary hierarchies. Cross-query state (the
+// prepared-query and compiled-regex caches, the counters) lives on the
+// Engine.
 class Evaluator {
  public:
   // An XDM-style item: a graph node, a leaf of the shared partition, an
@@ -93,14 +95,13 @@ class Evaluator {
   };
   using Sequence = std::vector<Item>;
 
-  // An evaluator over one overlay view: the evaluation's root view. `own`
-  // collects the overlays this evaluator materialises (analyze-string());
-  // they are registered in `view` as created, so later steps of the same
-  // binding see them.
+  // An evaluator over one overlay view: the evaluation's root view. The
+  // overlays this evaluator materialises (analyze-string()) are registered
+  // in the current view as created, so later steps of the same binding see
+  // them.
   Evaluator(Engine* engine, const xpath::AxisEvaluator* axes,
-            const QueryPlan* plan, goddag::OverlayView* view,
-            std::vector<std::shared_ptr<const goddag::GoddagOverlay>>* own)
-      : engine_(engine), view_(view), own_(own), axes_(*axes), plan_(*plan) {}
+            const QueryPlan* plan, goddag::OverlayView* view)
+      : engine_(engine), view_(view), axes_(*axes), plan_(*plan) {}
 
   StatusOr<Sequence> Evaluate(const AstNode& root) {
     return Eval(root, nullptr);
@@ -188,7 +189,7 @@ class Evaluator {
               EvalLoopBinding(node, context, std::move(item), &pending));
           std::move(body.begin(), body.end(), std::back_inserter(out));
         }
-        MergePendingOverlays(std::move(pending));
+        view_->AddOverlays(std::move(pending));
         return out;
       }
       case ExprKind::kLet: {
@@ -210,11 +211,11 @@ class Evaluator {
           if (value != node.every) {
             // The decider's own overlays are committed (it was evaluated
             // fully); bindings past it are never evaluated.
-            MergePendingOverlays(std::move(pending));
+            view_->AddOverlays(std::move(pending));
             return Sequence{Item::Boolean(!node.every)};
           }
         }
-        MergePendingOverlays(std::move(pending));
+        view_->AddOverlays(std::move(pending));
         return Sequence{Item::Boolean(node.every)};
       }
       case ExprKind::kIf: {
@@ -267,51 +268,38 @@ class Evaluator {
   }
 
   // Evaluates one loop binding in an isolated child view: while the scope
-  // lives, this evaluator's view_/own_ point at a fresh fork, so
-  // temporaries the binding materialises stay invisible to sibling
-  // bindings (a binding sees base + kept + pre-loop temporaries + its
-  // own). After a successful evaluation, CommitTo() hands the binding's
-  // overlays to the loop's pending list; the loop merges the whole list
-  // into the enclosing view only at loop exit (MergePendingOverlays) —
-  // merging per binding would re-expose earlier bindings' temporaries to
-  // later ones through the fork chain. Destruction restores the pointers
-  // either way, dropping uncommitted overlays.
+  // lives, this evaluator's view_ points at a fresh fork, so temporaries
+  // the binding materialises stay invisible to sibling bindings (a binding
+  // sees base + pre-loop temporaries + its own). After a successful
+  // evaluation, CommitTo() hands the fork's overlays to the loop's pending
+  // list; the loop registers the whole list, in binding order, on the
+  // enclosing view only at loop exit — registering per binding would
+  // re-expose earlier bindings' temporaries to later ones through the fork
+  // chain. Destruction restores the pointer either way, dropping
+  // uncommitted overlays with the fork.
   class BindingScope {
    public:
     explicit BindingScope(Evaluator* evaluator)
         : evaluator_(evaluator),
           child_(evaluator->view_),
-          saved_view_(evaluator->view_),
-          saved_own_(evaluator->own_) {
+          saved_view_(evaluator->view_) {
       evaluator_->view_ = &child_;
-      evaluator_->own_ = &own_;
     }
-    ~BindingScope() {
-      evaluator_->view_ = saved_view_;
-      evaluator_->own_ = saved_own_;
-    }
+    ~BindingScope() { evaluator_->view_ = saved_view_; }
 
+    // The fork holds its overlays in id order, which is creation order.
     void CommitTo(
-        std::vector<std::shared_ptr<const goddag::GoddagOverlay>>* pending) {
-      std::move(own_.begin(), own_.end(), std::back_inserter(*pending));
-      own_.clear();
+        std::vector<std::shared_ptr<const goddag::GoddagOverlay>>* pending)
+        const {
+      pending->insert(pending->end(), child_.overlays().begin(),
+                      child_.overlays().end());
     }
 
    private:
     Evaluator* evaluator_;
     goddag::OverlayView child_;
-    std::vector<std::shared_ptr<const goddag::GoddagOverlay>> own_;
     goddag::OverlayView* saved_view_;
-    std::vector<std::shared_ptr<const goddag::GoddagOverlay>>* saved_own_;
   };
-
-  // Registers a finished loop's binding overlays (already in binding
-  // order) on this evaluator's view and overlay list.
-  void MergePendingOverlays(
-      std::vector<std::shared_ptr<const goddag::GoddagOverlay>> pending) {
-    own_->insert(own_->end(), pending.begin(), pending.end());
-    view_->AddOverlays(std::move(pending));
-  }
 
   // One loop binding, shared by kFor and kQuantified: bind, evaluate
   // the body — in an isolated child view when it can materialise
@@ -473,15 +461,20 @@ class Evaluator {
       // ordered and filtered on its own) or create temporary hierarchies
       // (which register in evaluation order), and for leaf contexts and
       // child::leaf()/self::leaf() steps. Each run is put in document order
-      // before its predicates filter it; the concatenated runs are then
-      // sorted and deduplicated once.
+      // — reverse document order on a reverse axis, whose positions count
+      // from the context outwards — before its predicates filter it; the
+      // concatenated runs are then sorted and deduplicated once.
+      const bool reverse =
+          xpath::IsReverseAxis(step.axis) && !step.predicates.empty();
       Sequence next;
       for (const Item& item : current) {
         Sequence from_item;
         MHX_RETURN_IF_ERROR(EvalStep(item, step, path.offset, &from_item));
         SortAndDedup(&from_item);
-        // Predicates only filter, so document order and uniqueness survive.
+        // Predicates only filter, so the order and uniqueness survive.
+        if (reverse) std::reverse(from_item.begin(), from_item.end());
         MHX_RETURN_IF_ERROR(ApplyPredicates(step, &from_item));
+        if (reverse) std::reverse(from_item.begin(), from_item.end());
         std::move(from_item.begin(), from_item.end(),
                   std::back_inserter(next));
       }
@@ -906,8 +899,11 @@ class Evaluator {
             {}});
       }
     }
+    if (id_allocator_ == nullptr) {
+      id_allocator_ = std::make_shared<goddag::OverlayIdAllocator>();
+    }
     auto overlay = goddag::GoddagOverlay::Create(
-        &view_->base(), engine_->overlay_ids_, kAnalyzeStringResultName,
+        &view_->base(), id_allocator_, kAnalyzeStringResultName,
         std::move(elements));
     if (!overlay.ok()) {
       if (overlay.status().code() == StatusCode::kResourceExhausted) {
@@ -929,7 +925,6 @@ class Evaluator {
     if (wrapper == goddag::kInvalidNode) {
       return InternalError("analyze-string() lost its result wrapper");
     }
-    own_->push_back(*overlay);
     view_->AddOverlay(*std::move(overlay));
     return Sequence{Item::Node(wrapper)};
   }
@@ -1012,12 +1007,14 @@ class Evaluator {
   }
 
   Engine* engine_;
-  // This evaluator's read/write seam: the evaluation's root view (immutable base + kept hierarchies + own
-  // overlays), re-pointed at a fork while a BindingScope lives. own_
-  // collects the overlays this evaluator materialises — the engine keeps
-  // or drops them.
+  // This evaluator's read/write seam: the evaluation's root view (immutable
+  // base + its own overlays), re-pointed at a fork while a BindingScope
+  // lives.
   goddag::OverlayView* view_;
-  std::vector<std::shared_ptr<const goddag::GoddagOverlay>>* own_;
+  // Id blocks for every overlay this evaluation materialises, created on
+  // its first analyze-string(). One allocator per evaluation: overlay ids
+  // follow creation order, whatever concurrent evaluations do.
+  std::shared_ptr<goddag::OverlayIdAllocator> id_allocator_;
   const xpath::AxisEvaluator& axes_;
   // The step plan for this evaluation's (expr, pinned snapshot version).
   const QueryPlan& plan_;
@@ -1043,68 +1040,8 @@ Engine::Engine(const MultihierarchicalDocument* document,
 
 Engine::~Engine() = default;
 
-size_t Engine::temporary_hierarchy_count() const {
-  std::lock_guard<std::mutex> lock(kept_->mu);
-  return kept_->overlays.size();
-}
-
-std::vector<std::shared_ptr<const goddag::GoddagOverlay>>
-Engine::SnapshotKept() const {
-  std::lock_guard<std::mutex> lock(kept_->mu);
-  return kept_->overlays;
-}
-
 StatusOr<const Expr*> Engine::PreparedQuery(std::string_view query) {
   return plans_->Prepare(query);
-}
-
-StatusOr<Engine::EvaluationOutput> Engine::EvaluateInternal(
-    std::string_view query, const QueryOptions& options) {
-  obs::QueryTrace* trace = options.trace;
-  const Expr* expr = nullptr;
-  {
-    // Stage spans are consecutive at this level — each begins where the
-    // previous ended — so a trace's kStage spans tile the call's wall
-    // time (see obs/trace.h).
-    obs::StageTimer stage(trace, "plan_lookup");
-    MHX_ASSIGN_OR_RETURN(expr, PreparedQuery(query));
-  }
-  PinnedPlan pinned;
-  {
-    // Covers the snapshot pin and the plan lookup (a published snapshot is
-    // already indexed); the name stays because mhxbench reports
-    // span.index_materialize.*.
-    obs::StageTimer stage(trace, "index_materialize");
-    pinned = PinAndPlan(expr);
-  }
-  // The evaluation's private read seam: the immutable pinned snapshot,
-  // every kept temporary hierarchy, and (as they are created) the
-  // evaluation's own overlays. No lock is held while evaluating —
-  // concurrent evaluations, analyze-string() included, only share
-  // immutable state.
-  const xpath::AxisEvaluator axes(pinned.snapshot.get());
-  goddag::OverlayView view(&pinned.snapshot->goddag());
-  view.AddOverlays(SnapshotKept());
-  std::vector<std::shared_ptr<const goddag::GoddagOverlay>> own;
-  Evaluator evaluator(this, &axes, pinned.plan.get(), &view, &own);
-  StatusOr<Evaluator::Sequence> result = [&] {
-    obs::StageTimer stage(trace, "evaluate");
-    return evaluator.Evaluate(expr->root());
-  }();
-  // On error the overlays in `own` (and the view) are dropped right here —
-  // that is the entire teardown.
-  if (!result.ok()) return result.status();
-  // Serialise before returning: node items may live in `own` overlays,
-  // which the caller may drop.
-  obs::StageTimer stage(trace, "serialize");
-  EvaluationOutput out;
-  out.items.reserve(result->size());
-  for (const Evaluator::Item& item : *result) {
-    out.items.push_back(evaluator.SerializeItem(item));
-  }
-  out.temporaries = std::move(own);
-  out.snapshot = std::move(pinned.snapshot);
-  return out;
 }
 
 StatusOr<std::string> Engine::Evaluate(std::string_view query) {
@@ -1140,55 +1077,43 @@ StatusOr<std::string> Engine::ExplainPlan(std::string_view query) {
 
 StatusOr<std::string> Engine::Evaluate(std::string_view query,
                                        const QueryOptions& options) {
-  MHX_ASSIGN_OR_RETURN(EvaluationOutput output,
-                       EvaluateInternal(query, options));
+  obs::QueryTrace* trace = options.trace;
+  const Expr* expr = nullptr;
+  {
+    // Stage spans are consecutive at this level — each begins where the
+    // previous ended — so a trace's kStage spans tile the call's wall
+    // time (see obs/trace.h).
+    obs::StageTimer stage(trace, "plan_lookup");
+    MHX_ASSIGN_OR_RETURN(expr, PreparedQuery(query));
+  }
+  PinnedPlan pinned;
+  {
+    // Covers the snapshot pin and the plan lookup (a published snapshot is
+    // already indexed); the name stays because mhxbench reports
+    // span.index_materialize.*.
+    obs::StageTimer stage(trace, "index_materialize");
+    pinned = PinAndPlan(expr);
+  }
+  // The evaluation's private read seam: the immutable pinned snapshot and,
+  // as they are created, the evaluation's own overlays. No lock is held
+  // while evaluating — concurrent evaluations, analyze-string() included,
+  // only share immutable state.
+  const xpath::AxisEvaluator axes(pinned.snapshot.get());
+  goddag::OverlayView view(&pinned.snapshot->goddag());
+  Evaluator evaluator(this, &axes, pinned.plan.get(), &view);
+  StatusOr<Evaluator::Sequence> result = [&] {
+    obs::StageTimer stage(trace, "evaluate");
+    return evaluator.Evaluate(expr->root());
+  }();
+  if (!result.ok()) return result.status();
+  // Serialise while the view is alive: node items may live in its
+  // overlays, which are dropped on return — that is the entire teardown.
+  obs::StageTimer stage(trace, "serialize");
   std::string out;
-  for (const std::string& item : output.items) out += item;
-  return out;  // output.temporaries dropped here — the overlays are gone
-}
-
-StatusOr<KeptEvaluation> Engine::EvaluateKeepingTemporaries(
-    std::string_view query) {
-  return EvaluateKeepingTemporaries(query, QueryOptions());
-}
-
-StatusOr<KeptEvaluation> Engine::EvaluateKeepingTemporaries(
-    std::string_view query, const QueryOptions& options) {
-  MHX_ASSIGN_OR_RETURN(EvaluationOutput output,
-                       EvaluateInternal(query, options));
-  if (!output.temporaries.empty()) {
-    std::lock_guard<std::mutex> lock(kept_->mu);
-    kept_->overlays.insert(kept_->overlays.end(),
-                           output.temporaries.begin(),
-                           output.temporaries.end());
+  for (const Evaluator::Item& item : *result) {
+    out += evaluator.SerializeItem(item);
   }
-  KeptEvaluation kept;
-  kept.items = std::move(output.items);
-  kept.temporaries = KeptTemporaries(kept_, std::move(output.temporaries),
-                                     std::move(output.snapshot));
-  return kept;
-}
-
-void Engine::CleanupTemporaries() {
-  std::lock_guard<std::mutex> lock(kept_->mu);
-  // Evaluations that already snapshotted the registry keep their overlay
-  // references (shared_ptr) and finish safely; new evaluations no longer
-  // see the hierarchies.
-  kept_->overlays.clear();
-}
-
-void KeptTemporaries::Release() {
-  if (auto registry = registry_.lock()) {
-    std::lock_guard<std::mutex> lock(registry->mu);
-    for (const auto& overlay : overlays_) {
-      auto& kept = registry->overlays;
-      kept.erase(std::remove(kept.begin(), kept.end(), overlay), kept.end());
-    }
-  }
-  overlays_.clear();
-  registry_.reset();
-  // Unpin last: the overlays above referenced the snapshot's base goddag.
-  snapshot_.reset();
+  return out;
 }
 
 }  // namespace mhx::xquery

@@ -5,9 +5,12 @@
 // steps, and analyze-string() with XML fragment patterns, which materialises
 // matches as *temporary virtual hierarchies*. Temporaries live in
 // evaluation-scoped overlay namespaces (goddag/overlay.h): each evaluation
-// reads the immutable base KyGoddag through an OverlayView holding any kept
-// hierarchies plus its own, and never mutates the document — teardown is
-// simply dropping the overlays when the evaluation returns.
+// reads the immutable base KyGoddag through an OverlayView holding its own
+// overlays, and never mutates the document — teardown is simply dropping
+// the overlays when the evaluation returns. Temporaries never outlive the
+// query that made them; markup that must is committed with
+// MultihierarchicalDocument::Writer::AddVirtualHierarchy, which versions it
+// and makes it visible to every later query.
 //
 // MVCC binding (the full protocol is CONCURRENCY.md): every evaluation
 // pins the document's current goddag::DocumentSnapshot at its start and
@@ -15,8 +18,7 @@
 // end-to-end, so queries run concurrently with Writer::Commit and never
 // block on (or observe half of) a commit. Each evaluation binds an
 // AxisEvaluator on its own stack to the snapshot it pinned; in-flight
-// evaluations and kept-temporaries handles hold an old snapshot alive
-// until they drop.
+// evaluations hold an old snapshot alive until they return.
 //
 // Index discipline: every snapshot is published with its RangeIndex and
 // statistics built (goddag/snapshot.h), so an evaluation only reads them.
@@ -24,31 +26,29 @@
 // index + overlay scan" uniformly — so no analyze-string() call and no
 // MVCC commit makes a reader build an index.
 //
-// Concurrency contract: one level, across calls. Any number of Evaluate /
-// EvaluateKeepingTemporaries calls may run concurrently on one engine —
-// including queries that materialise temporary hierarchies via
-// analyze-string(). There is no evaluation lock: evaluations share an
-// immutable pinned snapshot and write only their private overlays. The
-// prepared-query and compiled-pattern caches, the overlay-id allocator and
-// the kept-temporaries registry are mutex-guarded. One evaluation runs on
-// its calling thread from start to finish; nothing inside it fans out.
+// Concurrency contract: one level, across calls. Any number of Evaluate
+// calls may run concurrently on one engine — including queries that
+// materialise temporary hierarchies via analyze-string(). There is no
+// evaluation lock: evaluations share an immutable pinned snapshot and write
+// only their private overlays, whose ids come from an OverlayIdAllocator of
+// their own. The prepared-query and compiled-pattern caches are
+// mutex-guarded. One evaluation runs on its calling thread from start to
+// finish; nothing inside it fans out.
 //
 // Binding scoping rule: a loop body that can materialise temporaries —
 // ContainsAnalyzeString — is evaluated per binding in an isolated child
-// view (goddag::OverlayView's fork), so every binding sees base + kept +
-// the enclosing scopes' temporaries + its *own*, never a sibling
-// binding's. (This is real XQuery's semantics: analyze-string() returns a
-// fresh tree other iterations cannot see.) A successful binding's overlays
-// are registered on the enclosing view at loop exit, in binding order, so
-// post-loop steps, the serialised result and any KeptTemporaries handle see
-// every committed overlay; a failing binding's overlays die with its fork,
-// and a quantifier stops at its deciding binding. Because bindings run one
-// after another on one thread, overlays are created, and their id blocks
-// leased, in binding order. Document-order ties between equal-range nodes
-// of different overlays fall back to id order, so they follow binding
-// order too (unless a concurrent evaluation on the same engine frees an id
-// hole mid-loop that first-fit then reuses). Nothing ever touches the base
-// document.
+// view (goddag::OverlayView's fork), so every binding sees base + the
+// enclosing scopes' temporaries + its *own*, never a sibling binding's.
+// (This is real XQuery's semantics: analyze-string() returns a fresh tree
+// other iterations cannot see.) A successful binding's overlays are
+// registered on the enclosing view at loop exit, in binding order, so
+// post-loop steps and the serialised result see every committed overlay; a
+// failing binding's overlays die with its fork, and a quantifier stops at
+// its deciding binding. Because bindings run one after another on one
+// thread and the evaluation's allocator hands out ids in creation order,
+// document-order ties between equal-range nodes of different overlays —
+// broken by id — follow binding order, whatever other evaluations do.
+// Nothing ever touches the base document.
 //
 // Moving the document while any query runs is undefined behaviour.
 // Mutating it through MultihierarchicalDocument::Writer is always safe:
@@ -57,16 +57,11 @@
 #ifndef MHX_XQUERY_ENGINE_H_
 #define MHX_XQUERY_ENGINE_H_
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "base/statusor.h"
-#include "goddag/kygoddag.h"
-#include "goddag/overlay.h"
 #include "goddag/snapshot.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -105,12 +100,13 @@ struct EngineCounters {
   obs::Counter sorts_skipped;
   // Path steps evaluated once over their whole context sequence.
   obs::Counter set_steps;
-  // Snapshot pins taken by evaluations (one per Evaluate /
-  // EvaluateKeepingTemporaries call).
+  // Snapshot pins taken by evaluations (one per Evaluate or ExplainPlan
+  // call).
   obs::Counter snapshot_pins;
-  // analyze-string() calls that failed because the OverlayIdAllocator
-  // namespace was exhausted (ResourceExhausted surfaced to the caller).
-  // Stays 0 in any healthy process; the stress tests assert it.
+  // analyze-string() calls that failed because their evaluation's
+  // OverlayIdAllocator namespace was exhausted (ResourceExhausted surfaced
+  // to the caller). Stays 0 in any healthy process; the stress tests
+  // assert it.
   obs::Counter overlay_id_exhausted;
   // Planned extended-axis step executions that probed the RangeIndex /
   // ran the (vectorized) table scan — how often the cost model picked
@@ -121,76 +117,6 @@ struct EngineCounters {
   // Name tests folded into the probe/kernel as interned-key compares
   // instead of a post-hoc filter.
   obs::Counter plan_pushdowns;
-};
-
-namespace internal {
-// The engine's registry of kept temporary hierarchies. Held by shared_ptr
-// so KeptTemporaries handles stay safe (inert) if they outlive the engine.
-struct KeptRegistry {
-  std::mutex mu;
-  std::vector<std::shared_ptr<const goddag::GoddagOverlay>> overlays;
-};
-}  // namespace internal
-
-// Move-only handle returned by EvaluateKeepingTemporaries: it keeps that
-// evaluation's temporary virtual hierarchies alive and registered on the
-// engine, so later evaluations see them on extended axes (and in their leaf
-// partition). Dropping the handle — or calling Release(), or the engine's
-// CleanupTemporaries() — unregisters them; the overlay memory is freed when
-// the last reader lets go. The handle also pins the DocumentSnapshot its
-// evaluation ran against: overlay node ranges are anchored in that
-// version's goddag, so the snapshot outlives engine death and document
-// commits for exactly as long as the handle does. No repin, no cleanup
-// marks: kept temporaries never touch the base document. Thread-safety
-// class: unsynchronized (one handle belongs to one thread); Release itself
-// locks the registry.
-class KeptTemporaries {
- public:
-  KeptTemporaries() = default;
-  KeptTemporaries(KeptTemporaries&&) noexcept = default;
-  KeptTemporaries& operator=(KeptTemporaries&& other) noexcept {
-    Release();
-    registry_ = std::move(other.registry_);
-    overlays_ = std::move(other.overlays_);
-    snapshot_ = std::move(other.snapshot_);
-    return *this;
-  }
-  ~KeptTemporaries() { Release(); }
-
-  // Unregisters the kept hierarchies from the engine and drops the
-  // snapshot pin. Idempotent; a no-op after the engine called
-  // CleanupTemporaries or was destroyed.
-  void Release();
-
-  // Temporary virtual hierarchies this handle keeps (0 once released).
-  size_t hierarchy_count() const { return overlays_.size(); }
-
-  // The pinned snapshot the kept hierarchies are anchored in (null once
-  // released, or for a default-constructed handle).
-  const std::shared_ptr<const goddag::DocumentSnapshot>& snapshot() const {
-    return snapshot_;
-  }
-
- private:
-  friend class Engine;
-  KeptTemporaries(
-      std::weak_ptr<internal::KeptRegistry> registry,
-      std::vector<std::shared_ptr<const goddag::GoddagOverlay>> overlays,
-      std::shared_ptr<const goddag::DocumentSnapshot> snapshot)
-      : registry_(std::move(registry)),
-        overlays_(std::move(overlays)),
-        snapshot_(std::move(snapshot)) {}
-
-  std::weak_ptr<internal::KeptRegistry> registry_;
-  std::vector<std::shared_ptr<const goddag::GoddagOverlay>> overlays_;
-  std::shared_ptr<const goddag::DocumentSnapshot> snapshot_;
-};
-
-// EvaluateKeepingTemporaries' result: one serialised string per result item,
-// plus the handle owning the evaluation's temporary hierarchies.
-struct KeptEvaluation {
-  std::vector<std::string> items;
-  KeptTemporaries temporaries;
 };
 
 // One document's query engine: evaluation entry points, caches and
@@ -227,18 +153,6 @@ class Engine {
   StatusOr<std::string> Evaluate(std::string_view query,
                                  const QueryOptions& options);
 
-  // Evaluates a query but keeps any virtual hierarchies created by
-  // analyze-string() alive — and visible to later evaluations — for as long
-  // as the returned handle is (see KeptTemporaries), in registration
-  // order. The options overload accepts the same knobs as Evaluate.
-  StatusOr<KeptEvaluation> EvaluateKeepingTemporaries(std::string_view query);
-  StatusOr<KeptEvaluation> EvaluateKeepingTemporaries(
-      std::string_view query, const QueryOptions& options);
-
-  // Unregisters every kept temporary hierarchy, regardless of outstanding
-  // handles (which become inert). Thread-safe.
-  void CleanupTemporaries();
-
   // Renders the physical plan an evaluation of `query` against the
   // currently published snapshot runs: per-step strategy, pushdown, and
   // cost estimates (xquery::ExplainQueryPlan). Parses and caches the query like
@@ -249,12 +163,6 @@ class Engine {
   // The document this engine is bound to (kept valid across document moves
   // via Rebind). Thread-safe.
   const MultihierarchicalDocument* document() const { return document_; }
-
-  // Temporary virtual hierarchies currently kept alive by
-  // EvaluateKeepingTemporaries handles (in-flight evaluations' private
-  // overlays are not counted — they are invisible outside their
-  // evaluation).
-  size_t temporary_hierarchy_count() const;
 
   // Path-step sort+dedup passes the step loop skipped — once per set step
   // (its union comes out in document order), and once per per-context
@@ -310,27 +218,11 @@ class Engine {
   friend class mhx::MultihierarchicalDocument;
   friend class Evaluator;
 
-  // One evaluation's full output: the serialised items plus the overlays it
-  // materialised (kept or dropped by the public entry points) and the MVCC
-  // snapshot the whole evaluation read — handed to KeptTemporaries so kept
-  // overlays outlive later commits together with the version they annotate.
-  struct EvaluationOutput {
-    std::vector<std::string> items;
-    std::vector<std::shared_ptr<const goddag::GoddagOverlay>> temporaries;
-    std::shared_ptr<const goddag::DocumentSnapshot> snapshot;
-  };
-
   // Called by the document's move operations to keep the back-reference
   // valid.
   void Rebind(const MultihierarchicalDocument* document) {
     document_ = document;
   }
-
-  // Parses `query` (or retrieves it from the prepared-query cache), builds
-  // the evaluation's overlay view (kept hierarchies snapshot), and
-  // evaluates. No lock is held during evaluation.
-  StatusOr<EvaluationOutput> EvaluateInternal(std::string_view query,
-                                              const QueryOptions& options);
 
   // A pinned MVCC snapshot and the step plan for one cached Expr against
   // it.
@@ -348,20 +240,7 @@ class Engine {
   // stays valid for the engine's lifetime (map nodes are stable).
   StatusOr<const Expr*> PreparedQuery(std::string_view query);
 
-  // A snapshot of the kept-hierarchy registry, for one evaluation's view.
-  std::vector<std::shared_ptr<const goddag::GoddagOverlay>> SnapshotKept()
-      const;
-
   const MultihierarchicalDocument* document_;
-  // Id blocks for every overlay any evaluation of this engine creates —
-  // one namespace, so kept hierarchies and evaluation-private ones never
-  // collide inside a view. Shared with the overlays themselves so a
-  // KeptTemporaries handle held past engine destruction releases safely.
-  std::shared_ptr<goddag::OverlayIdAllocator> overlay_ids_ =
-      std::make_shared<goddag::OverlayIdAllocator>();
-  // Kept temporary hierarchies; evaluations snapshot this into their view.
-  std::shared_ptr<internal::KeptRegistry> kept_ =
-      std::make_shared<internal::KeptRegistry>();
   // Prepared-query and compiled-pattern cache: the corpus-shared PlanCache
   // when one was injected, else a private one. shared_ptr because cached
   // Expr/Regex pointers must outlive any engine still evaluating them.

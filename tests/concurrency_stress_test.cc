@@ -3,10 +3,10 @@
 // The concurrency stress binary the TSan CI lane runs on its own: it
 // hammers every cross-thread path at once — concurrent readers, concurrent
 // analyze-string() queries building evaluation-scoped overlays (previously
-// single-flight behind an exclusive lock), kept-temporaries registry churn,
-// MVCC commits, corpus eviction and the slow-query log, and lazy
-// engine/axes/cache initialisation races. Iteration counts are deliberately
-// modest: under TSan the point is interleaving coverage, not throughput.
+// single-flight behind an exclusive lock), MVCC commits, corpus eviction
+// and the slow-query log, and lazy engine/axes/cache initialisation races.
+// Iteration counts are deliberately modest: under TSan the point is
+// interleaving coverage, not throughput.
 
 #include <gtest/gtest.h>
 
@@ -114,7 +114,6 @@ TEST(ConcurrencyStressTest, MixedWorkloadOnOneDocument) {
   });
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(doc.engine()->temporary_hierarchy_count(), 0u);
 }
 
 // N threads running the same analyze-string() query (paper query II.1) on
@@ -142,7 +141,6 @@ TEST(ConcurrencyStressTest, ConcurrentAnalyzeStringIsByteIdentical) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(doc.engine()->temporary_hierarchy_count(), 0u);
   // Overlay churn never runs the overlay-id space dry.
   EXPECT_EQ(doc.engine()->overlay_id_exhausted(), 0u);
 }
@@ -219,47 +217,12 @@ TEST(ConcurrencyStressTest, MutateWhileQueryingRace) {
   EXPECT_EQ(doc.engine()->overlay_id_exhausted(), 0u);
 }
 
-// Kept-temporaries registry churn racing readers: one thread keeps and
-// releases handles (EvaluateKeepingTemporaries / handle drop) while others
-// evaluate queries whose views snapshot the registry. Reader results vary
-// legitimately with keep/release timing only in ways the assertions below
-// are insensitive to (kQueryI1 touches no analyze-string names).
-TEST(ConcurrencyStressTest, KeptTemporariesChurnUnderConcurrentReaders) {
-  auto built = workload::BuildPaperDocument();
-  ASSERT_TRUE(built.ok()) << built.status();
-  MultihierarchicalDocument doc = std::move(built).value();
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&doc, &failures] {
-      for (int i = 0; i < 10; ++i) {
-        auto out = doc.Query(workload::kQueryI1);
-        if (!out.ok() || *out != workload::kExpectedI1) ++failures;
-      }
-    });
-  }
-  threads.emplace_back([&doc, &failures] {
-    for (int i = 0; i < 10; ++i) {
-      auto kept = doc.engine()->EvaluateKeepingTemporaries(
-          "analyze-string(/descendant::w[string(.) = 'unawendendne'],"
-          " \".*un<a>a</a>we.*\")");
-      if (!kept.ok() || kept->temporaries.hierarchy_count() != 1) ++failures;
-      // The handle drops at scope end, unregistering the hierarchy.
-    }
-  });
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(doc.engine()->temporary_hierarchy_count(), 0u);
-}
-
 // The corpus-service surface in one pot: capacity-2 LRU churn across four
-// documents while clients query (cheap and analyze-string-heavy), a pin
-// thread queries evicted-
-// but-pinned documents directly, and a kept thread holds KeptTemporaries
-// handles past its pin — so eviction destroys engines under live handles.
-// Every result is verified against a per-document serial reference; the
-// TSan CI lane re-runs this with MHX_STRESS_ITERS bumped.
-TEST(ConcurrencyStressTest, CorpusOpenEvictQueryKeptRace) {
+// documents while clients query (cheap and analyze-string-heavy) and a pin
+// thread queries evicted-but-pinned documents directly. Every result is
+// verified against a per-document serial reference; the TSan CI lane
+// re-runs this with MHX_STRESS_ITERS bumped.
+TEST(ConcurrencyStressTest, CorpusOpenEvictQueryRace) {
   corpus::CorpusOptions options;
   options.capacity = 2;
   options.max_heavy_in_flight = 2;
@@ -322,31 +285,6 @@ TEST(ConcurrencyStressTest, CorpusOpenEvictQueryKeptRace) {
       }
       auto out = (*pinned)->Query(kCheapQuery);
       if (!out.ok() || *out != expected_cheap[d]) ++failures;
-    }
-  });
-  // Kept thread: holds a KeptTemporaries handle after dropping its pin, so
-  // churn from the other threads can evict and destroy the engine under a
-  // live handle — which must stay inert-safe.
-  threads.emplace_back([&] {
-    for (int i = 0; i < StressIters(4); ++i) {
-      const int d = (i + 1) % kDocs;
-      xquery::KeptTemporaries held;
-      {
-        auto pinned = service.Pin("doc" + std::to_string(d));
-        if (!pinned.ok()) {
-          ++failures;
-          continue;
-        }
-        auto kept =
-            (*pinned)->engine()->EvaluateKeepingTemporaries(kHeavyQuery);
-        if (!kept.ok()) {
-          ++failures;
-          continue;
-        }
-        held = std::move(kept->temporaries);
-      }  // pin dropped; `held` may now outlive the document
-      std::this_thread::yield();
-      held.Release();
     }
   });
   for (std::thread& thread : threads) thread.join();

@@ -75,11 +75,9 @@ TEST(DocumentTest, QueryEvaluatesThroughTheEngine) {
   auto* engine = doc->engine();
   ASSERT_NE(engine, nullptr);
   EXPECT_EQ(engine, doc->engine());  // stable across calls
-  auto kept = engine->EvaluateKeepingTemporaries("(1, 2)");
-  ASSERT_TRUE(kept.ok()) << kept.status();
-  EXPECT_EQ(kept->items, (std::vector<std::string>{"1", "2"}));
-  EXPECT_EQ(kept->temporaries.hierarchy_count(), 0u);  // nothing to keep
-  engine->CleanupTemporaries();  // no temporaries: must be a no-op
+  auto direct = engine->Evaluate("(1, 2)");
+  ASSERT_TRUE(direct.ok()) << direct.status();
+  EXPECT_EQ(*direct, "12");
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 
 #include <vector>
 
+#include "mutation.h"
 #include "regex/fragment_pattern.h"
+#include "regex/regex.h"
 
 namespace mhx::regex {
 namespace {
@@ -82,6 +84,36 @@ TEST(StripContextWildcardsTest, StripsLeadingAndTrailing) {
   EXPECT_EQ(StripContextWildcards(".*"), "");
   // An escaped trailing dot is not a context wildcard.
   EXPECT_EQ(StripContextWildcards("ab\\.*"), "ab\\.*");
+}
+
+// Reject, don't crash: mutations of valid fragment patterns either
+// translate or fail with InvalidArgument, and a translated one compiles or
+// fails the same way; a compiled one scans a sample text.
+TEST(FragmentPatternTest, MutatedPatternsTranslateOrReject) {
+  const std::vector<std::string> seeds = {
+      ".*un<a>a</a>we.*", "sc<q>e</q>aft",       "(t|T)h<a>a</a>et",
+      "<x><y>a</y>b+</x>", "[<a>]b{2,3}(c)?<z/>", "a\\<b[^x-z]\\d*$",
+  };
+  size_t compiled = 0;
+  fuzz::ForEachMutation(
+      seeds, "<>/()[]{}|*+?.\\^$-,ab0123", 2000, 0x5EED3ull,
+      [&compiled](const std::string& pattern) {
+        auto fragment = TranslateFragmentPattern(StripContextWildcards(pattern));
+        if (!fragment.ok()) {
+          EXPECT_EQ(fragment.status().code(), StatusCode::kInvalidArgument)
+              << fragment.status();
+          return;
+        }
+        auto re = Regex::Compile(fragment->regex);
+        if (!re.ok()) {
+          EXPECT_EQ(re.status().code(), StatusCode::kInvalidArgument)
+              << re.status();
+          return;
+        }
+        ++compiled;
+        re->FindAll("unawendendne sceaft thaet ab0123");
+      });
+  EXPECT_GT(compiled, 0u);
 }
 
 }  // namespace

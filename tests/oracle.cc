@@ -64,6 +64,24 @@ bool IsExtended(Axis axis) {
   }
 }
 
+// The axes whose positions count from the context outwards. From a leaf,
+// ancestor reads xancestor and preceding xpreceding, so those two count
+// in reverse as well.
+bool IsReverse(Axis axis) {
+  switch (axis) {
+    case Axis::kParent:
+    case Axis::kAncestor:
+    case Axis::kAncestorOrSelf:
+    case Axis::kPreceding:
+    case Axis::kPrecedingSibling:
+    case Axis::kXAncestor:
+    case Axis::kXPreceding:
+      return true;
+    default:
+      return false;
+  }
+}
+
 Status SyntaxError(std::string_view src, size_t pos, const std::string& what) {
   return InvalidArgumentError("oracle path '" + std::string(src) +
                               "' at " + std::to_string(pos) + ": " + what);
@@ -276,13 +294,31 @@ std::vector<NodeId> Oracle::TreeAxis(NodeId context, Axis axis) const {
     }
     case Axis::kFollowing:
     case Axis::kPreceding: {
-      // The ordering relation within the context's own hierarchy, where
-      // ranges nest or are disjoint; only elements have one.
+      // XPath's rule over the context's hierarchy tree, read off the arcs
+      // alone: the nodes after the context in pre-order that are not its
+      // descendants, or before it that are not its ancestors. Only
+      // elements have a following and a preceding.
       if (node.kind != GNodeKind::kElement) break;
-      const Axis relation =
-          axis == Axis::kFollowing ? Axis::kXFollowing : Axis::kXPreceding;
-      for (NodeId id : Related(relation, extents_[context], context)) {
-        if (kg_->node(id).hierarchy == node.hierarchy) out.push_back(id);
+      NodeId top = context;
+      while (kg_->node(kg_->node(top).parent).kind != GNodeKind::kRoot) {
+        top = kg_->node(top).parent;
+      }
+      std::vector<NodeId> order = TreeAxis(top, Axis::kDescendantOrSelf);
+      const size_t at = static_cast<size_t>(
+          std::find(order.begin(), order.end(), context) - order.begin());
+      if (axis == Axis::kFollowing) {
+        // The descendants are the block right after the context.
+        const size_t skip = TreeAxis(context, Axis::kDescendant).size();
+        out.assign(order.begin() + at + 1 + skip, order.end());
+      } else {
+        const std::vector<NodeId> ancestors =
+            TreeAxis(context, Axis::kAncestor);
+        for (size_t i = 0; i < at; ++i) {
+          if (std::find(ancestors.begin(), ancestors.end(), order[i]) ==
+              ancestors.end()) {
+            out.push_back(order[i]);
+          }
+        }
       }
       break;
     }
@@ -415,8 +451,12 @@ StatusOr<std::vector<Item>> Oracle::EvalSteps(
     for (const Item& item : current) {
       MHX_ASSIGN_OR_RETURN(std::vector<Item> run, StepFrom(item, step));
       work_ += run.size();
-      // Predicates filter each context's run in document order.
-      if (!step.predicates.empty()) SortAndDedup(&run);
+      // Predicates filter each context's run in document order, or in
+      // reverse document order on a reverse axis.
+      if (!step.predicates.empty()) {
+        SortAndDedup(&run);
+        if (IsReverse(step.axis)) std::reverse(run.begin(), run.end());
+      }
       for (const Predicate& pred : step.predicates) {
         MHX_ASSIGN_OR_RETURN(run, Filter(std::move(run), pred));
       }

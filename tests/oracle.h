@@ -25,11 +25,12 @@
 //   predicate := '[' (integer | 'not(' path ')' | path) ']'
 //
 // A predicate path runs from the filtered item; an integer is a positional
-// test over each context's run in document order, on reverse axes too
-// (the engine's rule; XPath counts those in reverse). following and
-// preceding keep the elements of the context's hierarchy that lie after
-// or before it by Definition 1's ordering (DESIGN.md's reading); unlike
-// XPath, that counts an empty first or last child of the context as well.
+// test over each context's run in document order, or in reverse document
+// order on the reverse axes (parent, ancestor(-or-self),
+// preceding(-sibling), xancestor and xpreceding), as XPath counts them.
+// following and preceding follow XPath over the context's hierarchy tree:
+// the nodes after it in pre-order that are not its descendants, or before
+// it that are not its ancestors — read off the arcs, with no ranges.
 // From a leaf, the name and '*' tests read the extended relation the axis
 // reduces to there (a leaf lies in every hierarchy, so ancestor means
 // xancestor, following xfollowing and preceding xpreceding), and leaf()

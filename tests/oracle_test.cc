@@ -315,6 +315,12 @@ constexpr const char* kBattery[] = {
     "/descendant::pb/xancestor::*",
     "/descendant::seg/following::*",
     "/descendant::seg/preceding::pb",
+    "/descendant::seg/following::pb",
+    "/descendant::pb/following::*",
+    "/descendant::cb/preceding::*",
+    "/descendant::pb/preceding::seg",
+    "/descendant::marks/descendant::*/following::*",
+    "/descendant::marks/descendant::*/preceding::*",
     "/descendant::s/descendant-or-self::*",
     "/descendant::*/descendant::leaf()",
     "/descendant::s/child::leaf()",
@@ -326,6 +332,14 @@ constexpr const char* kBattery[] = {
     "/descendant::line/xfollowing::dmg[xdescendant::w]",
     "/descendant::dmg[not(xdescendant::w)][overlapping::line]",
     "/descendant::line[xdescendant::pb][2]",
+    "/descendant::w/ancestor::*[1]",
+    "/descendant::pb/ancestor-or-self::*[2]",
+    "/descendant::w/parent::*[1]",
+    "/descendant::w/preceding-sibling::w[1]",
+    "/descendant::pb/preceding::*[1]",
+    "/descendant::w/xancestor::*[2]",
+    "/descendant::line/xpreceding::dmg[1]",
+    "/descendant::leaf()/ancestor::*[1]",
 };
 
 // The engine's plan counters, summed over editions.
@@ -398,6 +412,77 @@ TEST(OracleTest, ProbePlannedEditionsMatchTheOracle) {
   EXPECT_GT(counts.indexed, 0u) << "the large editions should plan probes";
   EXPECT_GT(counts.scanned, 0u);
   EXPECT_GT(counts.pushdowns, 0u);
+}
+
+// A one-hierarchy document over `text`.
+std::unique_ptr<MultihierarchicalDocument> SmallDocument(std::string text,
+                                                         std::string xml) {
+  MultihierarchicalDocument::Builder builder;
+  builder.SetBaseText(std::move(text));
+  builder.AddHierarchy("h", std::move(xml));
+  auto doc = builder.Build();
+  EXPECT_TRUE(doc.ok()) << doc.status();
+  if (!doc.ok()) return nullptr;
+  return std::make_unique<MultihierarchicalDocument>(std::move(doc).value());
+}
+
+// The oracle lists `listing` for `path`, and the engine gives the same.
+void ExpectPinned(const MultihierarchicalDocument& doc,
+                  const std::string& path, const std::string& listing) {
+  const auto snapshot = doc.PinSnapshot();
+  auto oracle = Oracle::Create(snapshot->goddag());
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+  auto items = oracle->Evaluate(path);
+  ASSERT_TRUE(items.ok()) << path << "\n" << items.status();
+  EXPECT_EQ(oracle->Listing(*items), listing) << path;
+  ExpectEngineGives(doc, *oracle, path, "", *items);
+}
+
+// XPath's following and preceding exclude the context's descendants and
+// ancestors, also when they are empty elements at the context's bounds,
+// and two empty elements at one offset are ordered by the tree.
+TEST(OracleTest, FollowingAndPrecedingExcludeAncestorsAndDescendants) {
+  const auto doc = SmallDocument("abcdef", "<r><s><f/>abc<e/></s>def</r>");
+  ASSERT_NE(doc, nullptr);
+  ExpectPinned(*doc, "/descendant::s/following::e", "");
+  ExpectPinned(*doc, "/descendant::s/preceding::f", "");
+  ExpectPinned(*doc, "/descendant::f/following::s", "");
+  ExpectPinned(*doc, "/descendant::e/preceding::s", "");
+  ExpectPinned(*doc, "/descendant::f/following::*", "e[]");
+  ExpectPinned(*doc, "/descendant::e/preceding::*", "f[]");
+
+  // A set step over contexts that share the smallest end: t reaches e,
+  // its parent s does not, so neither alone covers the union.
+  const auto tie = SmallDocument("abcx", "<r><s>a<t>bc</t><e/></s>x</r>");
+  ASSERT_NE(tie, nullptr);
+  ExpectPinned(*tie, "/descendant::*/following::e", "e[]");
+  ExpectPinned(*tie, "/descendant::t/following::*", "e[]");
+  ExpectPinned(*tie, "/descendant::*/preceding::t", "t[bc]");
+
+  const auto empties = SmallDocument("xy", "<r><a><f/></a><b><g/></b>xy</r>");
+  ASSERT_NE(empties, nullptr);
+  ExpectPinned(*empties, "/descendant::b/following::*", "");
+  ExpectPinned(*empties, "/descendant::f/following::*", "b[]g[]");
+  ExpectPinned(*empties, "/descendant::g/preceding::*", "a[]f[]");
+  ExpectPinned(*empties, "/descendant::b/preceding::*", "a[]f[]");
+}
+
+// Positional predicates on the reverse axes count from the context
+// outwards; the result still comes back in document order.
+TEST(OracleTest, ReverseAxesCountPositionsFromTheContext) {
+  const auto doc = SmallDocument("abcdef", "<r><s><f/>abc<e/></s>def</r>");
+  ASSERT_NE(doc, nullptr);
+  ExpectPinned(*doc, "/descendant::e/ancestor::*[1]", "s[abc]");
+  ExpectPinned(*doc, "/descendant::e/ancestor::*[2]", "r[abcdef]");
+  ExpectPinned(*doc, "/descendant::e/ancestor-or-self::*[1]", "e[]");
+  ExpectPinned(*doc, "/descendant::e/parent::*[1]", "s[abc]");
+  ExpectPinned(*doc, "/descendant::e/preceding-sibling::*[1]", "f[]");
+  ExpectPinned(*doc, "/descendant::e/xancestor::*[1]", "s[abc]");
+  ExpectPinned(*doc, "/descendant::e/xpreceding::*[1]", "f[]");
+  ExpectPinned(*doc, "/descendant::leaf()/ancestor::*[1]", "r[abcdef]s[abc]");
+  ExpectPinned(*doc, "/descendant::e/ancestor::*[2][1]", "r[abcdef]");
+  // Forward axes keep counting in document order.
+  ExpectPinned(*doc, "/descendant::s/descendant::*[1]", "f[]");
 }
 
 // Definition 1 on hand-built extents over three leaves (positions 0..6):

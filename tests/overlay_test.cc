@@ -62,9 +62,13 @@ TEST(OverlayIdAllocatorTest, BlocksAreDisjointAndTagged) {
   NodeId b = ids.Allocate(5);
   EXPECT_TRUE(IsOverlayId(a));
   EXPECT_TRUE(IsOverlayId(b));
-  EXPECT_GE(b, a + 3);  // disjoint, monotonic
+  EXPECT_EQ(b, a + 3);  // disjoint, in creation order
   ids.Release(a, 3);
+  // A released block is not reused while another is leased.
+  NodeId c = ids.Allocate(2);
+  EXPECT_EQ(c, b + 5);
   ids.Release(b, 5);
+  ids.Release(c, 2);
 }
 
 TEST(OverlayIdAllocatorTest, RewindsWhenDrainedAndFailsWhenExhausted) {
@@ -83,89 +87,6 @@ TEST(OverlayIdAllocatorTest, RewindsWhenDrainedAndFailsWhenExhausted) {
   NodeId again = ids.Allocate(0x100);
   EXPECT_EQ(again, kOverlayIdBit);
   ids.Release(again, 0x100);
-}
-
-TEST(OverlayIdAllocatorTest, TailRewindReclaimsChurnAboveAPinnedBlock) {
-  OverlayIdAllocator ids;
-  // A long-lived kept block pinned low in the namespace...
-  NodeId pinned = ids.Allocate(4);
-  ASSERT_NE(pinned, kInvalidNode);
-  // ...must not stop released churn above it from being reclaimed: each
-  // freed tail block rewinds the cursor, so the same ids recycle forever
-  // instead of the namespace exhausting after 2^31 cumulative nodes.
-  NodeId first = ids.Allocate(8);
-  ids.Release(first, 8);
-  for (int i = 0; i < 100; ++i) {
-    NodeId block = ids.Allocate(8);
-    EXPECT_EQ(block, first) << "iteration " << i;
-    ids.Release(block, 8);
-  }
-  // Out-of-order release under a live block reclaims once the tail frees.
-  NodeId lower = ids.Allocate(8);
-  NodeId upper = ids.Allocate(8);
-  ids.Release(lower, 8);   // sandwiched under `upper`: parked
-  ids.Release(upper, 8);   // tail frees: rewind absorbs both
-  EXPECT_EQ(ids.Allocate(8), lower);
-  ids.Release(lower, 8);
-  ids.Release(pinned, 4);
-}
-
-TEST(OverlayIdAllocatorTest, FirstFitReusesHolesUnderLiveBlocks) {
-  OverlayIdAllocator ids;
-  // Holes sandwiched under live blocks — many long-lived engines churning
-  // in one process — are recycled directly, not parked until the blocks
-  // above them release.
-  NodeId a = ids.Allocate(8);
-  NodeId pinned = ids.Allocate(4);  // stays live above the hole
-  ids.Release(a, 8);
-  EXPECT_EQ(ids.Allocate(8), a);  // exact fit, same ids
-  ids.Release(a, 8);
-  // A smaller block carves the hole's front; the remainder stays free.
-  EXPECT_EQ(ids.Allocate(3), a);
-  EXPECT_EQ(ids.Allocate(5), a + 3);
-  // A block too large for the hole falls through to the tail.
-  ids.Release(a, 3);
-  NodeId tail = ids.Allocate(16);
-  EXPECT_GE(tail & ~kOverlayIdBit, pinned & ~kOverlayIdBit);
-  ids.Release(a + 3, 5);
-  ids.Release(tail, 16);
-  ids.Release(pinned, 4);
-}
-
-TEST(OverlayIdAllocatorTest, ReleaseCoalescesAdjacentHoles) {
-  OverlayIdAllocator ids;
-  NodeId a = ids.Allocate(4);
-  NodeId b = ids.Allocate(4);
-  NodeId c = ids.Allocate(4);
-  NodeId pinned = ids.Allocate(4);
-  // Release out of order: a and c are separate holes until b joins them.
-  ids.Release(a, 4);
-  ids.Release(c, 4);
-  EXPECT_EQ(ids.Allocate(8), kOverlayIdBit | 16);  // no 8-hole yet: tail
-  ids.Release(b, 4);  // bridges a..c into one 12-id hole
-  EXPECT_EQ(ids.Allocate(12), a);
-  ids.Release(a, 12);
-  ids.Release(kOverlayIdBit | 16, 8);
-  ids.Release(pinned, 4);
-}
-
-TEST(OverlayIdAllocatorTest, FirstFitPrefersTheLowestFittingHole) {
-  OverlayIdAllocator ids;
-  NodeId a = ids.Allocate(2);
-  NodeId live1 = ids.Allocate(2);
-  NodeId b = ids.Allocate(8);
-  NodeId live2 = ids.Allocate(2);
-  ids.Release(a, 2);
-  ids.Release(b, 8);
-  // Both holes fit a 2-block; the lower one wins even though the higher
-  // was freed more recently and fits exactly its own size too.
-  EXPECT_EQ(ids.Allocate(2), a);
-  // The 8-hole serves the next fitting request.
-  EXPECT_EQ(ids.Allocate(8), b);
-  ids.Release(a, 2);
-  ids.Release(b, 8);
-  ids.Release(live1, 2);
-  ids.Release(live2, 2);
 }
 
 TEST(GoddagOverlayTest, BuildsRootedTreeInItsOwnNamespace) {

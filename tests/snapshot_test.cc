@@ -3,11 +3,10 @@
 // MVCC coverage: each version's leaf partition (SplitLeaves against a
 // boundary-set model; randomized Writer commits and a commit on an
 // arena-loaded document, both against a naive model built from the node
-// table), KyGoddag::Clone copy-on-write isolation,
-// DocumentSnapshot lifecycle (pin/publish versioning, last-pin-drops-frees,
-// kept-handle pinning past engine death), writer-publish byte-identity
-// under concurrent readers, and complete publication: every snapshot
-// carries its index and stats before the first query.
+// table), KyGoddag::Clone copy-on-write isolation, DocumentSnapshot
+// lifecycle (pin/publish versioning, last-pin-drops-frees), writer-publish
+// byte-identity under concurrent readers, and complete publication: every
+// snapshot carries its index and stats before the first query.
 
 #include <gtest/gtest.h>
 
@@ -423,31 +422,6 @@ TEST(SnapshotTest, LastPinDropFreesTheVersion) {
   // Document gone: nothing left alive. (Under ASan a leaked snapshot or a
   // use-after-free on the retired version would fail the binary, not just
   // this counter check.)
-  EXPECT_EQ(DocumentSnapshot::live_count(), before);
-}
-
-TEST(SnapshotTest, KeptHandlePinsItsSnapshotPastEngineDeath) {
-  const size_t before = DocumentSnapshot::live_count();
-  xquery::KeptTemporaries held;
-  {
-    auto doc = PaperDocument();
-    ASSERT_TRUE(doc.ok()) << doc.status();
-    auto kept = doc->engine()->EvaluateKeepingTemporaries(
-        "analyze-string(/descendant::w[string(.) = 'unawendendne'],"
-        " \".*un<a>a</a>we.*\")");
-    ASSERT_TRUE(kept.ok()) << kept.status();
-    EXPECT_EQ(kept->temporaries.hierarchy_count(), 1u);
-    held = std::move(kept->temporaries);
-    EXPECT_NE(held.snapshot(), nullptr);
-  }
-  // Document and engine are gone; the handle's snapshot keeps the version
-  // (whose goddag its overlays annotate) alive and readable.
-  EXPECT_EQ(DocumentSnapshot::live_count(), before + 1);
-  ASSERT_NE(held.snapshot(), nullptr);
-  EXPECT_EQ(held.snapshot()->version(), 1u);
-  EXPECT_FALSE(held.snapshot()->goddag().leaves().empty());
-  held.Release();
-  EXPECT_EQ(held.snapshot(), nullptr);
   EXPECT_EQ(DocumentSnapshot::live_count(), before);
 }
 

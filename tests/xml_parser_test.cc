@@ -4,6 +4,9 @@
 
 #include "xml/parser.h"
 
+#include "mutation.h"
+#include "workload/paper_data.h"
+
 namespace mhx::xml {
 namespace {
 
@@ -98,6 +101,31 @@ TEST(XmlParserTest, EscapeTextRoundTrips) {
   auto doc = Parse("<t>" + EscapeText(raw) + "</t>");
   ASSERT_TRUE(doc.ok()) << doc.status();
   EXPECT_EQ(doc->text, raw);
+}
+
+// Reject, don't crash: mutations of valid documents either parse or fail
+// with InvalidArgument; a parsed one keeps its ranges inside its text.
+TEST(XmlParserTest, MutatedDocumentsParseOrReject) {
+  const std::vector<std::string> seeds = {
+      workload::kPaperPhysicalXml,
+      workload::kPaperStructuralXml,
+      "<?xml version=\"1.0\"?><!-- c --><r a=\"1\" b='&amp;'>x<![CDATA[<y>]]>"
+      "&#65;&#x42;<e/><?pi z?><w>t</w></r>",
+  };
+  size_t parsed = 0;
+  fuzz::ForEachMutation(
+      seeds, "<>/=\"'&;#x!-?[]CDAT ab\n", 4000, 0x5EED1ull,
+      [&parsed](const std::string& input) {
+        auto doc = Parse(input);
+        if (!doc.ok()) {
+          EXPECT_EQ(doc.status().code(), StatusCode::kInvalidArgument)
+              << doc.status();
+          return;
+        }
+        ++parsed;
+        EXPECT_LE(doc->root.range.end, doc->text.size());
+      });
+  EXPECT_GT(parsed, 0u);
 }
 
 }  // namespace

@@ -173,68 +173,60 @@ TEST_F(XQueryEngineTest, IntegerOverflowIsAnEvaluationError) {
 
 // --- analyze-string temporaries in overlay namespaces ----------------------
 
+// The paper's Example 1 through Evaluate: the temporary hierarchy is
+// alive for the query that made it — its serialisation is the result —
+// and the base document is untouched while it is.
 TEST_F(XQueryEngineTest, AnalyzeStringKeepsAndCleansTemporaries) {
-  Engine* engine = doc_->engine();
   const size_t persistent_nodes = doc_->goddag().element_count();
   const uint64_t revision = doc_->goddag().revision();
-  const char* kCall =
-      "analyze-string(/descendant::w[string(.) = 'unawendendne'],"
-      " \".*un<a>a</a>we.*\")";
-
-  auto result = engine->EvaluateKeepingTemporaries(kCall);
-  ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_EQ(result->items.size(), 1u);
+  const size_t leaves = doc_->PinSnapshot()->goddag().leaves().size();
   // wrapper [9,21) > m [9,14) > a [11,12) over "unawendendne".
-  EXPECT_EQ(result->items[0],
+  EXPECT_EQ(Query("analyze-string(/descendant::w[string(.) = 'unawendendne'],"
+                  " \".*un<a>a</a>we.*\")"),
             "<analyze-string-result><m>un<a>a</a>we</m>ndendne"
             "</analyze-string-result>");
-  EXPECT_EQ(engine->temporary_hierarchy_count(), 1u);
-  EXPECT_EQ(result->temporaries.hierarchy_count(), 1u);
-  // The kept hierarchy lives in an overlay namespace: the base document is
-  // untouched even while it is alive — the invariant that lets queries run
-  // concurrently.
+  // The hierarchy lived in an overlay namespace: the base document never
+  // changed — the invariant that lets queries run concurrently.
   EXPECT_EQ(doc_->goddag().element_count(), persistent_nodes);
   EXPECT_EQ(doc_->goddag().revision(), revision);
-
-  engine->CleanupTemporaries();
-  EXPECT_EQ(engine->temporary_hierarchy_count(), 0u);
-  EXPECT_EQ(doc_->goddag().element_count(), persistent_nodes);
+  EXPECT_EQ(doc_->PinSnapshot()->goddag().leaves().size(), leaves);
 }
 
-TEST_F(XQueryEngineTest, DroppingTheKeptHandleDropsTheHierarchies) {
-  Engine* engine = doc_->engine();
-  {
-    auto kept = engine->EvaluateKeepingTemporaries(
-        "analyze-string(/descendant::w[string(.) = 'unawendendne'],"
-        " \".*un<a>a</a>we.*\")");
-    ASSERT_TRUE(kept.ok()) << kept.status();
-    EXPECT_EQ(engine->temporary_hierarchy_count(), 1u);
-    EXPECT_EQ(Query("count(/descendant::w[string(.) = 'unawendendne']"
-                    "/xdescendant::a)"),
-              "1");
-  }
-  // The handle went out of scope: the hierarchies are unregistered without
-  // any CleanupTemporaries call.
-  EXPECT_EQ(engine->temporary_hierarchy_count(), 0u);
+// A query's temporaries are visible to its own later steps and gone in
+// the next query.
+TEST_F(XQueryEngineTest, TemporariesAreGoneInTheNextQuery) {
+  EXPECT_EQ(Query("let $r := analyze-string(/descendant::w[string(.) = "
+                  "'unawendendne'], \".*un<a>a</a>we.*\") return "
+                  "count(/descendant::w[string(.) = 'unawendendne']"
+                  "/xdescendant::a)"),
+            "1");
+  EXPECT_EQ(Query("count(/descendant::w[string(.) = 'unawendendne']"
+                  "/xdescendant::a)"),
+            "0");
+  // A failing query drops its temporaries too.
+  EXPECT_FALSE(doc_->Query("let $r := analyze-string(/descendant::w[string(.)"
+                           " = 'unawendendne'], \".*un<a>a</a>we.*\") "
+                           "return $broken")
+                   .ok());
   EXPECT_EQ(Query("count(/descendant::w[string(.) = 'unawendendne']"
                   "/xdescendant::a)"),
             "0");
 }
 
-// Set-at-a-time steps from contexts in kept analyze-string overlays, mixed
-// with base contexts and given out of document order: each overlay is its
-// own hierarchy for following/preceding, and the extended axes see base
-// and overlay nodes alike. The reference takes the step once per context
-// (a for loop) and normalises the concatenation with a self:: step.
-TEST_F(XQueryEngineTest, SetStepsFromKeptOverlayContextsMatchPerContextSteps) {
+// Set-at-a-time steps from contexts in analyze-string overlays, mixed with
+// base contexts and given out of document order: each overlay is its own
+// hierarchy for following/preceding, and the extended axes see base and
+// overlay nodes alike. One query materialises the overlays in a loop whose
+// overlays reach the post-loop steps; the reference takes the step once
+// per context (a for loop) and normalises the concatenation with a self::
+// step.
+TEST_F(XQueryEngineTest, SetStepsFromOverlayContextsMatchPerContextSteps) {
   Engine* engine = doc_->engine();
-  auto kept = engine->EvaluateKeepingTemporaries(
-      "for $w in /descendant::w[matches(string(.), '.*e.*')]"
-      " return analyze-string($w, '.*<a>e</a>.*')");
-  ASSERT_TRUE(kept.ok()) << kept.status();
-  ASSERT_GT(engine->temporary_hierarchy_count(), 1u);
+  const std::string analyse =
+      "let $r := (for $w in /descendant::w[matches(string(.), '.*e.*')]"
+      " return analyze-string($w, '.*<a>e</a>.*')) return ";
   // Overlay nodes hang off no base node: the extended axes reach them.
-  ASSERT_NE(Query("count(/descendant::line/xdescendant::a)"), "0");
+  ASSERT_NE(Query(analyse + "count(/descendant::line/xdescendant::a)"), "0");
   const char* kContexts[] = {
       "/descendant::line/xdescendant::a", "/descendant::line/xdescendant::m",
       "(/descendant::line/xdescendant::a, /descendant::w)"};
@@ -247,41 +239,14 @@ TEST_F(XQueryEngineTest, SetStepsFromKeptOverlayContextsMatchPerContextSteps) {
       const std::string path = std::string(contexts) + "/" + step;
       const std::string per_context = "(for $c in " + std::string(contexts) +
                                       " return $c/" + step + ")/self::*";
-      auto listing = [](const std::string& p) {
-        return "for $n in " + p + " return (name($n), '[', string($n), ']')";
+      auto listing = [&analyse](const std::string& p) {
+        return analyse + "for $n in " + p +
+               " return (name($n), '[', string($n), ']')";
       };
       EXPECT_EQ(Query(listing(path)), Query(listing(per_context))) << path;
     }
   }
   EXPECT_GT(engine->set_steps(), set_steps_before);
-}
-
-TEST_F(XQueryEngineTest, PlainEvaluateLeavesKeptTemporariesAlive) {
-  Engine* engine = doc_->engine();
-  auto kept = engine->EvaluateKeepingTemporaries(
-      "analyze-string(/descendant::w[string(.) = 'unawendendne'],"
-      " \".*un<a>a</a>we.*\")");
-  ASSERT_TRUE(kept.ok()) << kept.status();
-  ASSERT_EQ(engine->temporary_hierarchy_count(), 1u);
-
-  // Interleaved plain evaluations — including failing ones — must tear
-  // down only their own temporaries, and can see the kept hierarchy.
-  EXPECT_EQ(Query("count(/descendant::w[string(.) = 'unawendendne']"
-                  "/xdescendant::a)"),
-            "1");
-  EXPECT_FALSE(doc_->Query("$broken").ok());
-  EXPECT_EQ(CoalesceRuns(Query(workload::kQueryII1)),
-            workload::kExpectedII1Coalesced);
-  EXPECT_EQ(engine->temporary_hierarchy_count(), 1u);
-  EXPECT_EQ(Query("count(/descendant::w[string(.) = 'unawendendne']"
-                  "/xdescendant::a)"),
-            "1");
-
-  engine->CleanupTemporaries();
-  EXPECT_EQ(engine->temporary_hierarchy_count(), 0u);
-  EXPECT_EQ(Query("count(/descendant::w[string(.) = 'unawendendne']"
-                  "/xdescendant::a)"),
-            "0");
 }
 
 TEST_F(XQueryEngineTest, ComparisonsCoerceNumbersLikeXPath) {
@@ -294,13 +259,15 @@ TEST_F(XQueryEngineTest, ComparisonsCoerceNumbersLikeXPath) {
 }
 
 TEST_F(XQueryEngineTest, AnalyzeStringCyclesNeverRebuildTheIndex) {
-  Engine* engine = doc_->engine();
+  const auto pinned = doc_->PinSnapshot();
   for (int i = 0; i < 20; ++i) {
     auto out = doc_->Query(workload::kQueryII1);
     ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_EQ(CoalesceRuns(*out), workload::kExpectedII1Coalesced);
   }
-  // The 20 overlay add/query/drop cycles above leave nothing behind.
-  EXPECT_EQ(engine->temporary_hierarchy_count(), 0u);
+  // The 20 overlay add/query/drop cycles above published nothing: the
+  // same snapshot, with the index it was published with, is current.
+  EXPECT_EQ(doc_->PinSnapshot(), pinned);
 }
 
 TEST_F(XQueryEngineTest, CommitIsVisibleToTheNextQueryWithoutRebuilds) {
@@ -323,55 +290,31 @@ TEST_F(XQueryEngineTest, CommitIsVisibleToTheNextQueryWithoutRebuilds) {
 }
 
 TEST_F(XQueryEngineTest, TemporariesNeverServeStaleIndexEntries) {
-  Engine* engine = doc_->engine();
-  // Keep temporaries over "unawendendne", then commit a new version so
-  // queries move to a fresh base index while they are alive. Overlay
-  // nodes must stay out of that index (they are scanned, never indexed),
-  // yet remain visible on extended axes.
-  auto kept = engine->EvaluateKeepingTemporaries(
-      "analyze-string(/descendant::w[string(.) = 'unawendendne'],"
-      " \".*un<a>a</a>we.*\")");
-  ASSERT_TRUE(kept.ok()) << kept.status();
+  // Commit a new version so queries move to a fresh base index, then
+  // materialise temporaries over "unawendendne". Overlay nodes must stay
+  // out of that index (they are scanned, never indexed), yet be visible on
+  // extended axes.
   {
     auto writer = doc_->NewWriter();
     writer.AddVirtualHierarchy(
         "notes", {goddag::VirtualElement{"note", TextRange(0, 5), {}}});
     ASSERT_TRUE(writer.Commit().ok());
   }
-  EXPECT_EQ(Query("count(/descendant::w[string(.) = 'unawendendne']"
+  EXPECT_EQ(Query("let $r := analyze-string(/descendant::w[string(.) = "
+                  "'unawendendne'], \".*un<a>a</a>we.*\") return "
+                  "count(/descendant::w[string(.) = 'unawendendne']"
                   "/xdescendant::a)"),
             "1");
-  // Drop the kept hierarchy, then run a fresh analyze-string over a
-  // different word. The old word's extended axes must see only the
-  // persistent <dmg> inside it — the dropped overlay's nodes are gone, and
-  // the new overlay's nodes sit at a different range.
-  engine->CleanupTemporaries();
+  // The next query runs a fresh analyze-string over a different word. The
+  // old word's extended axes must see only the persistent <dmg> inside it
+  // — the previous query's overlay nodes are gone, and the new overlay's
+  // nodes sit at a different range.
   EXPECT_EQ(
       Query("let $r := analyze-string(/descendant::w[string(.) = 'sceaft'],"
             " 'sc<q>e</q>aft') return "
             "count(/descendant::w[string(.) = 'unawendendne']"
             "/xdescendant::*)"),
       "1");
-}
-
-TEST(KeptTemporariesLifetimeTest, HandleMayOutliveTheEngine) {
-  KeptTemporaries handle;
-  {
-    auto doc = workload::BuildPaperDocument();
-    ASSERT_TRUE(doc.ok()) << doc.status();
-    auto kept = doc->engine()->EvaluateKeepingTemporaries(
-        "analyze-string(/descendant::w[string(.) = 'unawendendne'],"
-        " \".*un<a>a</a>we.*\")");
-    ASSERT_TRUE(kept.ok()) << kept.status();
-    handle = std::move(kept->temporaries);
-    EXPECT_EQ(handle.hierarchy_count(), 1u);
-  }
-  // Document and engine are gone; the handle still owns the overlay (which
-  // shares the id allocator) and must release without touching freed
-  // engine state — ASan guards this path.
-  EXPECT_EQ(handle.hierarchy_count(), 1u);
-  handle.Release();
-  EXPECT_EQ(handle.hierarchy_count(), 0u);
 }
 
 TEST_F(XQueryEngineTest, QueryResultsAreStableAcrossRepeats) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mutation.h"
 #include "workload/paper_data.h"
 #include "xquery/ast.h"
 
@@ -179,6 +180,34 @@ TEST(XQueryParserTest, ErrorOffsetsPointAtTheProblem) {
   // The unterminated predicate is reported at the end of input, offset 18.
   EXPECT_NE(expr.status().message().find("offset 18"), std::string::npos)
       << expr.status().message();
+}
+
+// Reject, don't crash: mutations of valid queries either parse or fail
+// with InvalidArgument.
+TEST(XQueryParserTest, MutatedQueriesParseOrReject) {
+  const std::vector<std::string> seeds = {
+      workload::kQueryI1,
+      workload::kQueryII1,
+      workload::kQueryIII1Intent,
+      "for $w in /descendant::w[2][xancestor::line] return "
+      "<b id=\"{name($w)}\">{$w}</b>",
+      "some $x in (1, 2 + 3 * 4) satisfies if ($x != 'a') then true() "
+      "else count(/child::*/following::leaf()) >= -7",
+      "let $r := analyze-string(., \".*<a>e</a>.*\") return $r/descendant::*",
+  };
+  size_t parsed = 0;
+  fuzz::ForEachMutation(
+      seeds, "()[]{}<>/=!,:$'\"*.-+ 019abdefilmnorstuwx", 2000, 0x5EED2ull,
+      [&parsed](const std::string& query) {
+        auto expr = ParseQuery(query);
+        if (!expr.ok()) {
+          EXPECT_EQ(expr.status().code(), StatusCode::kInvalidArgument)
+              << expr.status();
+          return;
+        }
+        ++parsed;
+      });
+  EXPECT_GT(parsed, 0u);
 }
 
 }  // namespace
